@@ -21,6 +21,8 @@ DEFAULT_REL_STEP = 6.06e-6
 # outer step for gradient-of-gradient differencing: the inner gradient noise
 # is amplified by 1/h, so the outer optimum sits near eps^(1/4), not eps^(1/3)
 DEFAULT_HESS_REL_STEP = 2e-4
+# largest relative score error check_gradient passes
+GRAD_CHECK_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -90,9 +92,8 @@ class GradientCheckReport:
         return self.max_rel_err <= self.tol
 
 
-def check_gradient(model, data, theta, cfg: DiffConfig = DEFAULT_DIFF,
-                   tol: float = 1e-5) -> GradientCheckReport:
-    """Compare analytic per-observation term gradients against grad_fd.
+def check_gradient(model, data, theta) -> GradientCheckReport:
+    """Compare the model's analytic per-observation scores against grad_fd.
 
     Relative error per term is ||g_a - g_fd||_inf / max(1, ||g_a||_inf) so
     near-zero coordinates do not blow up the ratio.
@@ -100,17 +101,14 @@ def check_gradient(model, data, theta, cfg: DiffConfig = DEFAULT_DIFF,
     if not getattr(model, "has_analytic_derivatives", False):
         raise ValidationError("model has no analytic gradient to check")
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    scores = model.score_matrix(data, theta)
     worst = (0.0, 0, 0)
     for i in range(data.n):
-        ga = np.asarray(model.term_grad(data, i, theta), dtype=float)
-
-        def term(th, i=i):
-            return model.loglik_i(data, i, th) + model.logprior(th) / data.n
-
-        gf = grad_fd(term, theta, cfg)
+        ga = scores[i]
+        gf = grad_fd(model.term_function(data, i), theta)
         denom = max(1.0, float(np.max(np.abs(ga))))
         err = np.abs(ga - gf) / denom
         j = int(np.argmax(err))
         if err[j] > worst[0]:
             worst = (float(err[j]), i, j)
-    return GradientCheckReport(worst[0], worst[1], worst[2], tol)
+    return GradientCheckReport(worst[0], worst[1], worst[2], GRAD_CHECK_TOL)

@@ -15,6 +15,7 @@ individual criteria report errors), 2 validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -210,11 +211,7 @@ def cmd_compute(args) -> int:
         except PaicError as exc:
             errors.append((name, str(exc)))
             continue
-        reports.append(crit.CriterionReport(
-            name=report.name, value=report.value, fit_term=report.fit_term,
-            penalty=report.penalty, n=report.n, S=report.S,
-            notes=report.notes, warnings=report.warnings, seed=args.seed,
-        ))
+        reports.append(dataclasses.replace(report, seed=args.seed))
 
     config = {
         "subcommand": "compute",

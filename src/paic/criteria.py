@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 from .exceptions import (
     ImproperPriorError,
@@ -40,6 +39,7 @@ from .models import (
     ConjugateNormalModel,
     HierLogitModel,
     ObservationSet,
+    _log_binom_coef,
     conjugate_posterior,
     logpost_unnorm,
     softplus,
@@ -91,9 +91,12 @@ class CriterionReport:
     notes: str = ""
     warnings: tuple = ()
     seed: Optional[int] = None
+    # indices of exact-LOO folds that failed convergence diagnostics
+    flagged_folds: tuple = ()
 
 
-def _report(name, fit, penalty, n, S, notes="", warnings=()) -> CriterionReport:
+def _report(name, fit, penalty, n, S, notes="", warnings=(),
+            flagged_folds=()) -> CriterionReport:
     return CriterionReport(
         name=name,
         value=-2.0 * fit + 2.0 * penalty,
@@ -103,6 +106,7 @@ def _report(name, fit, penalty, n, S, notes="", warnings=()) -> CriterionReport:
         S=int(S),
         notes=notes,
         warnings=tuple(warnings),
+        flagged_folds=tuple(flagged_folds),
     )
 
 
@@ -235,9 +239,7 @@ def closed_form_bias_estimators(model: ConjugateNormalModel,
     sA2 = model.sigma_A2
     mu_hat, s2 = conjugate_posterior(model, data)
 
-    scores = (y - mu_hat) / sA2
-    if model.tau02 is not None:
-        scores = scores + (model.mu0 - mu_hat) / (n * model.tau02)
+    scores = model.score_matrix(data, mu_hat)[:, 0]
     ssq = float(np.sum(scores ** 2))
     b_paic = s2 * ssq / (n - 1.0)
     b_bpic = s2 * ssq / n
@@ -245,13 +247,9 @@ def closed_form_bias_estimators(model: ConjugateNormalModel,
     rss = float(np.sum((y - mu_hat) ** 2))
     b_waic2 = (s2 / sA2 ** 2) * (n * s2 / 2.0 + rss) / n
 
-    inv_tau = 0.0 if model.tau02 is None else 1.0 / model.tau02
-    s2_loo = 1.0 / (inv_tau + (n - 1.0) / sA2)
+    mu_loo, s2_loo = model.posterior(n - 1.0, float(np.sum(y)) - y)
     b_popt = s2_loo / sA2
 
-    prior_part = 0.0 if model.tau02 is None else model.mu0 / model.tau02
-    total = float(np.sum(y))
-    mu_loo = (prior_part + (total - y) / sA2) * s2_loo
     rss_loo = float(np.sum((y - mu_loo) ** 2))
     b_cv = ((rss_loo / n + s2_loo) - (rss / n + s2)) / (2.0 * sA2)
 
@@ -287,12 +285,8 @@ def _gh_mean_softplus(mu_draws: np.ndarray, sd_draws: np.ndarray) -> np.ndarray:
 
 def _loo_terms_normal(model: ConjugateNormalModel, data: ObservationSet) -> np.ndarray:
     y = data.y
-    n = data.n
     sA2 = model.sigma_A2
-    inv_tau = 0.0 if model.tau02 is None else 1.0 / model.tau02
-    prior_part = 0.0 if model.tau02 is None else model.mu0 / model.tau02
-    s2_loo = 1.0 / (inv_tau + (n - 1.0) / sA2)
-    mu_loo = (prior_part + (np.sum(y) - y) / sA2) * s2_loo
+    mu_loo, s2_loo = model.posterior(data.n - 1.0, np.sum(y) - y)
     return -0.5 * (LOG_2PI + math.log(sA2)) - ((y - mu_loo) ** 2 + s2_loo) / (2.0 * sA2)
 
 
@@ -301,7 +295,7 @@ def _loo_terms_hier_logit(model: HierLogitModel, data: ObservationSet,
     """Refit without each group; the held-out logit is integrated against its
     conditional N(mu, tau2) by quadrature under every retained draw."""
     terms = np.empty(model.N)
-    flagged = 0
+    flagged = []
     for i in range(model.N):
         sub_model = model.drop_group(i)
         keep = np.ones(model.N, dtype=bool)
@@ -327,12 +321,12 @@ def _loo_terms_hier_logit(model: HierLogitModel, data: ObservationSet,
             rng_path=(*rng_path, "loo-fold", i), init=lap, check=False,
         )
         if not (diag.ok() and fold_ok):
-            flagged += 1
+            flagged.append(i)
         mu_d = draws.draws[:, sub_model.N]
         sd_d = np.sqrt(draws.draws[:, sub_model.N + 1])
         t_i = float(data.trial_sizes[i])
         y_i = float(data.y[i])
-        coef = float(gammaln(t_i + 1.0) - gammaln(y_i + 1.0) - gammaln(t_i - y_i + 1.0))
+        coef = float(_log_binom_coef(t_i, y_i))
         terms[i] = (
             coef
             + y_i * float(np.mean(mu_d))
@@ -352,20 +346,21 @@ def loo_exact(model, data: ObservationSet, sampler_config: Optional[LooConfig] =
     model.validate_data(data)
     if data.n > LOO_MAX_N:
         raise ValidationError(f"exact LOO guarded at n <= {LOO_MAX_N}")
+    flagged = ()
     if isinstance(model, ConjugateNormalModel):
         terms = _loo_terms_normal(model, data)
         notes = "analytic fold posteriors"
-        warnings_ = ()
         S = 0
     elif isinstance(model, HierLogitModel):
         cfg = sampler_config or LooConfig()
         terms, flagged = _loo_terms_hier_logit(model, data, cfg, rng_path)
         notes = "sampled fold posteriors"
-        warnings_ = (
-            (f"{flagged} fold(s) failed convergence diagnostics",) if flagged else ()
-        )
         S = cfg.budget.chains * cfg.budget.draws_per_chain
     else:
         raise UnsupportedModelError("exact LOO implemented for the built-in models only")
+    warnings_ = (
+        (f"{len(flagged)} fold(s) failed convergence diagnostics",) if flagged else ()
+    )
     fit = float(np.sum(terms))
-    return _report("loo", fit, 0.0, data.n, S, notes=notes, warnings=warnings_)
+    return _report("loo", fit, 0.0, data.n, S, notes=notes, warnings=warnings_,
+                   flagged_folds=flagged)

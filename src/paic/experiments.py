@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit, gammaln
+from scipy.special import expit
 
 from .criteria import (
     LooConfig,
@@ -35,7 +35,8 @@ from .criteria import (
 from .exceptions import ExperimentError, NumericalError, PaicError, ValidationError
 from .infomat import info_matrix_pair, trace_correction
 from .mcmc import SamplerBudget, PosteriorDraws, sample_hier_logit
-from .models import ConjugateNormalModel, HierLogitModel, ObservationSet, softplus
+from .models import (ConjugateNormalModel, HierLogitModel, ObservationSet,
+                     _log_binom_coef, softplus)
 from .optimize import find_posterior_mode, laplace_approx, posterior_mode
 from .rng import substream
 
@@ -134,8 +135,7 @@ def resolve_tau02(rule: str, n: int) -> Optional[float]:
 def true_bias_normal(cfg: NormalExperimentConfig, n: int,
                      tau02: Optional[float], sigma_A2: float) -> float:
     """Exact expected optimism sigma_T2 * sigma_hat2 / sigma_A2^2."""
-    inv_tau = 0.0 if tau02 is None else 1.0 / tau02
-    sigma_hat2 = 1.0 / (inv_tau + n / sigma_A2)
+    _, sigma_hat2 = ConjugateNormalModel(sigma_A2, cfg.mu0, tau02).posterior(n, 0.0)
     return cfg.sigma_T2 * sigma_hat2 / sigma_A2 ** 2
 
 
@@ -207,10 +207,6 @@ def run_normal_bias_experiment(cfg: NormalExperimentConfig) -> ExperimentResult:
 class EtaEstimate:
     value: float
     mc_se: float
-
-
-def _log_binom_coef(n_i: float, z: np.ndarray) -> np.ndarray:
-    return gammaln(n_i + 1.0) - gammaln(z + 1.0) - gammaln(n_i - z + 1.0)
 
 
 def _posterior_loglik_profile(draws: PosteriorDraws, N: int):
@@ -314,9 +310,6 @@ def _logit_replication(cfg: LogitExperimentConfig, rep: int) -> Optional[dict]:
     loo = loo_exact(model, data, LooConfig(cfg.fold_budget, cfg.seed),
                     rng_path=("logit", rep))
     b_cv = eta_hat - loo.fit_term / cfg.N
-    loo_flagged = 0
-    if loo.warnings:
-        loo_flagged = int(loo.warnings[0].split()[0])
 
     if cfg.eta_oracle == "exact":
         eta_true, eta_se = true_predictive_loglik_exact(draws, beta_true, trial_sizes), 0.0
@@ -341,7 +334,7 @@ def _logit_replication(cfg: LogitExperimentConfig, rep: int) -> Optional[dict]:
         "err_cv": gap - b_cv,
         "max_rhat": diag.max_rhat,
         "min_ess": diag.min_ess,
-        "loo_flagged": float(loo_flagged),
+        "loo_flagged": float(len(loo.flagged_folds)),
         "attempts": float(attempts),
     }
 

@@ -169,16 +169,6 @@ def report_from_dict(d: dict) -> CriterionReport:
     )
 
 
-def write_reports(path: str, reports, prov: dict, fmt_name: str = "json",
-                  errors=()) -> None:
-    if fmt_name == "json":
-        write_reports_json(path, reports, prov, errors=errors)
-    elif fmt_name == "csv":
-        write_reports_csv(path, reports, prov, errors=errors)
-    else:
-        raise ValidationError(f"unknown report format: {fmt_name!r}")
-
-
 def write_reports_json(path: str, reports, prov: dict, errors=()) -> None:
     """Successful reports plus per-criterion error entries (partial success)."""
     entries = [report_to_dict(r) for r in reports]

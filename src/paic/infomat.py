@@ -11,6 +11,8 @@ where the denominator d is n-1 for the posterior-averaging penalty and n for
 the plug-in (BPIC) convention; the two traces differ by exactly (n-1)/n.
 Scores are not centered: at the mode their prior-weighted sum is already
 (numerically) zero.  Adding a constant to log pi changes neither matrix.
+Scores and the Hessian sum come from the model, which decides whether they
+are analytic or finite differences.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh
 
-from .calculus import DEFAULT_DIFF, DiffConfig, grad_fd, hess_fd
 from .exceptions import IllConditionedError, NumericalError, ValidationError
 from .models import ObservationSet
 
@@ -52,67 +53,40 @@ class TraceCorrection:
     eigenvalues: np.ndarray
 
 
-def _term_function(model, data, i):
-    def term(theta):
-        return model.loglik_i(data, i, theta) + model.logprior(theta) / data.n
-
-    return term
-
-
-def compute_hess_info(model, data: ObservationSet, theta_hat,
-                      cfg: DiffConfig = DEFAULT_DIFF) -> np.ndarray:
-    """-(1/n) sum of per-term Hessians; analytic when the model provides them."""
+def compute_hess_info(model, data: ObservationSet, theta_hat) -> np.ndarray:
+    """-(1/n) sum of per-term Hessians, as the model supplies them."""
     model.validate_data(data)
     theta_hat = np.atleast_1d(np.asarray(theta_hat, dtype=float))
-    if getattr(model, "has_analytic_derivatives", False):
-        H = model.hess_term_sum(data, theta_hat)
-        if not np.all(np.isfinite(H)):
-            raise NumericalError("non-finite analytic Hessian term sum")
-    else:
-        H = np.zeros((model.p, model.p))
-        for i in range(data.n):
-            Hi = hess_fd(_term_function(model, data, i), theta_hat, cfg)
-            if not np.all(np.isfinite(Hi)):
-                raise NumericalError(f"non-finite Hessian for observation {i}")
-            H += Hi
+    H = model.hess_term_sum(data, theta_hat)
+    if not np.all(np.isfinite(H)):
+        raise NumericalError("non-finite Hessian term sum")
     J = -H / data.n
     return 0.5 * (J + J.T)
 
 
 def compute_score_info(model, data: ObservationSet, theta_hat,
-                       denominator: str = "n-1",
-                       cfg: DiffConfig = DEFAULT_DIFF) -> np.ndarray:
+                       denominator: str = "n-1") -> np.ndarray:
     """Sum of score outer products over observations, divided by n-1 (or n)."""
     if denominator not in _DENOMS:
         raise ValidationError("denominator must be 'n-1' or 'n'")
     model.validate_data(data)
     theta_hat = np.atleast_1d(np.asarray(theta_hat, dtype=float))
-    if getattr(model, "has_analytic_derivatives", False):
-        S = model.score_matrix(data, theta_hat)
-        if not np.all(np.isfinite(S)):
-            i = int(np.flatnonzero(~np.isfinite(S).all(axis=1))[0])
-            raise NumericalError(f"non-finite score for observation {i}")
-    else:
-        rows = []
-        for i in range(data.n):
-            s = grad_fd(_term_function(model, data, i), theta_hat, cfg)
-            if not np.all(np.isfinite(s)):
-                raise NumericalError(f"non-finite score for observation {i}")
-            rows.append(s)
-        S = np.vstack(rows)
+    S = model.score_matrix(data, theta_hat)
+    if not np.all(np.isfinite(S)):
+        i = int(np.flatnonzero(~np.isfinite(S).all(axis=1))[0])
+        raise NumericalError(f"non-finite score for observation {i}")
     I_mat = S.T @ S / _DENOMS[denominator](data.n)
     return 0.5 * (I_mat + I_mat.T)
 
 
 def info_matrix_pair(model, data: ObservationSet, theta_hat,
-                     convention: str = "paic",
-                     cfg: DiffConfig = DEFAULT_DIFF) -> InfoMatrixPair:
+                     convention: str = "paic") -> InfoMatrixPair:
     """Assemble the pair at theta_hat; 'paic' uses 1/(n-1), 'bpic' uses 1/n."""
     denom = {"paic": "n-1", "bpic": "n"}.get(convention)
     if denom is None:
         raise ValidationError("convention must be 'paic' or 'bpic'")
-    J = compute_hess_info(model, data, theta_hat, cfg)
-    I_mat = compute_score_info(model, data, theta_hat, denom, cfg)
+    J = compute_hess_info(model, data, theta_hat)
+    I_mat = compute_score_info(model, data, theta_hat, denom)
     eig = np.linalg.eigvalsh(J)
     if eig[0] <= 0:
         cond = np.inf

@@ -96,8 +96,8 @@ class Diagnostics:
     def min_ess(self) -> float:
         return float(np.min(self.ess))
 
-    def ok(self, rhat_max: float = RHAT_MAX, ess_min: float = ESS_MIN) -> bool:
-        return self.max_rhat <= rhat_max and self.min_ess >= ess_min
+    def ok(self) -> bool:
+        return self.max_rhat <= RHAT_MAX and self.min_ess >= ESS_MIN
 
 
 def ess(x) -> float:
@@ -222,16 +222,12 @@ def sample_hier_logit(model: HierLogitModel, data: ObservationSet,
                       budget: SamplerBudget = SamplerBudget(),
                       seed: int = 0, rng_path=(),
                       init: Optional[LaplaceApprox] = None,
-                      target_accept: float = TARGET_ACCEPT,
-                      adapt_batch: int = ADAPT_BATCH,
-                      check: bool = True,
-                      rhat_max: float = RHAT_MAX,
-                      ess_min: float = ESS_MIN):
+                      check: bool = True):
     """Adaptive Metropolis-within-Gibbs for the hierarchical logit posterior.
 
     Returns (PosteriorDraws, Diagnostics); with ``check=True`` raises
     NonConvergenceError (carrying the diagnostics) when any coordinate has
-    rhat above ``rhat_max`` or ESS below ``ess_min`` -- callers may retry
+    rhat above RHAT_MAX or ESS below ESS_MIN -- callers may retry
     with a larger budget.
     """
     model.validate_data(data)
@@ -285,11 +281,11 @@ def sample_hier_logit(model: HierLogitModel, data: ObservationSet,
         sp_beta = np.where(acc, sp_prop, sp_beta)
         if it < warmup:
             batch_acc += acc
-            if (it + 1) % adapt_batch == 0:
-                m = (it + 1) // adapt_batch
+            if (it + 1) % ADAPT_BATCH == 0:
+                m = (it + 1) // ADAPT_BATCH
                 delta = min(0.25, m ** -0.5)
                 scales = scales * np.exp(
-                    np.where(batch_acc / adapt_batch > target_accept, delta, -delta)
+                    np.where(batch_acc / ADAPT_BATCH > TARGET_ACCEPT, delta, -delta)
                 )
                 batch_acc[:] = 0.0
             if it == warmup - 1:
@@ -318,7 +314,7 @@ def sample_hier_logit(model: HierLogitModel, data: ObservationSet,
         scales_warm=scales_warm,
         scales_final=scales,
     )
-    if check and not diag.ok(rhat_max, ess_min):
+    if check and not diag.ok():
         raise NonConvergenceError(
             f"sampler did not converge: max rhat {diag.max_rhat:.4f}, "
             f"min ess {diag.min_ess:.0f}",

@@ -1,31 +1,39 @@
-"""Model abstraction and built-in models.
+"""Model protocol and built-in models.
 
-A model exposes a per-observation log likelihood ``log g(y_i | theta)``, a log
-prior ``log pi(theta)`` (possibly improper, represented only up to an additive
-constant), and optionally analytic derivatives of the prior-weighted
-per-observation term
+A model writes each formula once, as four matrix forms: ``loglik_matrix``
+(the S x n matrix of log g(y_i | theta_s) over draws), ``logprior_draws``
+(log pi per draw; an improper prior is known only up to a constant), and
+``score_matrix`` (n x p) and ``hess_term_sum`` (p x p), the gradients and the
+summed Hessians of the prior-weighted per-observation terms
 
     t_i(theta) = log g(y_i | theta) + (1/n) * log pi(theta).
 
 The ``(1/n) log pi`` weighting is what makes prior curvature enter the
 information matrices at the per-observation scale; for a flat prior the term
-is identically zero.
+is identically zero.  The base class derives ``loglik_terms``, ``loglik_i``,
+``logprior``, ``term_grad``, the term function t_i and the log-posterior
+gradient and Hessian for the mode search from these four.
 
 Two built-ins cover the bundled simulation studies: a normal location model
 with known variance and conjugate (or flat) normal prior, and a hierarchical
-binomial-logit random-effects model.  User models are supplied
-programmatically through :class:`ModelDefinition`.
+binomial-logit random-effects model; both also give the per-term Hessian
+``term_hess``.  User models are supplied programmatically through
+:class:`ModelDefinition`, which loops its per-observation callables into the
+matrix forms and, lacking analytic derivatives, builds them from central
+finite differences, so callers never choose a derivative path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import expit, gammaln
 
+from .calculus import grad_fd, hess_fd
 from .exceptions import NumericalError, UnsupportedModelError, ValidationError
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -50,6 +58,11 @@ def scaled_inv_chi2_logpdf(x, nu, s2):
         - (half_nu + 1.0) * np.log(x)
         - half_nu * s2 / x
     )
+
+
+def _log_binom_coef(n, k):
+    """log C(n, k) for real n >= k >= 0, elementwise."""
+    return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
 
 
 @dataclass(frozen=True)
@@ -97,7 +110,7 @@ def _as_theta(theta, p: int) -> np.ndarray:
 
 
 class _ModelBase:
-    """Shared generic fallbacks; built-ins override with vectorized paths."""
+    """Derives every single-point form from the four matrix forms."""
 
     p: int
     prior_proper: bool
@@ -117,22 +130,31 @@ class _ModelBase:
     def validate_data(self, data: ObservationSet) -> None:
         pass
 
-    # -- fallback vectorizations over observations / draws --------------
+    # -- single-point forms, each one row of a matrix form ---------------
 
     def loglik_terms(self, data: ObservationSet, theta) -> np.ndarray:
-        return np.array(
-            [self.loglik_i(data, i, theta) for i in range(data.n)], dtype=float
-        )
+        return self.loglik_matrix(data, _as_theta(theta, self.p)[None, :])[0]
 
-    def loglik_matrix(self, data: ObservationSet, draws: np.ndarray) -> np.ndarray:
-        return np.vstack([self.loglik_terms(data, row) for row in draws])
+    def loglik_i(self, data: ObservationSet, i: int, theta) -> float:
+        return float(self.loglik_terms(data, theta)[i])
 
-    def logprior_draws(self, draws: np.ndarray) -> np.ndarray:
-        return np.array([self.logprior(row) for row in draws], dtype=float)
+    def logprior(self, theta) -> float:
+        return float(self.logprior_draws(_as_theta(theta, self.p)[None, :])[0])
+
+    def term_grad(self, data: ObservationSet, i: int, theta) -> np.ndarray:
+        return self.score_matrix(data, theta)[i]
+
+    def term_function(self, data: ObservationSet, i: int):
+        """t_i as a function of theta alone, for finite differencing."""
+        return lambda theta: self.loglik_i(data, i, theta) + self.logprior(theta) / data.n
 
     @property
     def has_analytic_derivatives(self) -> bool:
-        return False
+        return True
+
+    def logpost_derivatives(self, data: ObservationSet, theta):
+        """(gradient, Hessian) of log{L(theta|y) pi(theta)}: the sums over t_i."""
+        return self.score_matrix(data, theta).sum(axis=0), self.hess_term_sum(data, theta)
 
     def default_init(self, data: ObservationSet) -> np.ndarray:
         return np.zeros(self.p)
@@ -170,27 +192,10 @@ class ConjugateNormalModel(_ModelBase):
         if data.trial_sizes is not None:
             raise ValidationError("normal model takes continuous data without trial_sizes")
 
-    def loglik_i(self, data: ObservationSet, i: int, theta) -> float:
-        mu = _as_theta(theta, 1)[0]
-        r = data.y[i] - mu
-        return -0.5 * (LOG_2PI + math.log(self.sigma_A2)) - 0.5 * r * r / self.sigma_A2
-
-    def loglik_terms(self, data: ObservationSet, theta) -> np.ndarray:
-        mu = _as_theta(theta, 1)[0]
-        r = data.y - mu
-        return -0.5 * (LOG_2PI + math.log(self.sigma_A2)) - 0.5 * r * r / self.sigma_A2
-
     def loglik_matrix(self, data: ObservationSet, draws: np.ndarray) -> np.ndarray:
         mus = np.asarray(draws, dtype=float).reshape(-1, 1)
         r = data.y[None, :] - mus
         return -0.5 * (LOG_2PI + math.log(self.sigma_A2)) - 0.5 * r * r / self.sigma_A2
-
-    def logprior(self, theta) -> float:
-        mu = _as_theta(theta, 1)[0]
-        if self.tau02 is None:
-            return 0.0
-        d = mu - self.mu0
-        return -0.5 * (LOG_2PI + math.log(self.tau02)) - 0.5 * d * d / self.tau02
 
     def logprior_draws(self, draws: np.ndarray) -> np.ndarray:
         mus = np.asarray(draws, dtype=float).reshape(-1)
@@ -199,18 +204,15 @@ class ConjugateNormalModel(_ModelBase):
         d = mus - self.mu0
         return -0.5 * (LOG_2PI + math.log(self.tau02)) - 0.5 * d * d / self.tau02
 
+    def posterior(self, count, total):
+        """Posterior (mean, variance) of mu from ``count`` observations summing
+        to ``total``; a leave-one-out fold is (n - 1, sum(y) - y_i)."""
+        inv_tau = 0.0 if self.tau02 is None else 1.0 / self.tau02
+        prior_part = 0.0 if self.tau02 is None else self.mu0 / self.tau02
+        variance = 1.0 / (inv_tau + count / self.sigma_A2)
+        return (prior_part + total / self.sigma_A2) * variance, variance
+
     # -- analytic derivatives of t_i = log g_i + (1/n) log pi ----------
-
-    @property
-    def has_analytic_derivatives(self) -> bool:
-        return True
-
-    def term_grad(self, data: ObservationSet, i: int, theta) -> np.ndarray:
-        mu = _as_theta(theta, 1)[0]
-        g = (data.y[i] - mu) / self.sigma_A2
-        if self.tau02 is not None:
-            g += (self.mu0 - mu) / (data.n * self.tau02)
-        return np.array([g])
 
     def term_hess(self, data: ObservationSet, i: int, theta) -> np.ndarray:
         h = -1.0 / self.sigma_A2
@@ -261,7 +263,6 @@ class HierLogitModel(_ModelBase):
         self.mu_var = float(mu_var)
         self.nu = float(nu)
         self.s2 = float(s2)
-        self._logC = gammaln(t + 1.0)  # completed per-observation below
 
     @property
     def N(self) -> int:
@@ -298,49 +299,26 @@ class HierLogitModel(_ModelBase):
         theta = _as_theta(theta, self.p)
         return theta[: self.N], theta[self.N], theta[self.N + 1]
 
-    def _log_binom_coef(self, data: ObservationSet) -> np.ndarray:
-        t = data.trial_sizes.astype(float)
-        y = data.y
-        return gammaln(t + 1.0) - gammaln(y + 1.0) - gammaln(t - y + 1.0)
-
-    def loglik_i(self, data: ObservationSet, i: int, theta) -> float:
-        beta, _, _ = self.split(theta)
-        t = float(data.trial_sizes[i])
-        y = float(data.y[i])
-        coef = gammaln(t + 1.0) - gammaln(y + 1.0) - gammaln(t - y + 1.0)
-        return coef + y * beta[i] - t * softplus(beta[i])
-
-    def loglik_terms(self, data: ObservationSet, theta) -> np.ndarray:
-        beta, _, _ = self.split(theta)
-        t = data.trial_sizes.astype(float)
-        return self._log_binom_coef(data) + data.y * beta - t * softplus(beta)
-
     def loglik_matrix(self, data: ObservationSet, draws: np.ndarray) -> np.ndarray:
         draws = np.asarray(draws, dtype=float)
         B = draws[:, : self.N]
         t = data.trial_sizes.astype(float)
         return (
-            self._log_binom_coef(data)[None, :]
+            _log_binom_coef(t, data.y)[None, :]
             + data.y[None, :] * B
             - t[None, :] * softplus(B)
         )
-
-    def logprior(self, theta) -> float:
-        beta, mu, tau2 = self.split(theta)
-        if tau2 <= 0:
-            return -np.inf
-        d = beta - mu
-        lp = -0.5 * self.N * (LOG_2PI + math.log(tau2)) - 0.5 * np.sum(d * d) / tau2
-        dm = mu - self.mu_mean
-        lp += -0.5 * (LOG_2PI + math.log(self.mu_var)) - 0.5 * dm * dm / self.mu_var
-        lp += float(scaled_inv_chi2_logpdf(tau2, self.nu, self.s2))
-        return float(lp)
 
     def logprior_draws(self, draws: np.ndarray) -> np.ndarray:
         draws = np.asarray(draws, dtype=float)
         B = draws[:, : self.N]
         mu = draws[:, self.N]
         tau2 = draws[:, self.N + 1]
+        outside = tau2 <= 0
+        if outside.any():  # log density -inf off the support, not NaN
+            lp = np.full(tau2.size, -np.inf)
+            lp[~outside] = self.logprior_draws(draws[~outside])
+            return lp
         d = B - mu[:, None]
         lp = -0.5 * self.N * (LOG_2PI + np.log(tau2)) - 0.5 * np.sum(d * d, axis=1) / tau2
         dm = mu - self.mu_mean
@@ -349,10 +327,6 @@ class HierLogitModel(_ModelBase):
         return lp
 
     # -- analytic derivatives -------------------------------------------
-
-    @property
-    def has_analytic_derivatives(self) -> bool:
-        return True
 
     def _prior_grad(self, theta) -> np.ndarray:
         beta, mu, tau2 = self.split(theta)
@@ -385,13 +359,6 @@ class HierLogitModel(_ModelBase):
             - self.nu * self.s2 / tau2 ** 3
         )
         return H
-
-    def term_grad(self, data: ObservationSet, i: int, theta) -> np.ndarray:
-        beta, _, _ = self.split(theta)
-        g = self._prior_grad(theta) / data.n
-        xi = expit(beta[i])
-        g[i] += data.y[i] - data.trial_sizes[i] * xi
-        return g
 
     def term_hess(self, data: ObservationSet, i: int, theta) -> np.ndarray:
         beta, _, _ = self.split(theta)
@@ -436,13 +403,15 @@ class HierLogitModel(_ModelBase):
 
 @dataclass
 class ModelDefinition(_ModelBase):
-    """Programmatic user model.
+    """Programmatic user model built from per-observation callables.
 
-    ``loglik_i(theta, i, data)`` returns log g(y_i | theta); ``logprior``
+    ``loglik_i_fn(theta, i, data)`` returns log g(y_i | theta); ``logprior``
     may be improper (then set ``prior_proper=False`` and criteria that need
     a proper prior will refuse).  ``analytic_grad``/``analytic_hess``, when
-    given, differentiate the prior-weighted per-observation term and are
+    both given, differentiate the prior-weighted per-observation term and are
     verified against finite differences by ``calculus.check_gradient``.
+    Without them, scores, Hessian sums and the mode search's derivatives
+    are central finite differences (of each t_i, or of the log posterior).
     """
 
     p: int
@@ -459,52 +428,84 @@ class ModelDefinition(_ModelBase):
             return [(-np.inf, np.inf)] * self.p
         return list(self.support_bounds)
 
+    # the callables are per observation, so one term never costs n of them
     def loglik_i(self, data: ObservationSet, i: int, theta) -> float:
         return float(self.loglik_i_fn(_as_theta(theta, self.p), i, data))
 
     def logprior(self, theta) -> float:
         return float(self.logprior_fn(_as_theta(theta, self.p)))
 
+    def loglik_matrix(self, data: ObservationSet, draws: np.ndarray) -> np.ndarray:
+        out = np.empty((len(draws), data.n))
+        for s, row in enumerate(draws):
+            row = _as_theta(row, self.p)
+            out[s] = [float(self.loglik_i_fn(row, i, data)) for i in range(data.n)]
+        return out
+
+    def logprior_draws(self, draws: np.ndarray) -> np.ndarray:
+        return np.array([self.logprior(row) for row in draws], dtype=float)
+
     @property
     def has_analytic_derivatives(self) -> bool:
         return self.analytic_grad is not None and self.analytic_hess is not None
 
-    def term_grad(self, data: ObservationSet, i: int, theta) -> np.ndarray:
-        if self.analytic_grad is None:
-            raise ValidationError("model has no analytic_grad")
-        return np.asarray(self.analytic_grad(_as_theta(theta, self.p), i, data), dtype=float)
-
-    def term_hess(self, data: ObservationSet, i: int, theta) -> np.ndarray:
-        if self.analytic_hess is None:
-            raise ValidationError("model has no analytic_hess")
-        return np.asarray(self.analytic_hess(_as_theta(theta, self.p), i, data), dtype=float)
-
     def score_matrix(self, data: ObservationSet, theta) -> np.ndarray:
-        return np.vstack([self.term_grad(data, i, theta) for i in range(data.n)])
+        theta = _as_theta(theta, self.p)
+        if self.has_analytic_derivatives:
+            rows = [self.analytic_grad(theta, i, data) for i in range(data.n)]
+        else:
+            rows = [grad_fd(self.term_function(data, i), theta) for i in range(data.n)]
+        return np.vstack([np.asarray(r, dtype=float) for r in rows])
 
     def hess_term_sum(self, data: ObservationSet, theta) -> np.ndarray:
+        theta = _as_theta(theta, self.p)
         H = np.zeros((self.p, self.p))
         for i in range(data.n):
-            H += self.term_hess(data, i, theta)
+            if self.has_analytic_derivatives:
+                H += np.asarray(self.analytic_hess(theta, i, data), dtype=float)
+            else:
+                H += hess_fd(self.term_function(data, i), theta)
         return H
+
+    def logpost_derivatives(self, data: ObservationSet, theta):
+        if self.has_analytic_derivatives:
+            return super().logpost_derivatives(data, theta)
+        f = partial(_safe_logpost, self, data)
+        return grad_fd(f, theta), hess_fd(f, theta)
 
 
 # -- module-level operations -------------------------------------------
 
 
-def loglik_total(model, data: ObservationSet, theta) -> float:
-    """Total log likelihood sum_i log g(y_i | theta)."""
-    model.validate_data(data)
-    terms = model.loglik_terms(data, theta)
+def _finite_sum(terms: np.ndarray) -> float:
     if not np.all(np.isfinite(terms)):
         i = int(np.flatnonzero(~np.isfinite(terms))[0])
         raise NumericalError(f"non-finite log-likelihood term at observation {i}")
     return float(np.sum(terms))
 
 
+def loglik_total(model, data: ObservationSet, theta) -> float:
+    """Total log likelihood sum_i log g(y_i | theta)."""
+    model.validate_data(data)
+    return _finite_sum(model.loglik_terms(data, theta))
+
+
 def logpost_unnorm(model, data: ObservationSet, theta) -> float:
     """Log unnormalized posterior log{L(theta|y) pi(theta)}."""
-    return loglik_total(model, data, theta) + float(model.logprior(theta))
+    model.validate_data(data)
+    row = _as_theta(theta, model.p)[None, :]
+    return (_finite_sum(model.loglik_matrix(data, row)[0])
+            + float(model.logprior_draws(row)[0]))
+
+
+def _safe_logpost(model, data: ObservationSet, theta) -> float:
+    """logpost_unnorm, or -inf off the support or where a term is not finite."""
+    if not model.in_support(theta):
+        return -np.inf
+    try:
+        return logpost_unnorm(model, data, theta)
+    except NumericalError:
+        return -np.inf
 
 
 def conjugate_posterior(model: ConjugateNormalModel, data: ObservationSet):
@@ -519,9 +520,5 @@ def conjugate_posterior(model: ConjugateNormalModel, data: ObservationSet):
     if not isinstance(model, ConjugateNormalModel):
         raise UnsupportedModelError("conjugate_posterior needs a ConjugateNormalModel")
     model.validate_data(data)
-    inv_tau = 0.0 if model.tau02 is None else 1.0 / model.tau02
-    prior_part = 0.0 if model.tau02 is None else model.mu0 / model.tau02
-    precision = inv_tau + data.n / model.sigma_A2
-    sigma_hat2 = 1.0 / precision
-    mu_hat = (prior_part + np.sum(data.y) / model.sigma_A2) * sigma_hat2
+    mu_hat, sigma_hat2 = model.posterior(data.n, np.sum(data.y))
     return float(mu_hat), float(sigma_hat2)

@@ -5,7 +5,8 @@ an Armijo backtracking line search, falling back to gradient steps whenever
 the Newton direction is not an ascent direction.  Positive coordinates
 (declared by the model via ``log_scale_coords``) are searched on the log
 scale; the objective is the unchanged theta-parameterization density, so the
-reported mode and curvature are theta-space quantities.
+reported mode and curvature are theta-space quantities.  Its gradient and
+Hessian come from the model (``logpost_derivatives``).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import DEFAULT_DIFF, DiffConfig, grad_fd, hess_fd
 from .exceptions import (
     NotPositiveDefiniteError,
     NumericalError,
@@ -22,11 +22,12 @@ from .exceptions import (
     ValidationError,
 )
 from .rng import substream
-from .models import ObservationSet, logpost_unnorm
+from .models import ObservationSet, _safe_logpost
 
 MODE_TOL_SCALE = 1e-8
 RIDGE_SCALE = 1e-8
 ARMIJO_C = 1e-4
+MODE_RESTARTS = 3
 
 
 @dataclass(frozen=True)
@@ -82,27 +83,6 @@ class _Transform:
         return g_u, H_u
 
 
-def _safe_logpost(model, data, theta) -> float:
-    if not model.in_support(theta):
-        return -np.inf
-    try:
-        return logpost_unnorm(model, data, theta)
-    except NumericalError:
-        return -np.inf
-
-
-def _theta_derivatives(model, data, theta, cfg: DiffConfig):
-    if getattr(model, "has_analytic_derivatives", False):
-        g = model.score_matrix(data, theta).sum(axis=0)
-        H = model.hess_term_sum(data, theta)
-        return g, H
-
-    def f(th):
-        return _safe_logpost(model, data, th)
-
-    return grad_fd(f, theta, cfg), hess_fd(f, theta, cfg)
-
-
 def _solve_ascent(H_u: np.ndarray, g_u: np.ndarray):
     """Newton direction from (-H) d = g, ridged once if the factorization fails.
 
@@ -131,13 +111,11 @@ def _solve_ascent(H_u: np.ndarray, g_u: np.ndarray):
 
 
 def posterior_mode(model, data: ObservationSet, init,
-                   max_iter: int = 200,
-                   tol_scale: float = MODE_TOL_SCALE,
-                   cfg: DiffConfig = DEFAULT_DIFF) -> ModeResult:
+                   max_iter: int = 200) -> ModeResult:
     """Damped Newton ascent on the log unnormalized posterior from ``init``.
 
     Convergence requires the theta-space gradient inf-norm to fall below
-    tol_scale * max(1, |logpost|) and the negative Hessian at the mode to be
+    MODE_TOL_SCALE * max(1, |logpost|) and the negative Hessian at the mode to be
     positive definite.  Hitting ``max_iter`` returns converged=False rather
     than raising.
     """
@@ -155,9 +133,9 @@ def posterior_mode(model, data: ObservationSet, init,
     iterations = 0
     grad_norm = np.inf
     for iterations in range(1, max_iter + 1):
-        g_theta, H_theta = _theta_derivatives(model, data, theta, cfg)
+        g_theta, H_theta = model.logpost_derivatives(data, theta)
         grad_norm = float(np.max(np.abs(g_theta)))
-        if grad_norm <= tol_scale * max(1.0, abs(fval)):
+        if grad_norm <= MODE_TOL_SCALE * max(1.0, abs(fval)):
             break
         g_u, H_u = tr.chain(theta, g_theta, H_theta)
         d = _solve_ascent(H_u, g_u)
@@ -185,10 +163,10 @@ def posterior_mode(model, data: ObservationSet, init,
     else:
         iterations = max_iter
 
-    g_theta, H_theta = _theta_derivatives(model, data, theta, cfg)
+    g_theta, H_theta = model.logpost_derivatives(data, theta)
     grad_norm = float(np.max(np.abs(g_theta)))
     neg_hess = 0.5 * ((-H_theta) + (-H_theta).T)
-    grad_ok = grad_norm <= tol_scale * max(1.0, abs(fval))
+    grad_ok = grad_norm <= MODE_TOL_SCALE * max(1.0, abs(fval))
     try:
         np.linalg.cholesky(neg_hess)
         pd_ok = True
@@ -205,9 +183,7 @@ def posterior_mode(model, data: ObservationSet, init,
 
 
 def find_posterior_mode(model, data: ObservationSet, init=None,
-                        restarts: int = 3, seed: int = 0,
-                        max_iter: int = 200,
-                        cfg: DiffConfig = DEFAULT_DIFF) -> ModeResult:
+                        seed: int = 0) -> ModeResult:
     """Best-of-restarts mode search from the data-driven init plus perturbations."""
     base = np.atleast_1d(np.asarray(
         model.default_init(data) if init is None else init, dtype=float))
@@ -216,11 +192,10 @@ def find_posterior_mode(model, data: ObservationSet, init=None,
     rng = substream(seed, "mode-restarts")
     best = None
     best_converged = None
-    for r in range(max(1, restarts)):
+    for r in range(MODE_RESTARTS):
         u_start = u0 if r == 0 else u0 + 0.3 * rng.standard_normal(model.p)
         try:
-            res = posterior_mode(model, data, tr.to_theta(u_start),
-                                 max_iter=max_iter, cfg=cfg)
+            res = posterior_mode(model, data, tr.to_theta(u_start))
         except (ValidationError, NumericalError):
             continue
         if best is None or res.logpost > best.logpost:

@@ -206,6 +206,14 @@ def test_loo_hier_logit_completes(hier_model, hier_data):
     assert_decomposition(report)
 
 
+def test_loo_flagged_folds_carried_as_indices(hier_model, hier_data):
+    # 100 draws per fold cannot reach ESS 400, so every fold is flagged
+    cfg = LooConfig(SamplerBudget(2, 50, 50), seed=0)
+    report = loo_exact(hier_model, hier_data, cfg, rng_path=("t",))
+    assert report.flagged_folds == tuple(range(15))
+    assert report.warnings == ("15 fold(s) failed convergence diagnostics",)
+
+
 def test_popt_closed_form_values():
     m = ConjugateNormalModel(1.0, tau02=None)
     data = ObservationSet(substream(6, "popt").normal(0, 1, 11))

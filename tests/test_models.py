@@ -201,3 +201,37 @@ def test_loglik_total_reports_offending_index():
     data = ObservationSet(np.array([1.0, 2.0, 3.0]))
     with pytest.raises(Exception, match="observation 1"):
         loglik_total(md, data, [0.0])
+
+
+def test_single_point_forms_are_rows_of_matrix_forms(hier_model, hier_data):
+    rng = np.random.default_rng(12)
+    normal = ConjugateNormalModel(1.3, mu0=0.4, tau02=0.9)
+    normal_data = ObservationSet(rng.standard_normal(7))
+    cases = [(normal, normal_data, lambda: rng.normal(size=1)),
+             (hier_model, hier_data, lambda: np.concatenate([
+                 rng.normal(size=15), [rng.normal()], [np.exp(rng.normal())]]))]
+    for m, data, draw in cases:
+        for _ in range(5):
+            theta = draw()
+            row = theta[None, :]
+            lik = m.loglik_matrix(data, row)[0]
+            np.testing.assert_array_equal(m.loglik_terms(data, theta), lik)
+            np.testing.assert_array_equal(
+                [m.loglik_i(data, i, theta) for i in range(data.n)], lik)
+            np.testing.assert_array_equal(m.logprior(theta), m.logprior_draws(row)[0])
+            S = m.score_matrix(data, theta)
+            for i in range(data.n):
+                np.testing.assert_array_equal(m.term_grad(data, i, theta), S[i])
+
+
+def test_hier_logprior_minus_inf_off_support():
+    import warnings
+
+    m = HierLogitModel(np.full(3, 10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tau2 in (0.0, -1.0):
+            assert m.logprior(np.array([0.1, -0.2, 0.3, 0.0, tau2])) == -np.inf
+        lp = m.logprior_draws(np.array([[0.1, -0.2, 0.3, 0.0, -1.0],
+                                        [0.1, -0.2, 0.3, 0.0, 1.0]]))
+    assert lp[0] == -np.inf and np.isfinite(lp[1])
