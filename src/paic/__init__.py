@@ -9,7 +9,7 @@ an independent out-of-sample oracle.
 """
 
 from ._version import __version__
-from .calculus import DiffConfig, GradientCheckReport, check_gradient, grad_fd, hess_fd
+from .calculus import GradientCheckReport, check_gradient, grad_fd, hess_fd
 from .criteria import (
     ClosedFormBias,
     CriterionReport,

@@ -25,29 +25,10 @@ DEFAULT_HESS_REL_STEP = 2e-4
 GRAD_CHECK_TOL = 1e-5
 
 
-@dataclass(frozen=True)
-class DiffConfig:
-    rel_step: float = DEFAULT_REL_STEP
-    hess_rel_step: float = DEFAULT_HESS_REL_STEP
-
-    def __post_init__(self):
-        if self.rel_step <= 0 or self.hess_rel_step <= 0:
-            raise ValidationError("steps must be positive")
-
-    def steps(self, theta: np.ndarray) -> np.ndarray:
-        return self.rel_step * np.maximum(1.0, np.abs(theta))
-
-    def hess_steps(self, theta: np.ndarray) -> np.ndarray:
-        return self.hess_rel_step * np.maximum(1.0, np.abs(theta))
-
-
-DEFAULT_DIFF = DiffConfig()
-
-
-def grad_fd(f, theta, cfg: DiffConfig = DEFAULT_DIFF) -> np.ndarray:
-    """Central-difference gradient; coordinate j uses step rel_step*max(1,|theta_j|)."""
+def grad_fd(f, theta) -> np.ndarray:
+    """Central-difference gradient; step j is DEFAULT_REL_STEP * max(1, |theta_j|)."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    h = cfg.steps(theta)
+    h = DEFAULT_REL_STEP * np.maximum(1.0, np.abs(theta))
     g = np.empty(theta.size)
     for j in range(theta.size):
         tp = theta.copy()
@@ -65,18 +46,18 @@ def grad_fd(f, theta, cfg: DiffConfig = DEFAULT_DIFF) -> np.ndarray:
     return g
 
 
-def hess_fd(f, theta, cfg: DiffConfig = DEFAULT_DIFF) -> np.ndarray:
+def hess_fd(f, theta) -> np.ndarray:
     """Hessian from 2p central-gradient calls, symmetrized as (H + H')/2."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     p = theta.size
-    h = cfg.hess_steps(theta)
+    h = DEFAULT_HESS_REL_STEP * np.maximum(1.0, np.abs(theta))
     H = np.empty((p, p))
     for j in range(p):
         tp = theta.copy()
         tm = theta.copy()
         tp[j] += h[j]
         tm[j] -= h[j]
-        H[:, j] = (grad_fd(f, tp, cfg) - grad_fd(f, tm, cfg)) / (2.0 * h[j])
+        H[:, j] = (grad_fd(f, tp) - grad_fd(f, tm)) / (2.0 * h[j])
     return 0.5 * (H + H.T)
 
 

@@ -200,15 +200,6 @@ class ClosedFormBias:
     popt: float
     cv: float
 
-    def as_dict(self) -> dict:
-        return {
-            "paic": self.paic,
-            "bpic": self.bpic,
-            "waic2": self.waic2,
-            "popt": self.popt,
-            "cv": self.cv,
-        }
-
 
 def _require_normal(model):
     if not isinstance(model, ConjugateNormalModel):

@@ -268,7 +268,7 @@ _LOGIT_RECORD_FIELDS = (
 
 
 def _logit_replication(cfg: LogitExperimentConfig, rep: int) -> Optional[dict]:
-    """One replication; returns None when excluded after a doubled-budget retry."""
+    """One replication, or None when excluded (mode/Laplace failure or two gate failures)."""
     trial_sizes = np.full(cfg.N, cfg.n_i)
     model = HierLogitModel(trial_sizes, cfg.mu_mean, cfg.mu_var, cfg.nu, cfg.s2)
     gen = substream(cfg.seed, "logit", rep, "truth")
@@ -276,23 +276,22 @@ def _logit_replication(cfg: LogitExperimentConfig, rep: int) -> Optional[dict]:
     y = gen.binomial(trial_sizes, expit(beta_true))
     data = ObservationSet(y.astype(float), trial_sizes)
 
-    draws = diag = mode = None
-    attempts = 0
+    try:
+        mode = find_posterior_mode(model, data, seed=cfg.seed)
+        lap = laplace_approx(model, data, mode)
+    except PaicError:
+        return None
     for attempt in range(2):
-        attempts = attempt + 1
         budget = cfg.budget if attempt == 0 else cfg.budget.scaled(2.0)
         try:
-            mode = find_posterior_mode(model, data, seed=cfg.seed)
-            lap = laplace_approx(model, data, mode)
             draws, diag = sample_hier_logit(
                 model, data, budget=budget, seed=cfg.seed,
                 rng_path=("logit", rep, "main", attempt), init=lap, check=True,
             )
             break
         except PaicError:
-            # sampler gate, mode search, or Laplace failure: retry, then exclude
-            draws = None
-    if draws is None:
+            continue  # sampler gate failure: retry once with a doubled budget
+    else:
         return None
 
     pw = pointwise_loglik(model, data, draws)
@@ -335,7 +334,7 @@ def _logit_replication(cfg: LogitExperimentConfig, rep: int) -> Optional[dict]:
         "max_rhat": diag.max_rhat,
         "min_ess": diag.min_ess,
         "loo_flagged": float(len(loo.flagged_folds)),
-        "attempts": float(attempts),
+        "attempts": float(attempt + 1),
     }
 
 

@@ -50,37 +50,47 @@ def _parse_float(text: str, path: str, lineno: int, column: str) -> float:
     return value
 
 
-def read_observations_csv(path: str) -> ObservationSet:
-    """Strict reader for the data schema: header 'y' or 'y,n_trials'."""
+def _csv_rows(path: str):
+    """Yield the stripped header of a CSV file, then (line number, fields) for
+    each non-blank row below it, checked to have as many fields as the header."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise ValidationError(f"{path}: empty file")
-        if header == ["y"]:
-            with_trials = False
-        elif header == ["y", "n_trials"]:
-            with_trials = True
-        else:
-            raise ValidationError(
-                f"{path}:1: expected header 'y' or 'y,n_trials', got {','.join(header)!r}"
-            )
-        ys = []
-        trials = []
+        yield header
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) != len(header):
                 raise ValidationError(f"{path}:{lineno}: expected {len(header)} fields")
-            ys.append(_parse_float(row[0], path, lineno, "y"))
-            if with_trials:
-                t = _parse_float(row[1], path, lineno, "n_trials")
-                if t != int(t) or t < 1:
-                    raise ValidationError(
-                        f"{path}:{lineno}: n_trials must be a positive integer"
-                    )
-                trials.append(int(t))
+            yield lineno, row
+
+
+def read_observations_csv(path: str) -> ObservationSet:
+    """Strict reader for the data schema: header 'y' or 'y,n_trials'."""
+    lines = _csv_rows(path)
+    header = next(lines)
+    if header == ["y"]:
+        with_trials = False
+    elif header == ["y", "n_trials"]:
+        with_trials = True
+    else:
+        raise ValidationError(
+            f"{path}:1: expected header 'y' or 'y,n_trials', got {','.join(header)!r}"
+        )
+    ys = []
+    trials = []
+    for lineno, row in lines:
+        ys.append(_parse_float(row[0], path, lineno, "y"))
+        if with_trials:
+            t = _parse_float(row[1], path, lineno, "n_trials")
+            if t != int(t) or t < 1:
+                raise ValidationError(
+                    f"{path}:{lineno}: n_trials must be a positive integer"
+                )
+            trials.append(int(t))
     y = np.asarray(ys, dtype=float)
     return ObservationSet(y, np.asarray(trials, dtype=int) if with_trials else None)
 
@@ -95,28 +105,20 @@ def write_draws_csv(path: str, draws: PosteriorDraws) -> None:
 
 
 def read_draws_csv(path: str) -> PosteriorDraws:
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
+    lines = _csv_rows(path)
+    header = next(lines)
+    p = len(header) - 1
+    if p < 1 or header != [f"theta_{k + 1}" for k in range(p)] + ["chain"]:
+        raise ValidationError(f"{path}:1: expected header theta_1..theta_p,chain")
+    rows = []
+    ids = []
+    for lineno, row in lines:
+        rows.append([_parse_float(c, path, lineno, header[j])
+                     for j, c in enumerate(row[:p])])
         try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file")
-        p = len(header) - 1
-        if p < 1 or header != [f"theta_{k + 1}" for k in range(p)] + ["chain"]:
-            raise ValidationError(f"{path}:1: expected header theta_1..theta_p,chain")
-        rows = []
-        ids = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != p + 1:
-                raise ValidationError(f"{path}:{lineno}: expected {p + 1} fields")
-            rows.append([_parse_float(c, path, lineno, header[j])
-                         for j, c in enumerate(row[:p])])
-            try:
-                ids.append(int(row[p]))
-            except ValueError:
-                raise ValidationError(f"{path}:{lineno}: chain id must be an integer")
+            ids.append(int(row[p]))
+        except ValueError:
+            raise ValidationError(f"{path}:{lineno}: chain id must be an integer")
     if not rows:
         raise ValidationError(f"{path}: no draws")
     return PosteriorDraws(

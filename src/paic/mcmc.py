@@ -11,6 +11,10 @@ the post-warmup kernel is frozen.
 All randomness is pre-drawn per chain from Philox substreams keyed by
 (seed, *path, "chain", c), so chains are reproducible regardless of how the
 surrounding code schedules work.
+
+ESS (Geyer's initial monotone sequence, per chain) and split R-hat (BDA3)
+are array kernels over the sampler's (chains, draws, p) layout; the public
+single-series ``ess`` and ``rhat`` reshape their input into it.
 """
 
 from __future__ import annotations
@@ -75,10 +79,6 @@ class PosteriorDraws:
     def p(self) -> int:
         return self.draws.shape[1]
 
-    def by_chain(self):
-        for c in np.unique(self.chain_ids):
-            yield c, self.draws[self.chain_ids == c]
-
 
 @dataclass(frozen=True)
 class Diagnostics:
@@ -100,91 +100,84 @@ class Diagnostics:
         return self.max_rhat <= RHAT_MAX and self.min_ess >= ESS_MIN
 
 
+def _ess_kernel(chains: np.ndarray) -> np.ndarray:
+    """ESS of each series of a (chains, n, p) array, as (chains, p)."""
+    n = chains.shape[1]
+    if n < 10:
+        raise ValidationError("ess needs a 1-D series of at least 10 draws")
+    # 2n points keep every lag unwrapped; squaring in place bounds the FFT buffers at two
+    acov = np.fft.rfft(chains - chains.mean(axis=1, keepdims=True), 2 * n, axis=1)
+    acov *= np.conj(acov)
+    acov = np.fft.irfft(acov, 2 * n, axis=1)[:, :n]
+    constant = acov[:, :1] == 0.0
+    rho = acov / np.where(constant, 1.0, acov[:, :1])
+    m_max = n // 2
+    gam = rho[:, 0 : 2 * m_max : 2] + rho[:, 1 : 2 * m_max : 2]
+    keep = np.logical_and.accumulate(gam > 0.0, axis=1)
+    tau = 2.0 * np.sum(np.minimum.accumulate(gam, axis=1), axis=1, where=keep) - 1.0
+    out = np.where(keep[:, 0], n / np.maximum(tau, 1e-3), float(n))
+    if np.any(constant):
+        warnings.warn("constant series: ESS defined as 0")
+    return np.where(constant[:, 0], 0.0, out)
+
+
+def _rhat_kernel(chains: np.ndarray) -> np.ndarray:
+    """Split-chain R-hat of each coordinate of a (chains, n, p) array, as (p,)."""
+    C, n, p = chains.shape
+    L = n // 2
+    if L < 2:
+        raise ValidationError("chains too short to split")
+    halves = chains[:, : 2 * L].reshape(2 * C, L, p)
+    W = halves.var(axis=1, ddof=1).mean(axis=0)
+    B = L * halves.mean(axis=1).var(axis=0, ddof=1)
+    r = np.sqrt(((L - 1) / L * W + B / L) / np.where(W == 0.0, 1.0, W))
+    return np.where(W == 0.0, np.where(B == 0.0, 1.0, np.inf), r)
+
+
 def ess(x) -> float:
     """Effective sample size via the initial monotone sequence estimator.
 
     Pairwise autocorrelation sums Gamma_m = rho_{2m} + rho_{2m+1} are kept
     until the first non-positive one and forced monotone non-increasing; the
     integrated autocorrelation time is 2*sum(Gamma) - 1.  A constant series
-    has no information: ESS is defined as 0 (with a warning).
+    has no information: ESS is defined as 0 (with a warning).  The series
+    runs through the sampler's kernel as a (1, n, 1) array.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 10:
+    if x.ndim != 1:
         raise ValidationError("ess needs a 1-D series of at least 10 draws")
-    n = x.size
-    x = x - x.mean()
-    var0 = float(x @ x) / n
-    if var0 == 0.0:
-        warnings.warn("constant series: ESS defined as 0")
-        return 0.0
-    nfft = 1 << int(2 * n - 1).bit_length()
-    f = np.fft.rfft(x, nfft)
-    acov = np.fft.irfft(f * np.conj(f), nfft)[:n] / n
-    rho = acov / acov[0]
-    m_max = n // 2
-    gam = rho[0 : 2 * m_max : 2] + rho[1 : 2 * m_max : 2]
-    nonpos = np.flatnonzero(gam <= 0.0)
-    cut = int(nonpos[0]) if nonpos.size else m_max
-    if cut == 0:
-        return float(n)
-    gam = np.minimum.accumulate(gam[:cut])
-    tau = 2.0 * float(np.sum(gam)) - 1.0
-    return n / max(tau, 1e-3)
+    return float(_ess_kernel(x[None, :, None])[0, 0])
 
 
 def rhat(x, chain_ids) -> float:
     """Split-chain potential scale reduction for one coordinate.
 
     Each chain is split in half (a single chain is allowed: its halves act
-    as two chains), so within-chain drift inflates the statistic.
+    as two chains), so within-chain drift inflates the statistic.  Runs on
+    the draws grouped by chain id, in order, as a (chains, n, 1) array.
     """
     x = np.asarray(x, dtype=float)
     ids = np.asarray(chain_ids)
     if x.shape != ids.shape:
         raise ValidationError("draws and chain_ids must align")
-    lengths = {int(np.sum(ids == c)) for c in np.unique(ids)}
-    if len(lengths) != 1:
+    _, lengths = np.unique(ids, return_counts=True)
+    if np.unique(lengths).size != 1:
         raise ValidationError("chains must have equal lengths")
-    halves = []
-    for c in np.unique(ids):
-        ch = x[ids == c]
-        half = ch.size // 2
-        if half < 2:
-            raise ValidationError("chains too short to split")
-        halves.append(ch[:half])
-        halves.append(ch[half : 2 * half])
-    arr = np.vstack(halves)
-    m, L = arr.shape
-    means = arr.mean(axis=1)
-    variances = arr.var(axis=1, ddof=1)
-    W = float(np.mean(variances))
-    B = L * float(np.var(means, ddof=1))
-    if W == 0.0:
-        return 1.0 if B == 0.0 else np.inf
-    var_plus = (L - 1) / L * W + B / L
-    return float(np.sqrt(var_plus / W))
+    grouped = x.ravel()[np.argsort(ids.ravel(), kind="stable")]
+    return float(_rhat_kernel(grouped.reshape(lengths.size, -1, 1))[0])
 
 
-def compute_diagnostics(draws: PosteriorDraws,
-                        accept_rate=None,
-                        scales_warm=None,
-                        scales_final=None) -> Diagnostics:
-    p = draws.p
-    ess_vals = np.zeros(p)
-    rhat_vals = np.zeros(p)
-    for k in range(p):
-        total = 0.0
-        for _, chain in draws.by_chain():
-            total += ess(chain[:, k])
-        ess_vals[k] = min(total, float(draws.S))
-        rhat_vals[k] = rhat(draws.draws[:, k], draws.chain_ids)
-    empty = np.zeros(0)
+def compute_diagnostics(chains: np.ndarray, accept_rate: np.ndarray,
+                        scales_warm: np.ndarray, scales_final: np.ndarray) -> Diagnostics:
+    """ESS (summed over chains, capped at the draw count) and split R-hat of
+    every coordinate of a (chains, draws, p) array."""
+    C, n, _ = chains.shape
     return Diagnostics(
-        ess=ess_vals,
-        rhat=rhat_vals,
-        accept_rate=empty if accept_rate is None else np.asarray(accept_rate),
-        step_scales_warmup_end=empty if scales_warm is None else np.asarray(scales_warm),
-        step_scales_final=empty if scales_final is None else np.asarray(scales_final),
+        ess=np.minimum(_ess_kernel(chains).sum(axis=0), float(C * n)),
+        rhat=_rhat_kernel(chains),
+        accept_rate=accept_rate,
+        step_scales_warmup_end=scales_warm,
+        step_scales_final=scales_final,
     )
 
 
@@ -302,18 +295,15 @@ def sample_hier_logit(model: HierLogitModel, data: ObservationSet,
             out[:, k, N] = mu
             out[:, k, N + 1] = tau2
 
+    del z_move, log_u  # free the pre-drawn randomness before the diagnostics' FFTs
     draws = PosteriorDraws(
         draws=out.reshape(C * budget.draws_per_chain, p),
         chain_ids=np.repeat(np.arange(C), budget.draws_per_chain),
         warmup_discarded=warmup,
         seed=seed,
     )
-    diag = compute_diagnostics(
-        draws,
-        accept_rate=accept_total.mean(axis=0) / budget.draws_per_chain,
-        scales_warm=scales_warm,
-        scales_final=scales,
-    )
+    diag = compute_diagnostics(out, accept_total.mean(axis=0) / budget.draws_per_chain,
+                               scales_warm, scales)
     if check and not diag.ok():
         raise NonConvergenceError(
             f"sampler did not converge: max rhat {diag.max_rhat:.4f}, "

@@ -4,7 +4,6 @@ from scipy.special import expit
 
 from paic import (
     ConjugateNormalModel,
-    DiffConfig,
     HierLogitModel,
     ModelDefinition,
     NumericalError,
@@ -126,8 +125,3 @@ def test_grad_nonfinite_names_coordinate():
     with np.errstate(invalid="ignore"), pytest.raises(NumericalError,
                                                       match="coordinate 0"):
         grad_fd(lambda t: float(np.log(t[0])), np.array([1e-7]))
-
-
-def test_diffconfig_validation():
-    with pytest.raises(Exception):
-        DiffConfig(rel_step=-1.0)

@@ -13,6 +13,7 @@ from paic import (
     sample_conjugate_normal,
     sample_hier_logit,
 )
+from paic.mcmc import compute_diagnostics
 from paic.models import logpost_unnorm
 from paic.rng import substream
 
@@ -152,3 +153,96 @@ def test_generic_rwm_agrees_with_exact_sampler():
     # variance standard error, conservative: 2 sigma^4 (1/ess_rwm + 1/S_exact)
     se_var = np.sqrt(2 * s2 ** 2 * (1 / e + 1 / exact.size))
     assert abs(x.var(ddof=1) - exact.var(ddof=1)) <= 3 * se_var
+
+
+def _ar1_chains(seed, shape, phis):
+    """(chains, n, p) array whose column k is an AR(1) series with phi_k."""
+    gen = substream(seed, "ar1-chains")
+    C, n, p = shape
+    x = np.empty(shape)
+    x[:, 0] = gen.standard_normal((C, p))
+    innov = gen.standard_normal(shape) * np.sqrt(1 - np.asarray(phis) ** 2)
+    for t in range(1, n):
+        x[:, t] = np.asarray(phis) * x[:, t - 1] + innov[:, t]
+    return x
+
+
+def _ess_reference(x):
+    """Initial monotone sequence ESS from direct autocovariance sums."""
+    n = x.size
+    d = x - x.mean()
+    acov = np.correlate(d, d, "full")[n - 1:] / n
+    rho = acov / acov[0]
+    total, prev = 0.0, np.inf
+    for m in range(n // 2):
+        g = rho[2 * m] + rho[2 * m + 1]
+        if g <= 0.0:
+            break
+        prev = min(prev, g)
+        total += prev
+    else:
+        m = n // 2
+    if m == 0:
+        return float(n)
+    return n / max(2.0 * total - 1.0, 1e-3)
+
+
+def _rhat_reference(chains):
+    """Split R-hat (BDA3) of a list of equal-length 1-D chains."""
+    halves = []
+    for ch in chains:
+        L = ch.size // 2
+        halves += [ch[:L], ch[L:2 * L]]
+    L = halves[0].size
+    W = np.mean([h.var(ddof=1) for h in halves])
+    B = L * np.var([h.mean() for h in halves], ddof=1)
+    return float(np.sqrt(((L - 1) / L * W + B / L) / W))
+
+
+def test_compute_diagnostics_matches_single_series_functions():
+    C, n, p = 3, 500, 4
+    chains = _ar1_chains(12, (C, n, p), [0.0, 0.5, 0.9, -0.3])
+    diag = compute_diagnostics(chains, np.zeros(1), np.zeros(1), np.zeros(1))
+    ids = np.repeat(np.arange(C), n)
+    for k in range(p):
+        total = sum(ess(chains[c, :, k]) for c in range(C))
+        np.testing.assert_allclose(diag.ess[k], min(total, C * n), rtol=1e-12)
+        np.testing.assert_allclose(diag.rhat[k], rhat(chains[:, :, k].ravel(), ids),
+                                   rtol=1e-12)
+    # negative autocorrelation pushes the per-chain sum past S: the cap applies
+    assert diag.ess[3] == C * n
+
+
+def test_compute_diagnostics_constant_coordinate():
+    chains = _ar1_chains(13, (1, 200, 3), [0.3, 0.3, 0.3])
+    chains[0, :, 1] = 3.0
+    with pytest.warns(UserWarning, match="constant series"):
+        diag = compute_diagnostics(chains, np.zeros(1), np.zeros(1), np.zeros(1))
+    assert diag.ess[1] == 0.0
+    assert diag.rhat[1] == 1.0
+    for k in (0, 2):
+        assert diag.ess[k] == pytest.approx(ess(chains[0, :, k]), rel=1e-12)
+        assert diag.ess[k] > 0.0
+
+
+def test_rhat_interleaved_chain_ids_equal_grouped():
+    x = _ar1_chains(14, (2, 400, 1), [0.6])[:, :, 0]
+    x[1] += 0.2
+    grouped = rhat(x.ravel(), np.repeat([0, 1], 400))
+    interleaved = rhat(x.T.ravel(), np.tile([0, 1], 400))
+    assert interleaved == grouped
+
+
+def test_odd_length_series_match_direct_references():
+    x = _ar1_chains(15, (3, 1001, 1), [0.7])[:, :, 0]
+    assert ess(x[0]) == pytest.approx(_ess_reference(x[0]), rel=1e-10)
+    ids = np.repeat(np.arange(3), 1001)
+    assert rhat(x.ravel(), ids) == pytest.approx(_rhat_reference(list(x)), rel=1e-12)
+
+
+def test_ess_antithetic_series_hits_tau_floor():
+    # lag-1 autocorrelation near -1: every pair sum is tiny, tau floors at 1e-3
+    x = np.where(np.arange(501) % 2 == 0, 1.0, -1.0)
+    x = x + 1e-3 * substream(16, "alternating").standard_normal(501)
+    assert ess(x) == pytest.approx(501 / 1e-3, rel=1e-12)
+    assert _ess_reference(x) == pytest.approx(501 / 1e-3, rel=1e-12)
