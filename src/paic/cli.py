@@ -9,13 +9,15 @@ Two subcommands:
   paic experiment normal|logit --reps R --seed N --out DIR [scenario flags]
 
 Exit codes are a stable contract: 0 success (including partial success where
-individual criteria report errors), 2 validation error, 3 numerical failure.
+individual criteria report errors), 2 validation error (including a file
+that cannot be read or written), 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -140,7 +142,7 @@ def _build_model(args, data):
                           args.nu, args.s2)
 
 
-def _obtain_draws(args, model, data):
+def _obtain_draws(args, model, data, get_mode):
     if args.draws is not None:
         draws = read_draws_csv(args.draws)
         if draws.p != model.p:
@@ -150,7 +152,7 @@ def _obtain_draws(args, model, data):
         return draws
     if isinstance(model, ConjugateNormalModel):
         return sample_conjugate_normal(model, data, args.draw_count, args.seed)
-    mode = find_posterior_mode(model, data, seed=args.seed)
+    mode = get_mode()
     if not mode.converged:
         raise NumericalError("posterior mode search did not converge")
     lap = laplace_approx(model, data, mode)
@@ -167,23 +169,11 @@ def cmd_compute(args) -> int:
     data = read_observations_csv(args.data)
     model = _build_model(args, data)
     model.validate_data(data)
-    draws = _obtain_draws(args, model, data)
+    # one mode search serves the sampler's start and the paic/bpic penalties
+    get_mode = functools.cache(lambda: find_posterior_mode(model, data, seed=args.seed))
+    draws = _obtain_draws(args, model, data, get_mode)
     min_draws = min(crit.MIN_DRAWS, draws.S)  # supplied draw files may be small
-
-    pointwise = None
-    mode = None
-
-    def get_pointwise():
-        nonlocal pointwise
-        if pointwise is None:
-            pointwise = crit.pointwise_loglik(model, data, draws)
-        return pointwise
-
-    def get_mode():
-        nonlocal mode
-        if mode is None:
-            mode = find_posterior_mode(model, data, seed=args.seed)
-        return mode
+    get_pointwise = functools.cache(lambda: crit.pointwise_loglik(model, data, draws))
 
     reports = []
     errors = []
@@ -271,7 +261,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PaicError as exc:

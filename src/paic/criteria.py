@@ -35,11 +35,11 @@ from .exceptions import (
 from .infomat import InfoMatrixPair, trace_correction
 from .mcmc import PosteriorDraws, SamplerBudget, sample_hier_logit
 from .models import (
-    LOG_2PI,
     ConjugateNormalModel,
     HierLogitModel,
     ObservationSet,
-    _log_binom_coef,
+    _binom_loglik,
+    _normal_loglik,
     conjugate_posterior,
     logpost_unnorm,
     softplus,
@@ -162,9 +162,9 @@ def bpic(model, data: ObservationSet, draws: PosteriorDraws, mode: ModeResult,
     return _report("bpic", fit, penalty, data.n, draws.S)
 
 
-def waic2(pointwise: PointwiseLogLik, min_draws: int = 2) -> CriterionReport:
+def waic2(pointwise: PointwiseLogLik) -> CriterionReport:
     """Posterior-variance penalty: p = sum_i Var_draws[log g(y_i | theta)]."""
-    _check_draws(pointwise.S, max(2, min_draws))
+    _check_draws(pointwise.S, 2)
     fit = float(np.sum(pointwise.column_means()))
     penalty = float(np.sum(pointwise.column_vars()))
     return _report("waic2", fit, penalty, pointwise.n, pointwise.S)
@@ -201,34 +201,27 @@ class ClosedFormBias:
     cv: float
 
 
-def _require_normal(model):
-    if not isinstance(model, ConjugateNormalModel):
-        raise UnsupportedModelError("closed forms exist only for the conjugate normal model")
+def _insample_loglik(model: ConjugateNormalModel, y, mu_hat, s2) -> float:
+    return float(np.mean(_normal_loglik(y, mu_hat, model.sigma_A2, s2)))
 
 
 def closed_form_insample_loglik(model: ConjugateNormalModel, data: ObservationSet) -> float:
     """Exact (1/n) sum_i E_post[log g(y_i | mu)] for the normal model."""
-    _require_normal(model)
     mu_hat, s2 = conjugate_posterior(model, data)
-    sA2 = model.sigma_A2
-    rss = float(np.sum((data.y - mu_hat) ** 2))
-    return -0.5 * (LOG_2PI + math.log(sA2)) - (rss / data.n + s2) / (2.0 * sA2)
+    return _insample_loglik(model, data.y, mu_hat, s2)
 
 
 def closed_form_bias_estimators(model: ConjugateNormalModel,
                                 data: ObservationSet) -> ClosedFormBias:
     """Literal evaluation of the five per-observation bias formulas.
 
-    waic2 is the total posterior-variance penalty divided by n; cv uses the
-    exact leave-one-out posterior (mean mu_loo_i, variance s2_loo) in the
-    refit estimate it subtracts from the in-sample value.
+    waic2 is the total posterior-variance penalty divided by n; cv is the
+    in-sample value minus the exact leave-one-out estimate of ``loo_exact``.
     """
-    _require_normal(model)
-    model.validate_data(data)
+    mu_hat, s2 = conjugate_posterior(model, data)
     y = data.y
     n = data.n
     sA2 = model.sigma_A2
-    mu_hat, s2 = conjugate_posterior(model, data)
 
     scores = model.score_matrix(data, mu_hat)[:, 0]
     ssq = float(np.sum(scores ** 2))
@@ -238,11 +231,11 @@ def closed_form_bias_estimators(model: ConjugateNormalModel,
     rss = float(np.sum((y - mu_hat) ** 2))
     b_waic2 = (s2 / sA2 ** 2) * (n * s2 / 2.0 + rss) / n
 
-    mu_loo, s2_loo = model.posterior(n - 1.0, float(np.sum(y)) - y)
+    _, s2_loo = model.posterior(n - 1.0, 0.0)  # no fold's variance depends on y
     b_popt = s2_loo / sA2
 
-    rss_loo = float(np.sum((y - mu_loo) ** 2))
-    b_cv = ((rss_loo / n + s2_loo) - (rss / n + s2)) / (2.0 * sA2)
+    b_cv = (_insample_loglik(model, y, mu_hat, s2)
+            - float(np.sum(_loo_terms_normal(model, data))) / n)
 
     return ClosedFormBias(b_paic, b_bpic, b_waic2, b_popt, b_cv)
 
@@ -250,8 +243,6 @@ def closed_form_bias_estimators(model: ConjugateNormalModel,
 def popt_closed_form(model: ConjugateNormalModel, data: ObservationSet) -> CriterionReport:
     """Expected-deviance penalized loss; total penalty is n times the
     per-observation value 1/(1/tau02 + (n-1)/sigma_A2)/sigma_A2."""
-    _require_normal(model)
-    model.validate_data(data)
     bias = closed_form_bias_estimators(model, data)
     fit = data.n * closed_form_insample_loglik(model, data)
     penalty = data.n * bias.popt
@@ -275,10 +266,8 @@ def _gh_mean_softplus(mu_draws: np.ndarray, sd_draws: np.ndarray) -> np.ndarray:
 
 
 def _loo_terms_normal(model: ConjugateNormalModel, data: ObservationSet) -> np.ndarray:
-    y = data.y
-    sA2 = model.sigma_A2
-    mu_loo, s2_loo = model.posterior(data.n - 1.0, np.sum(y) - y)
-    return -0.5 * (LOG_2PI + math.log(sA2)) - ((y - mu_loo) ** 2 + s2_loo) / (2.0 * sA2)
+    mu_loo, s2_loo = model.posterior(data.n - 1.0, np.sum(data.y) - data.y)
+    return _normal_loglik(data.y, mu_loo, model.sigma_A2, s2_loo)
 
 
 def _loo_terms_hier_logit(model: HierLogitModel, data: ObservationSet,
@@ -315,13 +304,9 @@ def _loo_terms_hier_logit(model: HierLogitModel, data: ObservationSet,
             flagged.append(i)
         mu_d = draws.draws[:, sub_model.N]
         sd_d = np.sqrt(draws.draws[:, sub_model.N + 1])
-        t_i = float(data.trial_sizes[i])
-        y_i = float(data.y[i])
-        coef = float(_log_binom_coef(t_i, y_i))
-        terms[i] = (
-            coef
-            + y_i * float(np.mean(mu_d))
-            - t_i * float(np.mean(_gh_mean_softplus(mu_d, sd_d)))
+        terms[i] = _binom_loglik(
+            float(data.trial_sizes[i]), float(data.y[i]),
+            float(np.mean(mu_d)), float(np.mean(_gh_mean_softplus(mu_d, sd_d))),
         )
     return terms, flagged
 

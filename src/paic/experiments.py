@@ -30,13 +30,14 @@ from .criteria import (
     LooConfig,
     closed_form_bias_estimators,
     loo_exact,
+    mean_insample_loglik,
     pointwise_loglik,
 )
 from .exceptions import ExperimentError, NumericalError, PaicError, ValidationError
 from .infomat import info_matrix_pair, trace_correction
 from .mcmc import SamplerBudget, PosteriorDraws, sample_hier_logit
 from .models import (ConjugateNormalModel, HierLogitModel, ObservationSet,
-                     _log_binom_coef, softplus)
+                     _binom_loglik, softplus)
 from .optimize import find_posterior_mode, laplace_approx, posterior_mode
 from .rng import substream
 
@@ -233,10 +234,8 @@ def true_predictive_loglik_exact(draws: PosteriorDraws, beta_true: np.ndarray,
     for i in range(N):
         n_i = float(trial_sizes[i])
         z = np.arange(int(n_i) + 1, dtype=float)
-        log_pmf_true = _log_binom_coef(n_i, z) + z * beta_true[i] \
-            - n_i * softplus(beta_true[i])
-        mean_loglik = _log_binom_coef(n_i, z) + z * beta_bar[i] - n_i * sp_bar[i]
-        total += float(np.exp(log_pmf_true) @ mean_loglik)
+        pmf_true = np.exp(_binom_loglik(n_i, z, beta_true[i], softplus(beta_true[i])))
+        total += float(pmf_true @ _binom_loglik(n_i, z, beta_bar[i], sp_bar[i]))
     return total / N
 
 
@@ -250,9 +249,7 @@ def estimate_true_eta_logit(draws: PosteriorDraws, beta_true: np.ndarray,
     beta_bar, sp_bar = _posterior_loglik_profile(draws, N)
     J = cfg.eta_draws
     z = rng.binomial(trial_sizes[None, :], expit(beta_true)[None, :], size=(J, N))
-    z = z.astype(float)
-    vals = _log_binom_coef(trial_sizes.astype(float)[None, :], z) \
-        + z * beta_bar[None, :] - trial_sizes[None, :] * sp_bar[None, :]
+    vals = _binom_loglik(trial_sizes, z.astype(float), beta_bar, sp_bar)
     value = float(np.mean(vals))
     group_vars = vals.var(axis=0, ddof=1)
     mc_se = float(np.sqrt(np.sum(group_vars) / J) / N)
@@ -295,7 +292,7 @@ def _logit_replication(cfg: LogitExperimentConfig, rep: int) -> Optional[dict]:
         return None
 
     pw = pointwise_loglik(model, data, draws)
-    eta_hat = float(np.mean(pw.column_means()))
+    eta_hat = mean_insample_loglik(pw)
     tr_paic = trace_correction(
         info_matrix_pair(model, data, mode.theta_hat, "paic")).value
     tr_bpic = trace_correction(

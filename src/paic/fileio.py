@@ -129,14 +129,6 @@ def read_draws_csv(path: str) -> PosteriorDraws:
     )
 
 
-def write_matrix_csv(path: str, matrix: np.ndarray) -> None:
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        for row in matrix:
-            writer.writerow([fmt(v) for v in row])
-
-
 # -- criterion reports -----------------------------------------------------
 
 REPORT_CSV_HEADER = ["criterion", "value", "fit", "penalty", "n", "S",

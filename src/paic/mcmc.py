@@ -109,7 +109,8 @@ def _ess_kernel(chains: np.ndarray) -> np.ndarray:
     acov = np.fft.rfft(chains - chains.mean(axis=1, keepdims=True), 2 * n, axis=1)
     acov *= np.conj(acov)
     acov = np.fft.irfft(acov, 2 * n, axis=1)[:, :n]
-    constant = acov[:, :1] == 0.0
+    # equal values are constant even when their rounded mean leaves acov[0] > 0
+    constant = (np.ptp(chains, axis=1, keepdims=True) == 0.0) | (acov[:, :1] == 0.0)
     rho = acov / np.where(constant, 1.0, acov[:, :1])
     m_max = n // 2
     gam = rho[:, 0 : 2 * m_max : 2] + rho[:, 1 : 2 * m_max : 2]
@@ -128,10 +129,12 @@ def _rhat_kernel(chains: np.ndarray) -> np.ndarray:
     if L < 2:
         raise ValidationError("chains too short to split")
     halves = chains[:, : 2 * L].reshape(2 * C, L, p)
-    W = halves.var(axis=1, ddof=1).mean(axis=0)
+    # a half (or a coordinate) of equal values has no spread, whatever the
+    # rounding of its mean leaves in var()
+    W = np.where(np.ptp(halves, axis=1) == 0.0, 0.0, halves.var(axis=1, ddof=1)).mean(axis=0)
     B = L * halves.mean(axis=1).var(axis=0, ddof=1)
     r = np.sqrt(((L - 1) / L * W + B / L) / np.where(W == 0.0, 1.0, W))
-    return np.where(W == 0.0, np.where(B == 0.0, 1.0, np.inf), r)
+    return np.where(W == 0.0, np.where(np.ptp(halves, axis=(0, 1)) == 0.0, 1.0, np.inf), r)
 
 
 def ess(x) -> float:
@@ -140,7 +143,7 @@ def ess(x) -> float:
     Pairwise autocorrelation sums Gamma_m = rho_{2m} + rho_{2m+1} are kept
     until the first non-positive one and forced monotone non-increasing; the
     integrated autocorrelation time is 2*sum(Gamma) - 1.  A constant series
-    has no information: ESS is defined as 0 (with a warning).  The series
+    (all values equal) has no information: ESS is defined as 0 (with a warning).  The series
     runs through the sampler's kernel as a (1, n, 1) array.
     """
     x = np.asarray(x, dtype=float)

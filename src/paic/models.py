@@ -21,6 +21,12 @@ binomial-logit random-effects model; both also give the per-term Hessian
 :class:`ModelDefinition`, which loops its per-observation callables into the
 matrix forms and, lacking analytic derivatives, builds them from central
 finite differences, so callers never choose a derivative path.
+
+Each likelihood is written once, as a private elementwise function that the
+models, the closed forms, the exact LOO and the study oracles all call:
+``_normal_loglik`` (the Gaussian log density, or its mean when the location
+is itself normal) and ``_binom_loglik`` (the binomial log pmf; it is linear in
+beta and softplus(beta), so their posterior means give the mean log pmf).
 """
 
 from __future__ import annotations
@@ -60,9 +66,17 @@ def scaled_inv_chi2_logpdf(x, nu, s2):
     )
 
 
-def _log_binom_coef(n, k):
-    """log C(n, k) for real n >= k >= 0, elementwise."""
-    return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+def _normal_loglik(x, mean, var, spread=0.0):
+    """E[log N(x | m, var)] for m ~ N(mean, spread), elementwise; with
+    ``spread`` 0 it is the log density itself."""
+    return -0.5 * (LOG_2PI + math.log(var)) - ((x - mean) ** 2 + spread) / (2.0 * var)
+
+
+def _binom_loglik(trials, y, beta, softplus_beta):
+    """log Bin(y | trials, expit(beta)) = log C(trials, y) + y beta
+    - trials softplus(beta), elementwise."""
+    return (gammaln(trials + 1.0) - gammaln(y + 1.0) - gammaln(trials - y + 1.0)
+            + y * beta - trials * softplus_beta)
 
 
 @dataclass(frozen=True)
@@ -194,15 +208,13 @@ class ConjugateNormalModel(_ModelBase):
 
     def loglik_matrix(self, data: ObservationSet, draws: np.ndarray) -> np.ndarray:
         mus = np.asarray(draws, dtype=float).reshape(-1, 1)
-        r = data.y[None, :] - mus
-        return -0.5 * (LOG_2PI + math.log(self.sigma_A2)) - 0.5 * r * r / self.sigma_A2
+        return _normal_loglik(data.y[None, :], mus, self.sigma_A2)
 
     def logprior_draws(self, draws: np.ndarray) -> np.ndarray:
         mus = np.asarray(draws, dtype=float).reshape(-1)
         if self.tau02 is None:
             return np.zeros(mus.size)
-        d = mus - self.mu0
-        return -0.5 * (LOG_2PI + math.log(self.tau02)) - 0.5 * d * d / self.tau02
+        return _normal_loglik(mus, self.mu0, self.tau02)
 
     def posterior(self, count, total):
         """Posterior (mean, variance) of mu from ``count`` observations summing
@@ -302,12 +314,7 @@ class HierLogitModel(_ModelBase):
     def loglik_matrix(self, data: ObservationSet, draws: np.ndarray) -> np.ndarray:
         draws = np.asarray(draws, dtype=float)
         B = draws[:, : self.N]
-        t = data.trial_sizes.astype(float)
-        return (
-            _log_binom_coef(t, data.y)[None, :]
-            + data.y[None, :] * B
-            - t[None, :] * softplus(B)
-        )
+        return _binom_loglik(data.trial_sizes.astype(float), data.y, B, softplus(B))
 
     def logprior_draws(self, draws: np.ndarray) -> np.ndarray:
         draws = np.asarray(draws, dtype=float)
@@ -321,8 +328,7 @@ class HierLogitModel(_ModelBase):
             return lp
         d = B - mu[:, None]
         lp = -0.5 * self.N * (LOG_2PI + np.log(tau2)) - 0.5 * np.sum(d * d, axis=1) / tau2
-        dm = mu - self.mu_mean
-        lp += -0.5 * (LOG_2PI + math.log(self.mu_var)) - 0.5 * dm * dm / self.mu_var
+        lp += _normal_loglik(mu, self.mu_mean, self.mu_var)
         lp += scaled_inv_chi2_logpdf(tau2, self.nu, self.s2)
         return lp
 
@@ -518,7 +524,7 @@ def conjugate_posterior(model: ConjugateNormalModel, data: ObservationSet):
     sigma_hat2 = sigma_A2/n.
     """
     if not isinstance(model, ConjugateNormalModel):
-        raise UnsupportedModelError("conjugate_posterior needs a ConjugateNormalModel")
+        raise UnsupportedModelError("closed forms exist only for the conjugate normal model")
     model.validate_data(data)
     mu_hat, sigma_hat2 = model.posterior(data.n, np.sum(data.y))
     return float(mu_hat), float(sigma_hat2)

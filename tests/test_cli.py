@@ -152,6 +152,50 @@ def test_compute_hier_logit_binomial_data(tmp_path):
     assert {r["criterion"] for r in payload["reports"]} == {"paic", "waic2", "dic"}
 
 
+@pytest.mark.parametrize("missing", ["--data", "--draws"])
+def test_compute_missing_input_file_exit_2(tmp_path, capsys, missing):
+    data_path = tmp_path / "y.csv"
+    write_normal_data(data_path)
+    paths = {"--data": str(data_path), "--draws": str(tmp_path / "draws.csv")}
+    paths[missing] = str(tmp_path / "absent.csv")
+    code = main([
+        "compute", "--model", "normal", "--data", paths["--data"],
+        "--draws", paths["--draws"], "--seed", "1",
+        "--out", str(tmp_path / "r.json"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "absent.csv" in err
+    assert "Traceback" not in err
+
+
+def test_compute_hier_logit_one_mode_search(tmp_path, monkeypatch):
+    import paic.cli
+
+    calls = []
+    search = paic.cli.find_posterior_mode
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(paic.cli, "find_posterior_mode", counted)
+    gen = np.random.default_rng(5)
+    y = gen.binomial(40, 0.5, size=8)
+    data_path = tmp_path / "counts.csv"
+    data_path.write_text("y,n_trials\n" + "\n".join(f"{v},40" for v in y) + "\n")
+    out = tmp_path / "r.json"
+    code = main([
+        "compute", "--model", "hier-logit", "--data", str(data_path),
+        "--criteria", "paic,bpic,waic2", "--seed", "2", "--out", str(out),
+        "--chains", "2", "--samples", "1500", "--warmup", "700",
+    ])
+    assert code == 0
+    assert len(calls) == 1
+    payload = json.loads(out.read_text())
+    assert all("error" not in r for r in payload["reports"])
+
+
 def test_experiment_normal_three_cells(tmp_path):
     out = tmp_path / "exp"
     code = main([

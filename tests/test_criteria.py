@@ -339,3 +339,26 @@ def test_report_seed_passthrough(normal_setup):
     report = paic(pw, pair)
     assert report.S == draws.S
     assert report.n == data.n
+
+
+@pytest.mark.parametrize("rule", ["1e4", "1e4_over_n", "0.25", "flat"])
+def test_closed_form_cv_is_insample_minus_exact_loo(rule):
+    from paic.experiments import resolve_tau02
+
+    y = substream(21, "cv-identity", rule).normal(0.4, 1.3, 40)
+    data = ObservationSet(y)
+    m = ConjugateNormalModel(2.25, mu0=0.0, tau02=resolve_tau02(rule, data.n))
+    cv = closed_form_bias_estimators(m, data).cv
+    assert cv == closed_form_insample_loglik(m, data) - loo_exact(m, data).fit_term / data.n
+
+
+@pytest.mark.parametrize("tau02", [1e4, 0.25, None])
+def test_closed_form_insample_matches_gauss_hermite(tau02):
+    y = substream(22, "gh-insample").normal(-0.3, 1.1, 30)
+    data = ObservationSet(y)
+    m = ConjugateNormalModel(1.5, mu0=0.2, tau02=tau02)
+    mu_hat, s2 = conjugate_posterior(m, data)
+    nodes, weights = np.polynomial.hermite.hermgauss(4)
+    mus = mu_hat + math.sqrt(2.0 * s2) * nodes
+    gh = float(np.mean(weights @ m.loglik_matrix(data, mus))) / math.sqrt(math.pi)
+    assert closed_form_insample_loglik(m, data) == pytest.approx(gh, rel=1e-12)

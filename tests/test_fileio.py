@@ -12,7 +12,6 @@ from paic.fileio import (
     read_observations_csv,
     read_reports_json,
     write_draws_csv,
-    write_matrix_csv,
     write_reports_csv,
     write_reports_json,
 )
@@ -75,14 +74,6 @@ def test_draws_reject_bad_header(tmp_path):
     path.write_text("a,b,chain\n1,2,0\n")
     with pytest.raises(ValidationError):
         read_draws_csv(str(path))
-
-
-def test_matrix_csv(tmp_path):
-    path = tmp_path / "m.csv"
-    write_matrix_csv(str(path), np.array([[1.0, 0.5], [0.5, 2.0]]))
-    rows = [line.split(",") for line in path.read_text().strip().splitlines()]
-    assert float(rows[0][1]) == 0.5
-    assert float(rows[1][1]) == 2.0
 
 
 def _reports():

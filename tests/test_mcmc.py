@@ -246,3 +246,21 @@ def test_ess_antithetic_series_hits_tau_floor():
     x = x + 1e-3 * substream(16, "alternating").standard_normal(501)
     assert ess(x) == pytest.approx(501 / 1e-3, rel=1e-12)
     assert _ess_reference(x) == pytest.approx(501 / 1e-3, rel=1e-12)
+
+
+def test_constant_series_with_inexact_mean():
+    # the mean of 0.1s is not exactly 0.1, so the centred series is not zero
+    x = np.full(100, 0.1)
+    with pytest.warns(UserWarning, match="constant series"):
+        assert ess(x) == 0.0
+    assert rhat(x, np.zeros(100, dtype=int)) == 1.0
+    with pytest.warns(UserWarning, match="constant series"):
+        diag = compute_diagnostics(np.full((3, 100, 1), 0.1), np.zeros(3),
+                                   np.zeros(1), np.zeros(1))
+    assert diag.ess[0] == 0.0
+    assert diag.rhat[0] == 1.0
+
+
+def test_rhat_constant_halves_with_different_values():
+    x = np.concatenate([np.full(50, 0.1), np.full(50, 0.7)])
+    assert rhat(x, np.zeros(100, dtype=int)) == np.inf
