@@ -33,7 +33,7 @@ from .exceptions import (
     ValidationError,
 )
 from .infomat import InfoMatrixPair, trace_correction
-from .mcmc import PosteriorDraws, SamplerBudget, sample_hier_logit
+from .mcmc import PosteriorDraws, SamplerBudget, _sample_hier_logit_rows
 from .models import (
     ConjugateNormalModel,
     HierLogitModel,
@@ -48,6 +48,8 @@ from .optimize import LaplaceApprox, ModeResult, find_posterior_mode, laplace_ap
 
 MIN_DRAWS = 1000
 LOO_MAX_N = 1000
+# cap on the retained draws of one group of exact-LOO folds sampled together
+LOO_GROUP_BYTES = 4_000_000
 
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(32)
 _GH_WEIGHTS = _GH_WEIGHTS / math.sqrt(math.pi)
@@ -270,44 +272,68 @@ def _loo_terms_normal(model: ConjugateNormalModel, data: ObservationSet) -> np.n
     return _normal_loglik(data.y, mu_loo, model.sigma_A2, s2_loo)
 
 
-def _loo_terms_hier_logit(model: HierLogitModel, data: ObservationSet,
-                          cfg: LooConfig, rng_path=()):
-    """Refit without each group; the held-out logit is integrated against its
-    conditional N(mu, tau2) by quadrature under every retained draw."""
-    terms = np.empty(model.N)
-    flagged = []
-    for i in range(model.N):
-        sub_model = model.drop_group(i)
-        keep = np.ones(model.N, dtype=bool)
-        keep[i] = False
-        sub_data = ObservationSet(data.y[keep], data.trial_sizes[keep])
-        fold_ok = True
-        mode = None
-        try:
-            mode = find_posterior_mode(sub_model, sub_data, seed=cfg.seed)
-            lap = laplace_approx(sub_model, sub_data, mode)
-        except (ValidationError, NumericalError):
-            # stalled fold mode: start from the best point found (or the
-            # data-driven init) with a crude diagonal spread, and flag it
-            fold_ok = False
-            if mode is not None:
-                diag_h = np.clip(np.diag(mode.neg_hessian), 1e-2, None)
-                lap = LaplaceApprox(mode.theta_hat, np.diag(1.0 / diag_h))
-            else:
-                init = sub_model.default_init(sub_data)
-                lap = LaplaceApprox(init, np.diag(np.full(sub_model.p, 0.25)))
-        draws, diag = sample_hier_logit(
-            sub_model, sub_data, budget=cfg.budget, seed=cfg.seed,
-            rng_path=(*rng_path, "loo-fold", i), init=lap, check=False,
-        )
-        if not (diag.ok() and fold_ok):
-            flagged.append(i)
-        mu_d = draws.draws[:, sub_model.N]
-        sd_d = np.sqrt(draws.draws[:, sub_model.N + 1])
-        terms[i] = _binom_loglik(
+def _fold_problem(model: HierLogitModel, data: ObservationSet, i: int, seed: int, rng_path):
+    """Fold i as a sampler problem (model, data, Laplace start, rng_path), and
+    whether its mode search succeeded."""
+    keep = np.arange(model.N) != i
+    sub_model = model.drop_group(i)
+    sub_data = ObservationSet(data.y[keep], data.trial_sizes[keep])
+    mode = None
+    try:
+        mode = find_posterior_mode(sub_model, sub_data, seed=seed)
+        lap, ok = laplace_approx(sub_model, sub_data, mode), True
+    except (ValidationError, NumericalError):
+        # stalled fold mode: start from the best point found (or the
+        # data-driven init) with a crude diagonal spread, and flag it
+        ok = False
+        if mode is not None:
+            diag_h = np.clip(np.diag(mode.neg_hessian), 1e-2, None)
+            lap = LaplaceApprox(mode.theta_hat, np.diag(1.0 / diag_h))
+        else:
+            init = sub_model.default_init(sub_data)
+            lap = LaplaceApprox(init, np.diag(np.full(sub_model.p, 0.25)))
+    return (sub_model, sub_data, lap, (*rng_path, "loo-fold", i)), ok
+
+
+def _loo_fold_group(model: HierLogitModel, data: ObservationSet, folds,
+                    cfg: LooConfig, rng_path):
+    """Sample the folds as rows of one sampler loop; (term, flagged) per fold.
+
+    The group's draws die when this returns, before the next group is sampled.
+    """
+    problems, mode_ok = zip(*(_fold_problem(model, data, i, cfg.seed, rng_path)
+                              for i in folds))
+    out = []
+    for i, ok, (draws, diag) in zip(folds, mode_ok,
+                                    _sample_hier_logit_rows(problems, cfg.budget, cfg.seed)):
+        mu_d = draws.draws[:, model.N - 1]
+        sd_d = np.sqrt(draws.draws[:, model.N])
+        term = _binom_loglik(
             float(data.trial_sizes[i]), float(data.y[i]),
             float(np.mean(mu_d)), float(np.mean(_gh_mean_softplus(mu_d, sd_d))),
         )
+        out.append((term, not (diag.ok() and ok)))
+    return out
+
+
+def _loo_terms_hier_logit(model: HierLogitModel, data: ObservationSet,
+                          cfg: LooConfig, rng_path=()):
+    """Refit without each group; the held-out logit is integrated against its
+    conditional N(mu, tau2) by quadrature under every retained draw.
+
+    Folds are sampled in groups whose retained draws stay under
+    LOO_GROUP_BYTES; each group is reduced to its terms before the next.
+    """
+    b = cfg.budget
+    size = max(1, LOO_GROUP_BYTES // (b.chains * b.draws_per_chain * (model.p - 1) * 8))
+    terms = np.empty(model.N)
+    flagged = []
+    for first in range(0, model.N, size):
+        folds = range(first, min(first + size, model.N))
+        for i, (term, bad) in zip(folds, _loo_fold_group(model, data, folds, cfg, rng_path)):
+            terms[i] = term
+            if bad:
+                flagged.append(i)
     return terms, flagged
 
 
@@ -316,8 +342,9 @@ def loo_exact(model, data: ObservationSet, sampler_config: Optional[LooConfig] =
     """Exact-refit leave-one-out: value = -2 sum_i E_post(-i)[log g(y_i | theta)].
 
     The normal model uses analytic fold posteriors; the hierarchical logit
-    re-samples each fold.  Folds failing convergence diagnostics are flagged
-    in the report, not dropped.
+    re-samples each fold, sampling the folds in groups as rows of one
+    sampler loop (each fold's draws are those of sampling it alone).  Folds
+    failing convergence diagnostics are flagged in the report, not dropped.
     """
     model.validate_data(data)
     if data.n > LOO_MAX_N:

@@ -8,9 +8,13 @@ in one vectorized step), while mu and tau2 have exact conjugate Gibbs
 updates.  Step sizes adapt toward a 0.44 acceptance rate during warmup only;
 the post-warmup kernel is frozen.
 
-All randomness is pre-drawn per chain from Philox substreams keyed by
-(seed, *path, "chain", c), so chains are reproducible regardless of how the
-surrounding code schedules work.
+One loop runs the chains of several problems at once as rows of one state
+array; rows may belong to different datasets (the exact-LOO folds are
+sampled that way).  Each row draws from its own Philox substream keyed by
+(seed, *path, "chain", c): the per-step proposal and acceptance noise is
+replayed from it in chunks of REPLAY_CHUNK iterations, so a row's
+trajectory does not depend on the other rows or on how the surrounding code
+schedules work.
 
 ESS (Geyer's initial monotone sequence, per chain) and split R-hat (BDA3)
 are array kernels over the sampler's (chains, draws, p) layout; the public
@@ -19,6 +23,7 @@ single-series ``ess`` and ``rhat`` reshape their input into it.
 
 from __future__ import annotations
 
+import copy
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -34,6 +39,7 @@ TARGET_ACCEPT = 0.44
 ADAPT_BATCH = 50
 RHAT_MAX = 1.05
 ESS_MIN = 400.0
+REPLAY_CHUNK = 256  # sampler iterations of z_move/log_u held per refill
 
 
 @dataclass(frozen=True)
@@ -214,49 +220,65 @@ def _initial_states(model: HierLogitModel, lap: LaplaceApprox,
     return states, scales
 
 
-def sample_hier_logit(model: HierLogitModel, data: ObservationSet,
-                      budget: SamplerBudget = SamplerBudget(),
-                      seed: int = 0, rng_path=(),
-                      init: Optional[LaplaceApprox] = None,
-                      check: bool = True):
-    """Adaptive Metropolis-within-Gibbs for the hierarchical logit posterior.
+def _row_streams(seed: int, path, T: int, N: int, df: float):
+    """One row's randomness, in the order it is drawn from its substream.
 
-    Returns (PosteriorDraws, Diagnostics); with ``check=True`` raises
-    NonConvergenceError (carrying the diagnostics) when any coordinate has
-    rhat above RHAT_MAX or ESS below ESS_MIN -- callers may retry
-    with a larger budget.
+    Returns generators that replay the (T, N) ``z_move`` and ``log_u``
+    blocks chunk by chunk (consecutive draws continue one stream), and the
+    whole ``z_mu`` and ``chi2`` series that follow them.
     """
-    model.validate_data(data)
-    N, p, C = model.N, model.p, budget.chains
-    T = budget.warmup + budget.draws_per_chain
-    y = data.y.astype(float)
-    t = data.trial_sizes.astype(float)
+    gen = substream(seed, *path)
+    z_gen = copy.deepcopy(gen)
+    gen.standard_normal((T, N))  # skip past the z_move block ...
+    u_gen = copy.deepcopy(gen)
+    gen.random((T, N))  # ... and the log_u block
+    return z_gen, u_gen, gen.standard_normal(T), gen.chisquare(df, T)
 
-    if init is None:
-        mode = find_posterior_mode(model, data, seed=seed)
-        init = laplace_approx(model, data, mode)
-    beta_mu_tau, scales = _initial_states(model, init, C, seed, rng_path)
+
+def _sample_hier_logit_rows(problems, budget: SamplerBudget, seed: int):
+    """Metropolis-within-Gibbs for K hierarchical logit problems at once.
+
+    A problem is (model, data, init LaplaceApprox, rng_path); all share N and
+    the hyperpriors.  Its C chains are rows of one state array, each with its
+    own counts, trial sizes, start, step scales and substream (seed,
+    *rng_path, "chain", c).  Every update is elementwise per row, so each
+    problem's draws are those of sampling it alone.  Returns one
+    (PosteriorDraws, Diagnostics) pair per problem.
+    """
+    models, datas, inits, paths = zip(*problems)
+    model = models[0]
+    for m, d in zip(models, datas):
+        if (m.N, m.mu_mean, m.mu_var, m.nu, m.s2) != (
+                model.N, model.mu_mean, model.mu_var, model.nu, model.s2):
+            raise ValidationError("batched problems must share N and the hyperpriors")
+        m.validate_data(d)
+    N, p, C, D = model.N, model.p, budget.chains, budget.draws_per_chain
+    T = budget.warmup + D
+    R = len(problems) * C
+    y = np.repeat([d.y for d in datas], C, axis=0).astype(float)
+    t = np.repeat([d.trial_sizes for d in datas], C, axis=0).astype(float)
+
+    starts = [_initial_states(m, init, C, seed, path)
+              for m, init, path in zip(models, inits, paths)]
+    beta_mu_tau = np.concatenate([s for s, _ in starts])
+    scales = np.concatenate([sc for _, sc in starts])
     beta = beta_mu_tau[:, :N].copy()
     mu = beta_mu_tau[:, N].copy()
     tau2 = np.maximum(beta_mu_tau[:, N + 1], 1e-8)
 
-    # pre-drawn randomness, one substream per chain
-    z_move = np.empty((T, C, N))
-    log_u = np.empty((T, C, N))
-    z_mu = np.empty((T, C))
-    chi2 = np.empty((T, C))
     df = model.nu + N
-    for c in range(C):
-        gen = substream(seed, *rng_path, "chain", c)
-        z_move[:, c, :] = gen.standard_normal((T, N))
-        log_u[:, c, :] = np.log(gen.random((T, N)))
-        z_mu[:, c] = gen.standard_normal(T)
-        chi2[:, c] = gen.chisquare(df, T)
+    z_gens, u_gens, z_mu, chi2 = zip(*(
+        _row_streams(seed, (*path, "chain", c), T, N, df)
+        for path in paths for c in range(C)))
+    z_mu = np.stack(z_mu, axis=1)
+    chi2 = np.stack(chi2, axis=1)
+    z_move = np.empty((min(REPLAY_CHUNK, T), R, N))
+    log_u = np.empty_like(z_move)
 
     sp_beta = softplus(beta)
-    out = np.empty((C, budget.draws_per_chain, p))
-    batch_acc = np.zeros((C, N))
-    accept_total = np.zeros((C, N))
+    out = np.empty((R, D, p))
+    batch_acc = np.zeros((R, N))
+    accept_total = np.zeros((R, N))
     scales_warm = scales.copy()
     warmup = budget.warmup
     nu_s2 = model.nu * model.s2
@@ -264,7 +286,13 @@ def sample_hier_logit(model: HierLogitModel, data: ObservationSet,
     prior_mean_term = model.mu_mean * inv_mu_var
 
     for it in range(T):
-        prop = beta + scales * z_move[it]
+        j = it % REPLAY_CHUNK
+        if j == 0:
+            L = min(REPLAY_CHUNK, T - it)
+            for r in range(R):
+                z_move[:L, r] = z_gens[r].standard_normal((L, N))
+                log_u[:L, r] = np.log(u_gens[r].random((L, N)))
+        prop = beta + scales * z_move[j]
         sp_prop = softplus(prop)
         dlp = (
             y * (prop - beta)
@@ -272,7 +300,7 @@ def sample_hier_logit(model: HierLogitModel, data: ObservationSet,
             - ((prop - mu[:, None]) ** 2 - (beta - mu[:, None]) ** 2)
             / (2.0 * tau2[:, None])
         )
-        acc = log_u[it] < dlp
+        acc = log_u[j] < dlp
         beta = np.where(acc, prop, beta)
         sp_beta = np.where(acc, sp_prop, sp_beta)
         if it < warmup:
@@ -298,15 +326,37 @@ def sample_hier_logit(model: HierLogitModel, data: ObservationSet,
             out[:, k, N] = mu
             out[:, k, N + 1] = tau2
 
-    del z_move, log_u  # free the pre-drawn randomness before the diagnostics' FFTs
-    draws = PosteriorDraws(
-        draws=out.reshape(C * budget.draws_per_chain, p),
-        chain_ids=np.repeat(np.arange(C), budget.draws_per_chain),
-        warmup_discarded=warmup,
-        seed=seed,
-    )
-    diag = compute_diagnostics(out, accept_total.mean(axis=0) / budget.draws_per_chain,
-                               scales_warm, scales)
+    results = []
+    for first in range(0, R, C):
+        rows = slice(first, first + C)
+        draws = PosteriorDraws(
+            draws=out[rows].reshape(C * D, p),
+            chain_ids=np.repeat(np.arange(C), D),
+            warmup_discarded=warmup,
+            seed=seed,
+        )
+        results.append((draws, compute_diagnostics(
+            out[rows], accept_total[rows].mean(axis=0) / D, scales_warm[rows], scales[rows])))
+    return results
+
+
+def sample_hier_logit(model: HierLogitModel, data: ObservationSet,
+                      budget: SamplerBudget = SamplerBudget(),
+                      seed: int = 0, rng_path=(),
+                      init: Optional[LaplaceApprox] = None,
+                      check: bool = True):
+    """Adaptive Metropolis-within-Gibbs for the hierarchical logit posterior.
+
+    Returns (PosteriorDraws, Diagnostics); with ``check=True`` raises
+    NonConvergenceError (carrying the diagnostics) when any coordinate has
+    rhat above RHAT_MAX or ESS below ESS_MIN -- callers may retry
+    with a larger budget.
+    """
+    model.validate_data(data)
+    if init is None:
+        mode = find_posterior_mode(model, data, seed=seed)
+        init = laplace_approx(model, data, mode)
+    [(draws, diag)] = _sample_hier_logit_rows([(model, data, init, rng_path)], budget, seed)
     if check and not diag.ok():
         raise NonConvergenceError(
             f"sampler did not converge: max rhat {diag.max_rhat:.4f}, "

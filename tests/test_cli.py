@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import paic
 from paic import ConjugateNormalModel, ObservationSet, sample_conjugate_normal
 from paic.cli import main
 from paic.fileio import write_draws_csv
@@ -264,3 +268,17 @@ def test_version_flag(capsys):
     from paic import __version__
 
     assert __version__ in capsys.readouterr().out
+
+
+def test_module_entry_point():
+    src = str(Path(paic.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "paic.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    ok = run("--help")
+    assert ok.returncode == 0
+    assert "usage:" in ok.stdout
+    assert run("compute", "--bogus").returncode == 2

@@ -6,7 +6,9 @@ from scipy.stats import norm
 
 from paic import (
     ConjugateNormalModel,
+    HierLogitModel,
     ImproperPriorError,
+    LaplaceApprox,
     LooConfig,
     ObservationSet,
     PointwiseLogLik,
@@ -19,7 +21,9 @@ from paic import (
     closed_form_insample_loglik,
     conjugate_posterior,
     dic,
+    find_posterior_mode,
     info_matrix_pair,
+    laplace_approx,
     loo_exact,
     mean_insample_loglik,
     paic,
@@ -27,10 +31,15 @@ from paic import (
     popt_closed_form,
     posterior_mode,
     sample_conjugate_normal,
+    sample_hier_logit,
     trace_correction,
     waic2,
 )
+from paic import criteria
+from paic.criteria import _gh_mean_softplus
 from paic.infomat import InfoMatrixPair
+from paic.mcmc import _sample_hier_logit_rows
+from paic.models import _binom_loglik
 from paic.rng import substream
 
 from conftest import assert_decomposition
@@ -362,3 +371,51 @@ def test_closed_form_insample_matches_gauss_hermite(tau02):
     mus = mu_hat + math.sqrt(2.0 * s2) * nodes
     gh = float(np.mean(weights @ m.loglik_matrix(data, mus))) / math.sqrt(math.pi)
     assert closed_form_insample_loglik(m, data) == pytest.approx(gh, rel=1e-12)
+
+
+@pytest.mark.parametrize("folds_per_group", [1, 4, 15])
+def test_loo_fold_groups_equal_one_call_per_fold(hier_model, hier_data, monkeypatch,
+                                                  folds_per_group):
+    # T = 1343 is not a multiple of the replay chunk; 4 folds per group
+    # leave a last group of 3; about half of the folds are flagged
+    budget = SamplerBudget(2, 1200, 143)
+    fold_bytes = budget.chains * budget.draws_per_chain * (hier_model.p - 1) * 8
+    monkeypatch.setattr(criteria, "LOO_GROUP_BYTES", folds_per_group * fold_bytes)
+    path = ("t", 5)
+    report = loo_exact(hier_model, hier_data, LooConfig(budget, seed=1), rng_path=path)
+
+    terms, flagged = [], []
+    for i in range(hier_model.N):
+        keep = np.arange(hier_model.N) != i
+        sub_model = hier_model.drop_group(i)
+        sub_data = ObservationSet(hier_data.y[keep], hier_data.trial_sizes[keep])
+        mode = find_posterior_mode(sub_model, sub_data, seed=1)
+        draws, diag = sample_hier_logit(
+            sub_model, sub_data, budget, seed=1, rng_path=(*path, "loo-fold", i),
+            init=laplace_approx(sub_model, sub_data, mode), check=False)
+        if not diag.ok():
+            flagged.append(i)
+        mu_d = draws.draws[:, sub_model.N]
+        sd_d = np.sqrt(draws.draws[:, sub_model.N + 1])
+        terms.append(_binom_loglik(float(hier_data.trial_sizes[i]), float(hier_data.y[i]),
+                                   float(np.mean(mu_d)),
+                                   float(np.mean(_gh_mean_softplus(mu_d, sd_d)))))
+    assert report.fit_term == float(np.sum(terms))
+    assert report.flagged_folds == tuple(flagged)
+    assert 0 < len(flagged) < hier_model.N
+
+
+@pytest.mark.parametrize("other", [
+    HierLogitModel(np.full(14, 50)),
+    HierLogitModel(np.full(15, 50), nu=0.2),
+    HierLogitModel(np.full(15, 50), mu_var=4.0),
+])
+def test_batched_sampler_rejects_mixed_problems(hier_model, hier_data, other):
+    def problem(model, c):
+        data = ObservationSet(hier_data.y[:model.N], hier_data.trial_sizes[:model.N])
+        lap = LaplaceApprox(model.default_init(data), np.eye(model.p))
+        return model, data, lap, ("mixed", c)
+
+    with pytest.raises(ValidationError, match="share N and the hyperpriors"):
+        _sample_hier_logit_rows([problem(hier_model, 0), problem(other, 1)],
+                                SamplerBudget(1, 20, 10), seed=0)

@@ -13,7 +13,7 @@ from paic import (
     sample_conjugate_normal,
     sample_hier_logit,
 )
-from paic.mcmc import compute_diagnostics
+from paic.mcmc import REPLAY_CHUNK, _row_streams, compute_diagnostics
 from paic.models import logpost_unnorm
 from paic.rng import substream
 
@@ -264,3 +264,20 @@ def test_constant_series_with_inexact_mean():
 def test_rhat_constant_halves_with_different_values():
     x = np.concatenate([np.full(50, 0.1), np.full(50, 0.7)])
     assert rhat(x, np.zeros(100, dtype=int)) == np.inf
+
+
+@pytest.mark.parametrize("T", [100, REPLAY_CHUNK, 2 * REPLAY_CHUNK + 37])
+def test_chunked_replay_equals_whole_draws(T):
+    N, df = 15, 15.1
+    path = ("replay", "chain", 1)
+    z_gen, u_gen, z_mu, chi2 = _row_streams(7, path, T, N, df)
+    starts = range(0, T, REPLAY_CHUNK)
+    z_move = np.concatenate(
+        [z_gen.standard_normal((min(REPLAY_CHUNK, T - s), N)) for s in starts])
+    log_u = np.concatenate(
+        [np.log(u_gen.random((min(REPLAY_CHUNK, T - s), N))) for s in starts])
+    gen = substream(7, *path)
+    np.testing.assert_array_equal(z_move, gen.standard_normal((T, N)))
+    np.testing.assert_array_equal(log_u, np.log(gen.random((T, N))))
+    np.testing.assert_array_equal(z_mu, gen.standard_normal(T))
+    np.testing.assert_array_equal(chi2, gen.chisquare(df, T))
