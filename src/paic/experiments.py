@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import expit
 
 from .criteria import (
     LooConfig,
@@ -37,7 +36,7 @@ from .exceptions import ExperimentError, NumericalError, PaicError, ValidationEr
 from .infomat import info_matrix_pair, trace_correction
 from .mcmc import SamplerBudget, PosteriorDraws, sample_hier_logit
 from .models import (ConjugateNormalModel, HierLogitModel, ObservationSet,
-                     _binom_loglik, softplus)
+                     _binom_loglik, _expit, softplus)
 from .optimize import find_posterior_mode, laplace_approx, posterior_mode
 from .rng import substream
 
@@ -248,7 +247,7 @@ def estimate_true_eta_logit(draws: PosteriorDraws, beta_true: np.ndarray,
     trial_sizes = np.full(N, cfg.n_i)
     beta_bar, sp_bar = _posterior_loglik_profile(draws, N)
     J = cfg.eta_draws
-    z = rng.binomial(trial_sizes[None, :], expit(beta_true)[None, :], size=(J, N))
+    z = rng.binomial(trial_sizes[None, :], _expit(beta_true)[None, :], size=(J, N))
     vals = _binom_loglik(trial_sizes, z.astype(float), beta_bar, sp_bar)
     value = float(np.mean(vals))
     group_vars = vals.var(axis=0, ddof=1)
@@ -270,7 +269,7 @@ def _logit_replication(cfg: LogitExperimentConfig, rep: int) -> Optional[dict]:
     model = HierLogitModel(trial_sizes, cfg.mu_mean, cfg.mu_var, cfg.nu, cfg.s2)
     gen = substream(cfg.seed, "logit", rep, "truth")
     beta_true = cfg.mu_true + cfg.tau_true * gen.standard_normal(cfg.N)
-    y = gen.binomial(trial_sizes, expit(beta_true))
+    y = gen.binomial(trial_sizes, _expit(beta_true))
     data = ObservationSet(y.astype(float), trial_sizes)
 
     try:

@@ -13,6 +13,9 @@ import hashlib
 import json
 import math
 import os
+import warnings
+from contextlib import closing
+
 import numpy as np
 
 from ._version import __version__
@@ -105,11 +108,35 @@ def write_draws_csv(path: str, draws: PosteriorDraws) -> None:
 
 
 def read_draws_csv(path: str) -> PosteriorDraws:
-    lines = _csv_rows(path)
-    header = next(lines)
+    """Header theta_1..theta_p,chain; p float columns and an integer chain id.
+
+    The body is parsed by one ``np.loadtxt`` call.  What it does not parse
+    cleanly (a non-numeric field, quotes, all-empty rows, a wrong field
+    count, a warning such as the one for an empty body) or a non-finite value
+    goes to the row parser, which accepts or rejects the file with the
+    message and line number of the bad field."""
+    with closing(_csv_rows(path)) as lines:
+        header = next(lines)
+        p = len(header) - 1
+        if p < 1 or header != [f"theta_{k + 1}" for k in range(p)] + ["chain"]:
+            raise ValidationError(f"{path}:1: expected header theta_1..theta_p,chain")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                body = np.loadtxt(path, dtype=[("theta", float, (p,)), ("chain", int)],
+                                  delimiter=",", comments=None, skiprows=1, ndmin=1)
+        except (ValueError, Warning):
+            body = None
+        if body is None or not np.all(np.isfinite(body["theta"])):
+            theta, ids = _parse_draw_rows(path, header, lines)
+        else:
+            theta, ids = body["theta"].copy(), body["chain"].copy()
+    return PosteriorDraws(draws=theta, chain_ids=ids, warmup_discarded=0, seed=0)
+
+
+def _parse_draw_rows(path: str, header: list, lines):
+    """Draw matrix and chain ids from the (line number, fields) rows."""
     p = len(header) - 1
-    if p < 1 or header != [f"theta_{k + 1}" for k in range(p)] + ["chain"]:
-        raise ValidationError(f"{path}:1: expected header theta_1..theta_p,chain")
     rows = []
     ids = []
     for lineno, row in lines:
@@ -121,12 +148,7 @@ def read_draws_csv(path: str) -> PosteriorDraws:
             raise ValidationError(f"{path}:{lineno}: chain id must be an integer")
     if not rows:
         raise ValidationError(f"{path}: no draws")
-    return PosteriorDraws(
-        draws=np.asarray(rows, dtype=float),
-        chain_ids=np.asarray(ids, dtype=int),
-        warmup_discarded=0,
-        seed=0,
-    )
+    return np.asarray(rows, dtype=float), np.asarray(ids, dtype=int)
 
 
 # -- criterion reports -----------------------------------------------------

@@ -13,6 +13,10 @@ Scores are not centered: at the mode their prior-weighted sum is already
 (numerically) zero.  Adding a constant to log pi changes neither matrix.
 Scores and the Hessian sum come from the model, which decides whether they
 are analytic or finite differences.
+
+The penalty tr{J^-1 I} is the sum of the generalized eigenvalues of
+I v = lambda J v.  They are computed in numpy by the Cholesky reduction
+J = L L', A = L^-1 I L^-T, lambda = ``np.linalg.eigvalsh(A)``.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .exceptions import IllConditionedError, NumericalError, ValidationError
 from .models import ObservationSet
@@ -97,16 +100,20 @@ def info_matrix_pair(model, data: ObservationSet, theta_hat,
 
 
 def trace_correction(pair: InfoMatrixPair) -> TraceCorrection:
-    """Solve J X = I by symmetric factorization and return tr(X).
+    """tr(J^-1 I) as the sum of the generalized eigenvalues of I v = lambda J v.
 
-    Nonnegative whenever J is positive definite at a proper mode (I is PSD
-    by construction).  Refuses ill-conditioned J (cond > 1e12).
+    The pencil is reduced by the Cholesky factor J = L L': the eigenvalues are
+    those of the symmetric A = L^-1 I L^-T (``np.linalg.eigvalsh``), and
+    tr(A) = tr(J^-1 I).  Nonnegative whenever J is positive definite at a
+    proper mode (I is PSD by construction).  Refuses ill-conditioned J
+    (cond > 1e12).
     """
     if not np.isfinite(pair.cond) or pair.cond > COND_LIMIT:
         raise IllConditionedError(
             f"curvature matrix condition number {pair.cond:.3e} exceeds {COND_LIMIT:.0e}",
             cond=pair.cond,
         )
-    # generalized symmetric eigenproblem I v = lambda J v; tr(J^-1 I) = sum(lambda)
-    lam = eigh(pair.score_info, pair.hess_info, eigvals_only=True)
+    L_inv = np.linalg.inv(np.linalg.cholesky(pair.hess_info))
+    A = L_inv @ pair.score_info @ L_inv.T
+    lam = np.linalg.eigvalsh(0.5 * (A + A.T))
     return TraceCorrection(float(np.sum(lam)), lam)

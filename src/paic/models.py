@@ -27,6 +27,12 @@ models, the closed forms, the exact LOO and the study oracles all call:
 ``_normal_loglik`` (the Gaussian log density, or its mean when the location
 is itself normal) and ``_binom_loglik`` (the binomial log pmf; it is linear in
 beta and softplus(beta), so their posterior means give the mean log pmf).
+
+The special functions are numpy and the standard library only: ``_expit`` is
+1 / (1 + exp(-x)) (the overflow of exp(-x) below x = -709.78 gives the exact
+limit 0 and is not warned about), ``softplus`` is ``np.logaddexp(0, x)``, and
+``_gammaln`` is ``math.lgamma`` looped over an array, so the log binomial
+coefficient is lgamma(n + 1) - lgamma(y + 1) - lgamma(n - y + 1).
 """
 
 from __future__ import annotations
@@ -37,7 +43,6 @@ from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import expit, gammaln
 
 from .calculus import grad_fd, hess_fd
 from .exceptions import NumericalError, UnsupportedModelError, ValidationError
@@ -50,6 +55,22 @@ def softplus(x):
     return np.logaddexp(0.0, x)
 
 
+def _expit(x):
+    """Logistic function 1 / (1 + e^-x).  Below x = -709.78 the exponential
+    overflows to inf and the quotient is the exact limit 0, so the overflow
+    is silenced rather than warned about."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+_lgamma = np.frompyfunc(math.lgamma, 1, 1)
+
+
+def _gammaln(x):
+    """log|Gamma(x)|: math.lgamma, looped over the elements of an array."""
+    return np.asarray(_lgamma(x), dtype=float)
+
+
 def scaled_inv_chi2_logpdf(x, nu, s2):
     """Log density of the scaled inverse chi-squared distribution.
 
@@ -59,7 +80,7 @@ def scaled_inv_chi2_logpdf(x, nu, s2):
     half_nu = 0.5 * nu
     return (
         half_nu * math.log(half_nu)
-        - gammaln(half_nu)
+        - math.lgamma(half_nu)
         + half_nu * np.log(s2)
         - (half_nu + 1.0) * np.log(x)
         - half_nu * s2 / x
@@ -75,7 +96,7 @@ def _normal_loglik(x, mean, var, spread=0.0):
 def _binom_loglik(trials, y, beta, softplus_beta):
     """log Bin(y | trials, expit(beta)) = log C(trials, y) + y beta
     - trials softplus(beta), elementwise."""
-    return (gammaln(trials + 1.0) - gammaln(y + 1.0) - gammaln(trials - y + 1.0)
+    return (_gammaln(trials + 1.0) - _gammaln(y + 1.0) - _gammaln(trials - y + 1.0)
             + y * beta - trials * softplus_beta)
 
 
@@ -369,7 +390,7 @@ class HierLogitModel(_ModelBase):
     def term_hess(self, data: ObservationSet, i: int, theta) -> np.ndarray:
         beta, _, _ = self.split(theta)
         H = self._prior_hess(theta) / data.n
-        xi = expit(beta[i])
+        xi = _expit(beta[i])
         H[i, i] += -data.trial_sizes[i] * xi * (1.0 - xi)
         return H
 
@@ -377,14 +398,14 @@ class HierLogitModel(_ModelBase):
         beta, _, _ = self.split(theta)
         base = self._prior_grad(theta) / data.n
         S = np.tile(base, (data.n, 1))
-        xi = expit(beta)
+        xi = _expit(beta)
         S[np.arange(data.n), np.arange(data.n)] += data.y - data.trial_sizes * xi
         return S
 
     def hess_term_sum(self, data: ObservationSet, theta) -> np.ndarray:
         beta, _, _ = self.split(theta)
         H = self._prior_hess(theta).copy()
-        xi = expit(beta)
+        xi = _expit(beta)
         H[np.arange(self.N), np.arange(self.N)] += -data.trial_sizes * xi * (1.0 - xi)
         return H
 
@@ -505,11 +526,16 @@ def logpost_unnorm(model, data: ObservationSet, theta) -> float:
 
 
 def _safe_logpost(model, data: ObservationSet, theta) -> float:
-    """logpost_unnorm, or -inf off the support or where a term is not finite."""
+    """logpost_unnorm, or -inf off the support or where a term is not finite.
+
+    A line search may try a point where a term overflows (a tiny tau2 in the
+    hierarchical prior); the result is already -inf there, so the overflow
+    is not warned about."""
     if not model.in_support(theta):
         return -np.inf
     try:
-        return logpost_unnorm(model, data, theta)
+        with np.errstate(over="ignore", divide="ignore"):
+            return logpost_unnorm(model, data, theta)
     except NumericalError:
         return -np.inf
 

@@ -282,3 +282,14 @@ def test_module_entry_point():
     assert ok.returncode == 0
     assert "usage:" in ok.stdout
     assert run("compute", "--bogus").returncode == 2
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(paic.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, paic.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

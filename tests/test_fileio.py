@@ -76,6 +76,56 @@ def test_draws_reject_bad_header(tmp_path):
         read_draws_csv(str(path))
 
 
+@pytest.mark.parametrize("p,S", [(1, 7), (17, 300), (3, 1)])
+def test_draws_round_trip_shapes(tmp_path, p, S):
+    path = tmp_path / "draws.csv"
+    gen = np.random.default_rng(p * 1000 + S)
+    mat = gen.standard_normal((S, p)) * np.exp(4.0 * gen.standard_normal(p))
+    ids = np.sort(gen.integers(0, 4, S))
+    write_draws_csv(str(path), PosteriorDraws(mat, ids, 0, 0))
+    back = read_draws_csv(str(path))
+    np.testing.assert_array_equal(back.draws, mat)
+    np.testing.assert_array_equal(back.chain_ids, ids)
+    assert back.draws.shape == (S, p)
+    assert back.chain_ids.dtype.kind == "i"
+
+
+DRAW_HEADER = "theta_1,theta_2,chain\n"
+
+
+@pytest.mark.parametrize("body,message", [
+    ("0.5,1.5,0\n\n0.25,abc,1\n", ":4: column 'theta_2' is not numeric: 'abc'"),
+    ("0.5,1.5,0\nnan,1.0,0\n", ":3: column 'theta_1' is not finite: 'nan'"),
+    ("0.5,inf,0\n", ":2: column 'theta_2' is not finite: 'inf'"),
+    ("0.5,1.5,0\n0.5,1.5\n", ":3: expected 3 fields"),
+    ("0.5,1.5,0\n0.5,1.5,1.0\n", ":3: chain id must be an integer"),
+    ("0.5,1.5#2,0\n", ":2: column 'theta_2' is not numeric: '1.5#2'"),
+    ("", ": no draws"),
+    ("\n,,\n", ": no draws"),
+], ids=["text", "nan", "inf", "field-count", "float-chain", "hash", "header-only",
+        "blank-only"])
+def test_draws_reject_malformed_body(tmp_path, body, message):
+    path = tmp_path / "draws.csv"
+    path.write_text(DRAW_HEADER + body)
+    with pytest.raises(ValidationError) as err:
+        read_draws_csv(str(path))
+    assert str(err.value) == f"{path}{message}"
+
+
+@pytest.mark.parametrize("body", [
+    '"0.5","1.5","0"\n-2,3e-5,1\n',
+    "0.5,1.5,0\n\n-2,3e-5,1\n\n",
+    "0.5,1.5,0\n,,\n-2,3e-5,1\n",
+    " 0.5 ,1.5, 0\r\n-2,3e-5,+1\r\n",
+], ids=["quoted", "blank-rows", "empty-fields-row", "spaces-crlf"])
+def test_draws_accept_what_the_row_parser_accepts(tmp_path, body):
+    path = tmp_path / "draws.csv"
+    path.write_text(DRAW_HEADER + body, newline="")
+    back = read_draws_csv(str(path))
+    np.testing.assert_array_equal(back.draws, [[0.5, 1.5], [-2.0, 3e-5]])
+    np.testing.assert_array_equal(back.chain_ids, [0, 1])
+
+
 def _reports():
     return [
         CriterionReport("paic", -2.0 * 1.5 + 2 * 0.25, 1.5, 0.25, 10, 1000,

@@ -171,3 +171,27 @@ def test_fd_fallback_matches_analytic(hier_model, hier_data):
     I_fd = compute_score_info(stripped, hier_data, mode.theta_hat)
     I_an = compute_score_info(hier_model, hier_data, mode.theta_hat)
     assert np.linalg.norm(I_fd - I_an) / np.linalg.norm(I_an) < 1e-5
+
+
+def _spd(gen, p):
+    X = gen.standard_normal((2 * p + 2, p))
+    return X.T @ X / (2 * p + 2)
+
+
+def test_trace_eigenvalues_match_scipy_generalized_eigh(hier_model, hier_data):
+    from scipy.linalg import eigh
+
+    gen = np.random.default_rng(17)
+    for p in range(1, 18):
+        for _ in range(5):
+            J, I_mat = _spd(gen, p), _spd(gen, p)
+            pair = InfoMatrixPair(J, I_mat, np.zeros(p), float(np.linalg.cond(J)))
+            np.testing.assert_allclose(trace_correction(pair).eigenvalues,
+                                       eigh(I_mat, J, eigvals_only=True), rtol=1e-12)
+    # p = 17 > n = 15: the score Gram is rank-deficient, so two eigenvalues
+    # are zero up to rounding of the largest
+    mode = find_posterior_mode(hier_model, hier_data, seed=0)
+    pair = info_matrix_pair(hier_model, hier_data, mode.theta_hat, "paic")
+    ref = eigh(pair.score_info, pair.hess_info, eigvals_only=True)
+    np.testing.assert_allclose(trace_correction(pair).eigenvalues, ref, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(ref)))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit as scipy_expit
+from scipy.special import gammaln as scipy_gammaln
 from scipy.stats import binom, invgamma, norm
 
 from paic import (
@@ -14,7 +16,7 @@ from paic import (
     loglik_total,
     logpost_unnorm,
 )
-from paic.models import scaled_inv_chi2_logpdf
+from paic.models import _binom_loglik, _expit, _safe_logpost, scaled_inv_chi2_logpdf
 
 
 def test_observation_set_validation():
@@ -235,3 +237,41 @@ def test_hier_logprior_minus_inf_off_support():
         lp = m.logprior_draws(np.array([[0.1, -0.2, 0.3, 0.0, -1.0],
                                         [0.1, -0.2, 0.3, 0.0, 1.0]]))
     assert lp[0] == -np.inf and np.isfinite(lp[1])
+
+
+def test_expit_within_two_ulp_of_scipy():
+    import warnings
+
+    gen = np.random.default_rng(20)
+    x = np.concatenate([np.linspace(-800.0, 800.0, 16001),
+                        3.0 * gen.standard_normal(10 ** 6)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _expit(x)
+    ref = scipy_expit(x)
+    assert np.all(np.abs(got - ref) <= 2.0 * np.spacing(ref))
+    assert _expit(-800.0) == 0.0 and _expit(800.0) == 1.0
+
+
+def test_binom_log_coefficient_matches_gammaln_form():
+    n = np.arange(1.0, 5002.0)
+    for y in (np.zeros_like(n), np.ones_like(n), np.floor(n / 3), np.floor(n / 2),
+              n - 1.0, n):
+        got = _binom_loglik(n, y, 0.0, 0.0)
+        ref = scipy_gammaln(n + 1.0) - scipy_gammaln(y + 1.0) - scipy_gammaln(n - y + 1.0)
+        # at y = 1 or n - 1 the coefficient log(n) is a small difference of
+        # terms of size gammaln(n + 1), so allow a few roundings of those
+        atol = 8.0 * np.finfo(float).eps * scipy_gammaln(n + 1.0)
+        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref) + atol)
+
+
+def test_safe_logpost_tiny_tau2_is_minus_inf_without_warning():
+    import warnings
+
+    m = HierLogitModel(np.full(15, 50))
+    data = ObservationSet(np.full(15, 10.0), m.trial_sizes)
+    theta = np.zeros(m.p)
+    theta[-1] = 1e-310
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _safe_logpost(m, data, theta) == -np.inf
