@@ -270,13 +270,16 @@ def test_version_flag(capsys):
     assert __version__ in capsys.readouterr().out
 
 
-def test_module_entry_point():
+def _env_with_src():
     src = str(Path(paic.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
+
+def test_module_entry_point():
     def run(*argv):
         return subprocess.run([sys.executable, "-m", "paic.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=60)
+                              capture_output=True, text=True, env=_env_with_src(),
+                              timeout=60)
 
     ok = run("--help")
     assert ok.returncode == 0
@@ -285,11 +288,9 @@ def test_module_entry_point():
 
 
 def test_cli_import_loads_no_scipy():
-    src = str(Path(paic.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = ("import sys, paic.cli; "
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, timeout=60)
+                         env=_env_with_src(), timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
