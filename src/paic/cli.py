@@ -163,6 +163,8 @@ def _obtain_draws(args, model, data, get_mode):
 
 
 def cmd_compute(args) -> int:
+    if not args.criteria:
+        raise ValidationError("--criteria names no criterion")
     for name in args.criteria:
         if name not in KNOWN_CRITERIA:
             raise ValidationError(f"unknown criterion {name!r}")

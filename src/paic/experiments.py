@@ -127,8 +127,8 @@ def resolve_tau02(rule: str, n: int) -> Optional[float]:
         value = float(rule)
     except ValueError:
         raise ValidationError(f"unknown tau02 rule: {rule!r}")
-    if value <= 0:
-        raise ValidationError("tau02 must be positive")
+    if not 0 < value < np.inf:
+        raise ValidationError(f"tau02 must be positive and finite, got {rule!r}")
     return value
 
 

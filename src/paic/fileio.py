@@ -89,9 +89,9 @@ def read_observations_csv(path: str) -> ObservationSet:
         ys.append(_parse_float(row[0], path, lineno, "y"))
         if with_trials:
             t = _parse_float(row[1], path, lineno, "n_trials")
-            if t != int(t) or t < 1:
+            if t != int(t) or not 1 <= t < 2 ** 63:
                 raise ValidationError(
-                    f"{path}:{lineno}: n_trials must be a positive integer"
+                    f"{path}:{lineno}: n_trials must be a positive integer below 2**63"
                 )
             trials.append(int(t))
     y = np.asarray(ys, dtype=float)

@@ -207,10 +207,13 @@ class ConjugateNormalModel(_ModelBase):
     p = 1
 
     def __init__(self, sigma_A2: float, mu0: float = 0.0, tau02: Optional[float] = 1e4):
-        if sigma_A2 <= 0:
-            raise ValidationError("sigma_A2 must be positive")
-        if tau02 is not None and tau02 <= 0:
-            raise ValidationError("tau02 must be positive (or None for a flat prior)")
+        if not 0 < sigma_A2 < math.inf:
+            raise ValidationError("sigma_A2 must be positive and finite")
+        if not math.isfinite(mu0):
+            raise ValidationError("mu0 must be finite")
+        if tau02 is not None and not 0 < tau02 < math.inf:
+            raise ValidationError(
+                "tau02 must be positive and finite (or None for a flat prior)")
         self.sigma_A2 = float(sigma_A2)
         self.mu0 = float(mu0)
         self.tau02 = None if tau02 is None else float(tau02)
@@ -289,8 +292,10 @@ class HierLogitModel(_ModelBase):
         t = np.asarray(trial_sizes, dtype=int)
         if t.ndim != 1 or t.size < 2 or np.any(t < 1):
             raise ValidationError("trial_sizes must be a vector of >=2 positive counts")
-        if mu_var <= 0 or nu <= 0 or s2 <= 0:
-            raise ValidationError("hyperprior parameters must be positive")
+        if not math.isfinite(mu_mean):
+            raise ValidationError("mu_mean must be finite")
+        if not all(0 < v < math.inf for v in (mu_var, nu, s2)):
+            raise ValidationError("mu_var, nu and s2 must be positive and finite")
         self.trial_sizes = t
         self.mu_mean = float(mu_mean)
         self.mu_var = float(mu_var)

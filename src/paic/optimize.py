@@ -6,7 +6,8 @@ the Newton direction is not an ascent direction.  Positive coordinates
 (declared by the model via ``log_scale_coords``) are searched on the log
 scale; the objective is the unchanged theta-parameterization density, so the
 reported mode and curvature are theta-space quantities.  Its gradient and
-Hessian come from the model (``logpost_derivatives``).
+Hessian come from the model (``logpost_derivatives``), once per iterate.
+Restarts from perturbed starts are only a fallback for a failed search.
 """
 
 from __future__ import annotations
@@ -96,18 +97,14 @@ def _solve_ascent(H_u: np.ndarray, g_u: np.ndarray):
             "Hessian contains non-finite entries; ridge retry cannot recover"
         )
     A = -H_u
-    for attempt in range(2):
+    ridge = RIDGE_SCALE * max(np.trace(A), 1.0) / A.shape[0]
+    for M in (A, A + ridge * np.eye(A.shape[0])):
         try:
-            L = np.linalg.cholesky(A)
+            L = np.linalg.cholesky(M)
         except np.linalg.LinAlgError:
-            if attempt == 1:
-                return None
-            ridge = RIDGE_SCALE * max(np.trace(-H_u), 1.0) / H_u.shape[0]
-            A = -H_u + ridge * np.eye(H_u.shape[0])
             continue
-        z = np.linalg.solve(L, g_u)
-        return np.linalg.solve(L.T, z)
-    return None  # pragma: no cover
+        return np.linalg.solve(L.T, np.linalg.solve(L, g_u))
+    return None
 
 
 def posterior_mode(model, data: ObservationSet, init,
@@ -116,8 +113,8 @@ def posterior_mode(model, data: ObservationSet, init,
 
     Convergence requires the theta-space gradient inf-norm to fall below
     MODE_TOL_SCALE * max(1, |logpost|) and the negative Hessian at the mode to be
-    positive definite.  Hitting ``max_iter`` returns converged=False rather
-    than raising.
+    positive definite.  ``iterations`` counts the Newton steps taken; hitting
+    ``max_iter`` of them returns converged=False rather than raising.
     """
     model.validate_data(data)
     init = np.atleast_1d(np.asarray(init, dtype=float))
@@ -131,11 +128,12 @@ def posterior_mode(model, data: ObservationSet, init,
         raise ValidationError("log posterior not finite at init")
 
     iterations = 0
-    grad_norm = np.inf
-    for iterations in range(1, max_iter + 1):
+    stalled = False
+    while True:
         g_theta, H_theta = model.logpost_derivatives(data, theta)
         grad_norm = float(np.max(np.abs(g_theta)))
-        if grad_norm <= MODE_TOL_SCALE * max(1.0, abs(fval)):
+        converged = grad_norm <= MODE_TOL_SCALE * max(1.0, abs(fval))
+        if converged or stalled or iterations == max_iter:
             break
         g_u, H_u = tr.chain(theta, g_theta, H_theta)
         d = _solve_ascent(H_u, g_u)
@@ -144,39 +142,31 @@ def posterior_mode(model, data: ObservationSet, init,
             d = g_u
             slope = float(g_u @ g_u)
         alpha = 1.0
-        improved = False
         while alpha > 1e-18:
             u_new = u + alpha * d
             f_new = _safe_logpost(model, data, tr.to_theta(u_new))
             if f_new >= fval + ARMIJO_C * alpha * slope:
-                improved = True
                 break
             alpha *= 0.5
-        if not improved:
-            break  # stalled; convergence judged by the gradient test below
-        step = float(np.max(np.abs(alpha * d)))
+        else:
+            break  # the line search found no ascent from this iterate
+        iterations += 1
+        # a step below floating-point resolution cannot make further progress
+        stalled = np.max(np.abs(alpha * d)) <= 1e-14 * max(1.0, np.max(np.abs(u_new)))
         u = u_new
         theta = tr.to_theta(u)
         fval = f_new
-        if step <= 1e-14 * max(1.0, float(np.max(np.abs(u)))):
-            break  # below floating-point resolution; no further progress possible
-    else:
-        iterations = max_iter
 
-    g_theta, H_theta = model.logpost_derivatives(data, theta)
-    grad_norm = float(np.max(np.abs(g_theta)))
     neg_hess = 0.5 * ((-H_theta) + (-H_theta).T)
-    grad_ok = grad_norm <= MODE_TOL_SCALE * max(1.0, abs(fval))
     try:
         np.linalg.cholesky(neg_hess)
-        pd_ok = True
     except np.linalg.LinAlgError:
-        pd_ok = False
+        converged = False  # a maximum needs a positive definite negative Hessian
     return ModeResult(
         theta_hat=theta,
         grad_norm=grad_norm,
         iterations=iterations,
-        converged=bool(grad_ok and pd_ok),
+        converged=bool(converged),
         neg_hessian=neg_hess,
         logpost=float(fval),
     )
@@ -184,28 +174,28 @@ def posterior_mode(model, data: ObservationSet, init,
 
 def find_posterior_mode(model, data: ObservationSet, init=None,
                         seed: int = 0) -> ModeResult:
-    """Best-of-restarts mode search from the data-driven init plus perturbations."""
+    """First converged search from ``init`` (default: the model's init).
+
+    A search that raises or does not converge is retried from a perturbed
+    start, up to MODE_RESTARTS searches; if none converges, the best
+    unconverged one is returned, and if all raise, NumericalError.
+    """
     base = np.atleast_1d(np.asarray(
         model.default_init(data) if init is None else init, dtype=float))
     tr = _Transform(model.p, getattr(model, "log_scale_coords", ()))
     u0 = tr.to_u(base)
     rng = substream(seed, "mode-restarts")
     best = None
-    best_converged = None
     for r in range(MODE_RESTARTS):
         u_start = u0 if r == 0 else u0 + 0.3 * rng.standard_normal(model.p)
         try:
             res = posterior_mode(model, data, tr.to_theta(u_start))
         except (ValidationError, NumericalError):
             continue
+        if res.converged:
+            return res
         if best is None or res.logpost > best.logpost:
             best = res
-        if res.converged and (best_converged is None
-                              or res.logpost > best_converged.logpost):
-            best_converged = res
-    # a stalled run can beat a converged one by a few ulps; prefer converged
-    if best_converged is not None:
-        return best_converged
     if best is None:
         raise NumericalError("all mode-search restarts failed")
     return best

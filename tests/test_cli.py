@@ -173,6 +173,41 @@ def test_compute_missing_input_file_exit_2(tmp_path, capsys, missing):
     assert "Traceback" not in err
 
 
+COUNTS_CSV = "y,n_trials\n3,10\n7,10\n5,10\n"
+
+
+@pytest.mark.parametrize("data,flags", [
+    pytest.param(None, ["--model", "normal", "--sigma-a2", "nan"], id="sigma-a2-nan"),
+    pytest.param(None, ["--model", "normal", "--sigma-a2", "inf"], id="sigma-a2-inf"),
+    pytest.param(None, ["--model", "normal", "--tau02", "nan"], id="tau02-nan"),
+    pytest.param(None, ["--model", "normal", "--tau02", "inf"], id="tau02-inf"),
+    pytest.param(None, ["--model", "normal", "--mu0", "nan"], id="mu0-nan"),
+    pytest.param(COUNTS_CSV, ["--model", "hier-logit", "--mu-mean", "nan"],
+                 id="mu-mean-nan"),
+    pytest.param(COUNTS_CSV, ["--model", "hier-logit", "--mu-var", "inf"],
+                 id="mu-var-inf"),
+    pytest.param(COUNTS_CSV, ["--model", "hier-logit", "--nu", "nan"], id="nu-nan"),
+    pytest.param(COUNTS_CSV, ["--model", "hier-logit", "--s2", "inf"], id="s2-inf"),
+    pytest.param(None, ["--model", "normal", "--criteria", ","], id="no-criteria"),
+    pytest.param("y,n_trials\n3,10\n7,1e300\n", ["--model", "hier-logit"],
+                 id="n-trials-overflow"),
+])
+def test_compute_invalid_input_exit_2(tmp_path, capsys, data, flags):
+    data_path = tmp_path / "y.csv"
+    if data is None:
+        write_normal_data(data_path)
+    else:
+        data_path.write_text(data)
+    code = main(["compute", "--data", str(data_path), "--seed", "1",
+                 "--out", str(tmp_path / "r.json")] + flags)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert not (tmp_path / "r.json").exists()
+    if "1e300" in (data or ""):
+        assert f"{data_path}:3:" in err
+
+
 def test_compute_hier_logit_one_mode_search(tmp_path, monkeypatch):
     import paic.cli
 

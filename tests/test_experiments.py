@@ -58,8 +58,9 @@ def test_resolve_tau02_rules():
     assert resolve_tau02("0.25", 3) == 0.25
     assert resolve_tau02("flat", 3) is None
     assert resolve_tau02("2.5", 3) == 2.5
-    with pytest.raises(ValidationError):
-        resolve_tau02("bogus", 3)
+    for rule in ("bogus", "0", "-1", "nan", "inf", "-inf"):
+        with pytest.raises(ValidationError):
+            resolve_tau02(rule, 3)
 
 
 def test_normal_experiment_smoke_one_replication():

@@ -7,6 +7,7 @@ from paic import (
     ModeResult,
     ModelDefinition,
     NotPositiveDefiniteError,
+    NumericalError,
     ObservationSet,
     SamplerBudget,
     ValidationError,
@@ -149,3 +150,91 @@ def test_laplace_rejects_non_pd():
     with pytest.raises(NotPositiveDefiniteError) as exc:
         laplace_approx(m, data, mode)
     assert exc.value.eigenvalues is not None
+
+
+def _scripted_search(monkeypatch, outcomes):
+    """Replace optimize.posterior_mode by one that plays ``outcomes`` in turn:
+    an exception is raised, None passes the real search's result through, and
+    a bool replaces that result's ``converged``.  Returns the inits seen."""
+    import dataclasses
+    import paic.optimize as opt
+
+    real = opt.posterior_mode
+    calls = []
+
+    def scripted(model, data, init, *args, **kwargs):
+        outcome = outcomes[len(calls)]
+        calls.append(np.array(init, dtype=float))
+        if isinstance(outcome, Exception):
+            raise outcome
+        res = real(model, data, init, *args, **kwargs)
+        return res if outcome is None else dataclasses.replace(res, converged=outcome)
+
+    monkeypatch.setattr(opt, "posterior_mode", scripted)
+    return calls
+
+
+def test_find_mode_stops_at_first_converged_search(monkeypatch, hier_model, hier_data):
+    calls = _scripted_search(monkeypatch, [None] * 3)
+    mode = find_posterior_mode(hier_model, hier_data, seed=0)
+    assert mode.converged
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("first", [NumericalError("boom"), ValidationError("bad"), False],
+                         ids=["numerical-error", "validation-error", "unconverged"])
+def test_find_mode_restarts_after_a_failed_search(monkeypatch, hier_model, hier_data,
+                                                   first):
+    calls = _scripted_search(monkeypatch, [first, True, True])
+    mode = find_posterior_mode(hier_model, hier_data, seed=0)
+    assert len(calls) == 2
+    assert mode.converged
+    # the restart starts from a perturbation of the data-driven init
+    assert not np.array_equal(calls[1], hier_model.default_init(hier_data))
+    expect = posterior_mode(hier_model, hier_data, calls[1])
+    np.testing.assert_array_equal(mode.theta_hat, expect.theta_hat)
+
+
+def test_find_mode_returns_best_unconverged_search(monkeypatch, hier_model, hier_data):
+    calls = _scripted_search(monkeypatch, [False, False, False])
+    mode = find_posterior_mode(hier_model, hier_data, seed=0)
+    assert len(calls) == 3
+    assert not mode.converged
+
+
+def test_find_mode_all_searches_raise(monkeypatch, hier_model, hier_data):
+    calls = _scripted_search(monkeypatch, [NumericalError("boom")] * 3)
+    with pytest.raises(NumericalError):
+        find_posterior_mode(hier_model, hier_data, seed=0)
+    assert len(calls) == 3
+
+
+class _RecordingModel:
+    """Delegates to ``model`` and records the theta of each derivative call."""
+
+    def __init__(self, model):
+        self._model = model
+        self.thetas = []
+
+    def __getattr__(self, name):
+        return getattr(self._model, name)
+
+    def logpost_derivatives(self, data, theta):
+        self.thetas.append(np.array(theta, dtype=float))
+        return self._model.logpost_derivatives(data, theta)
+
+
+@pytest.mark.parametrize("case", ["hier", "normal"])
+def test_mode_derivatives_once_per_iterate(case, hier_model, hier_data):
+    if case == "hier":
+        model, data = hier_model, hier_data
+    else:
+        model = ConjugateNormalModel(2.25, mu0=0.5, tau02=4.0)
+        data = ObservationSet(np.array([0.3, -1.2, 2.5, 0.7, 1.1]))
+    rec = _RecordingModel(model)
+    res = posterior_mode(rec, data, model.default_init(data))
+    assert res.converged
+    seen = [t.tobytes() for t in rec.thetas]
+    assert len(seen) == len(set(seen))
+    assert len(seen) == res.iterations + 1
+    np.testing.assert_array_equal(rec.thetas[-1], res.theta_hat)
