@@ -13,7 +13,6 @@ from .calculus import GradientCheckReport, check_gradient, grad_fd, hess_fd
 from .criteria import (
     ClosedFormBias,
     CriterionReport,
-    LooConfig,
     PointwiseLogLik,
     bpic,
     closed_form_bias_estimators,
@@ -39,11 +38,9 @@ from .exceptions import (
     ValidationError,
 )
 from .experiments import (
-    EtaEstimate,
     ExperimentResult,
     LogitExperimentConfig,
     NormalExperimentConfig,
-    estimate_true_eta_logit,
     run_logit_experiment,
     run_normal_bias_experiment,
     true_bias_normal,

@@ -99,8 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--samples", type=int, default=5000,
                     help="post-warmup draws per chain (hier-logit)")
     pc.add_argument("--warmup", type=int, default=2000)
-    pc.add_argument("--fold-samples", type=int, default=2000)
-    pc.add_argument("--fold-warmup", type=int, default=1000)
+    pc.add_argument("--fold-samples", type=int, default=crit.LOO_BUDGET.draws_per_chain)
+    pc.add_argument("--fold-warmup", type=int, default=crit.LOO_BUDGET.warmup)
     pc.set_defaults(func=cmd_compute)
 
     pe = sub.add_parser("experiment", help="run a replication study")
@@ -123,10 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--chains", type=int, default=3)
     pe.add_argument("--samples", type=int, default=5000)
     pe.add_argument("--warmup", type=int, default=2000)
-    pe.add_argument("--fold-samples", type=int, default=2000)
-    pe.add_argument("--fold-warmup", type=int, default=1000)
-    pe.add_argument("--eta-oracle", choices=["exact", "sample"], default="exact")
-    pe.add_argument("--eta-draws", type=int, default=20000)
+    pe.add_argument("--fold-samples", type=int, default=crit.LOO_BUDGET.draws_per_chain)
+    pe.add_argument("--fold-warmup", type=int, default=crit.LOO_BUDGET.warmup)
     pe.set_defaults(func=cmd_experiment)
     return parser
 
@@ -195,11 +193,8 @@ def cmd_compute(args) -> int:
             elif name == "popt":
                 report = crit.popt_closed_form(model, data)
             else:
-                loo_cfg = crit.LooConfig(
-                    SamplerBudget(args.chains, args.fold_samples, args.fold_warmup),
-                    args.seed,
-                )
-                report = crit.loo_exact(model, data, loo_cfg)
+                budget = SamplerBudget(args.chains, args.fold_samples, args.fold_warmup)
+                report = crit.loo_exact(model, data, budget, args.seed)
         except PaicError as exc:
             errors.append((name, str(exc)))
             continue
@@ -240,11 +235,9 @@ def cmd_experiment(args) -> int:
         cfg = LogitExperimentConfig(
             N=args.groups, n_i=args.trials,
             replications=args.reps,
-            eta_draws=args.eta_draws,
             budget=SamplerBudget(args.chains, args.samples, args.warmup),
             fold_budget=SamplerBudget(args.chains, args.fold_samples,
                                       args.fold_warmup),
-            eta_oracle=args.eta_oracle,
             seed=args.seed,
             workers=threads,
         )

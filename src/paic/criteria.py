@@ -50,6 +50,8 @@ MIN_DRAWS = 1000
 LOO_MAX_N = 1000
 # cap on the retained draws of one group of exact-LOO folds sampled together
 LOO_GROUP_BYTES = 4_000_000
+# sampler budget of each exact-LOO fold refit
+LOO_BUDGET = SamplerBudget(chains=3, draws_per_chain=2000, warmup=1000)
 
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(32)
 _GH_WEIGHTS = _GH_WEIGHTS / math.sqrt(math.pi)
@@ -255,12 +257,6 @@ def popt_closed_form(model: ConjugateNormalModel, data: ObservationSet) -> Crite
 # -- exact leave-one-out ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LooConfig:
-    budget: SamplerBudget = SamplerBudget(chains=3, draws_per_chain=2000, warmup=1000)
-    seed: int = 0
-
-
 def _gh_mean_softplus(mu_draws: np.ndarray, sd_draws: np.ndarray) -> np.ndarray:
     """E[softplus(b)] for b ~ N(mu_s, sd_s^2), one value per draw (32-node GH)."""
     nodes = mu_draws[:, None] + math.sqrt(2.0) * sd_draws[:, None] * _GH_NODES[None, :]
@@ -296,16 +292,16 @@ def _fold_problem(model: HierLogitModel, data: ObservationSet, i: int, seed: int
 
 
 def _loo_fold_group(model: HierLogitModel, data: ObservationSet, folds,
-                    cfg: LooConfig, rng_path):
+                    budget: SamplerBudget, seed: int, rng_path):
     """Sample the folds as rows of one sampler loop; (term, flagged) per fold.
 
     The group's draws die when this returns, before the next group is sampled.
     """
-    problems, mode_ok = zip(*(_fold_problem(model, data, i, cfg.seed, rng_path)
+    problems, mode_ok = zip(*(_fold_problem(model, data, i, seed, rng_path)
                               for i in folds))
     out = []
     for i, ok, (draws, diag) in zip(folds, mode_ok,
-                                    _sample_hier_logit_rows(problems, cfg.budget, cfg.seed)):
+                                    _sample_hier_logit_rows(problems, budget, seed)):
         mu_d = draws.draws[:, model.N - 1]
         sd_d = np.sqrt(draws.draws[:, model.N])
         term = _binom_loglik(
@@ -317,34 +313,37 @@ def _loo_fold_group(model: HierLogitModel, data: ObservationSet, folds,
 
 
 def _loo_terms_hier_logit(model: HierLogitModel, data: ObservationSet,
-                          cfg: LooConfig, rng_path=()):
+                          budget: SamplerBudget, seed: int, rng_path):
     """Refit without each group; the held-out logit is integrated against its
     conditional N(mu, tau2) by quadrature under every retained draw.
 
     Folds are sampled in groups whose retained draws stay under
     LOO_GROUP_BYTES; each group is reduced to its terms before the next.
     """
-    b = cfg.budget
-    size = max(1, LOO_GROUP_BYTES // (b.chains * b.draws_per_chain * (model.p - 1) * 8))
+    fold_bytes = budget.chains * budget.draws_per_chain * (model.p - 1) * 8
+    size = max(1, LOO_GROUP_BYTES // fold_bytes)
     terms = np.empty(model.N)
     flagged = []
     for first in range(0, model.N, size):
         folds = range(first, min(first + size, model.N))
-        for i, (term, bad) in zip(folds, _loo_fold_group(model, data, folds, cfg, rng_path)):
+        group = _loo_fold_group(model, data, folds, budget, seed, rng_path)
+        for i, (term, bad) in zip(folds, group):
             terms[i] = term
             if bad:
                 flagged.append(i)
     return terms, flagged
 
 
-def loo_exact(model, data: ObservationSet, sampler_config: Optional[LooConfig] = None,
-              rng_path=()) -> CriterionReport:
+def loo_exact(model, data: ObservationSet, budget: SamplerBudget = LOO_BUDGET,
+              seed: int = 0, rng_path=()) -> CriterionReport:
     """Exact-refit leave-one-out: value = -2 sum_i E_post(-i)[log g(y_i | theta)].
 
-    The normal model uses analytic fold posteriors; the hierarchical logit
-    re-samples each fold, sampling the folds in groups as rows of one
-    sampler loop (each fold's draws are those of sampling it alone).  Folds
-    failing convergence diagnostics are flagged in the report, not dropped.
+    The normal model uses analytic fold posteriors and ignores the sampler
+    arguments.  The hierarchical logit re-samples each fold with ``budget``
+    from the substreams ``(seed, *rng_path, "loo-fold", i)``, sampling the
+    folds in groups as rows of one sampler loop (each fold's draws are those
+    of sampling it alone).  Folds failing convergence diagnostics are flagged
+    in the report, not dropped.
     """
     model.validate_data(data)
     if data.n > LOO_MAX_N:
@@ -355,10 +354,9 @@ def loo_exact(model, data: ObservationSet, sampler_config: Optional[LooConfig] =
         notes = "analytic fold posteriors"
         S = 0
     elif isinstance(model, HierLogitModel):
-        cfg = sampler_config or LooConfig()
-        terms, flagged = _loo_terms_hier_logit(model, data, cfg, rng_path)
+        terms, flagged = _loo_terms_hier_logit(model, data, budget, seed, rng_path)
         notes = "sampled fold posteriors"
-        S = cfg.budget.chains * cfg.budget.draws_per_chain
+        S = budget.chains * budget.draws_per_chain
     else:
         raise UnsupportedModelError("exact LOO implemented for the built-in models only")
     warnings_ = (

@@ -7,9 +7,11 @@ cross-check -- against the known true bias sigma_T2 * sigma_hat2 / sigma_A2^2.
 
 The logit study simulates group logits from N(mu_true, tau_true^2), counts
 from the matching binomials, fits the hierarchical model by MCMC, and scores
-four bias estimates against the true out-of-sample value.  The out-of-sample
-average log likelihood is computed exactly by summing over each group's
-finite support (the default), or by fresh binomial sampling behind a flag.
+the criteria that ``paic compute`` ships (paic, bpic, waic2 and exact LOO)
+against the true out-of-sample value: each bias estimate is the in-sample
+average log likelihood minus the report's fit term per group, plus its
+penalty per group.  The out-of-sample average log likelihood is computed
+exactly by summing over each group's finite support.
 
 Everything is driven by Philox substreams keyed on (seed, cell, replication),
 so results are bit-identical for a given (config, seed) no matter how many
@@ -19,6 +21,7 @@ workers run the replications.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -26,13 +29,16 @@ from typing import Optional
 import numpy as np
 
 from .criteria import (
-    LooConfig,
+    LOO_BUDGET,
+    bpic,
     closed_form_bias_estimators,
     loo_exact,
     mean_insample_loglik,
+    paic,
     pointwise_loglik,
+    waic2,
 )
-from .exceptions import ExperimentError, NumericalError, PaicError, ValidationError
+from .exceptions import ExperimentError, PaicError, ValidationError
 from .infomat import info_matrix_pair, trace_correction
 from .mcmc import SamplerBudget, PosteriorDraws, sample_hier_logit
 from .models import (ConjugateNormalModel, HierLogitModel, ObservationSet,
@@ -59,8 +65,17 @@ class NormalExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma_T2 <= 0 or any(s <= 0 for s in self.sigma_A2_grid):
-            raise ValidationError("variances must be positive")
+        if not np.isfinite(self.mu_T):
+            raise ValidationError(f"mu_T must be finite, got {self.mu_T}")
+        if not 0 < self.sigma_T2 < np.inf:
+            raise ValidationError(f"sigma_T2 must be positive and finite, got {self.sigma_T2}")
+        for name in ("sigma_A2_grid", "tau02_rules", "n_grid"):
+            if not getattr(self, name):
+                raise ValidationError(f"{name} is empty")
+        if not all(0 < s < np.inf for s in self.sigma_A2_grid):
+            raise ValidationError("sigma_A2_grid values must be positive and finite")
+        if min(self.n_grid) < 2:
+            raise ValidationError(f"n_grid values must be >= 2, got {min(self.n_grid)}")
         if self.replications < 1:
             raise ValidationError("replications must be >= 1")
         for rule in self.tau02_rules:
@@ -74,25 +89,15 @@ class LogitExperimentConfig:
     mu_true: float = 0.0
     tau_true: float = 1.0
     replications: int = 100
-    eta_draws: int = 20000
     budget: SamplerBudget = SamplerBudget(chains=3, draws_per_chain=5000, warmup=2000)
-    fold_budget: SamplerBudget = SamplerBudget(chains=3, draws_per_chain=2000, warmup=1000)
-    eta_oracle: str = "exact"
+    fold_budget: SamplerBudget = LOO_BUDGET
     seed: int = 0
     max_fail_frac: float = 0.05
     workers: int = 1
-    mu_mean: float = 0.0
-    mu_var: float = 1000.0 ** 2
-    nu: float = 0.1
-    s2: float = 10.0
 
     def __post_init__(self):
         if self.N < 2 or self.n_i < 1:
             raise ValidationError("need N >= 2 groups and n_i >= 1 trials")
-        if self.eta_draws < 100:
-            raise ValidationError("eta_draws must be >= 100")
-        if self.eta_oracle not in ("exact", "sample"):
-            raise ValidationError("eta_oracle must be 'exact' or 'sample'")
         if self.replications < 1:
             raise ValidationError("replications must be >= 1")
 
@@ -203,32 +208,19 @@ def run_normal_bias_experiment(cfg: NormalExperimentConfig) -> ExperimentResult:
 # -- logit study -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EtaEstimate:
-    value: float
-    mc_se: float
-
-
-def _posterior_loglik_profile(draws: PosteriorDraws, N: int):
-    """Per-group posterior means of beta and softplus(beta).
-
-    The binomial log pmf is linear in the count z given beta, so these two
-    vectors determine mean_draws[log g(z | beta_i)] for every z at once.
-    """
-    B = draws.draws[:, :N]
-    return B.mean(axis=0), softplus(B).mean(axis=0)
-
-
 def true_predictive_loglik_exact(draws: PosteriorDraws, beta_true: np.ndarray,
                                  trial_sizes: np.ndarray) -> float:
     """(1/N) sum_i E_z[mean_draws log g(z | beta_i)] with z ~ Bin(n_i, true).
 
-    The expectation over z is an exact finite sum over {0, ..., n_i}.
+    The expectation over z is an exact finite sum over {0, ..., n_i}.  The
+    binomial log pmf is linear in z given beta, so the per-group posterior
+    means of beta and softplus(beta) give the draw average for every z.
     """
     beta_true = np.asarray(beta_true, dtype=float)
     trial_sizes = np.asarray(trial_sizes)
     N = beta_true.size
-    beta_bar, sp_bar = _posterior_loglik_profile(draws, N)
+    B = draws.draws[:, :N]
+    beta_bar, sp_bar = B.mean(axis=0), softplus(B).mean(axis=0)
     total = 0.0
     for i in range(N):
         n_i = float(trial_sizes[i])
@@ -238,25 +230,8 @@ def true_predictive_loglik_exact(draws: PosteriorDraws, beta_true: np.ndarray,
     return total / N
 
 
-def estimate_true_eta_logit(draws: PosteriorDraws, beta_true: np.ndarray,
-                            cfg: LogitExperimentConfig,
-                            rng: np.random.Generator) -> EtaEstimate:
-    """Monte Carlo version of the oracle: J fresh counts per group."""
-    beta_true = np.asarray(beta_true, dtype=float)
-    N = beta_true.size
-    trial_sizes = np.full(N, cfg.n_i)
-    beta_bar, sp_bar = _posterior_loglik_profile(draws, N)
-    J = cfg.eta_draws
-    z = rng.binomial(trial_sizes[None, :], _expit(beta_true)[None, :], size=(J, N))
-    vals = _binom_loglik(trial_sizes, z.astype(float), beta_bar, sp_bar)
-    value = float(np.mean(vals))
-    group_vars = vals.var(axis=0, ddof=1)
-    mc_se = float(np.sqrt(np.sum(group_vars) / J) / N)
-    return EtaEstimate(value, mc_se)
-
-
 _LOGIT_RECORD_FIELDS = (
-    "replication", "eta_hat", "eta_true", "eta_mc_se",
+    "replication", "eta_hat", "eta_true",
     "b_paic", "b_bpic", "b_waic2", "b_cv",
     "err_paic", "err_bpic", "err_waic2", "err_cv",
     "max_rhat", "min_ess", "loo_flagged", "attempts",
@@ -266,7 +241,7 @@ _LOGIT_RECORD_FIELDS = (
 def _logit_replication(cfg: LogitExperimentConfig, rep: int) -> Optional[dict]:
     """One replication, or None when excluded (mode/Laplace failure or two gate failures)."""
     trial_sizes = np.full(cfg.N, cfg.n_i)
-    model = HierLogitModel(trial_sizes, cfg.mu_mean, cfg.mu_var, cfg.nu, cfg.s2)
+    model = HierLogitModel(trial_sizes)
     gen = substream(cfg.seed, "logit", rep, "truth")
     beta_true = cfg.mu_true + cfg.tau_true * gen.standard_normal(cfg.N)
     y = gen.binomial(trial_sizes, _expit(beta_true))
@@ -292,46 +267,26 @@ def _logit_replication(cfg: LogitExperimentConfig, rep: int) -> Optional[dict]:
 
     pw = pointwise_loglik(model, data, draws)
     eta_hat = mean_insample_loglik(pw)
-    tr_paic = trace_correction(
-        info_matrix_pair(model, data, mode.theta_hat, "paic")).value
-    tr_bpic = trace_correction(
-        info_matrix_pair(model, data, mode.theta_hat, "bpic")).value
-    b_paic = tr_paic / cfg.N
-    logpost_draws = pw.values.sum(axis=1) + model.logprior_draws(draws.draws)
-    b_bpic = (float(np.mean(logpost_draws)) - mode.logpost
-              + tr_bpic + 0.5 * model.p) / cfg.N
-    b_waic2 = float(np.sum(pw.column_vars())) / cfg.N
-
-    loo = loo_exact(model, data, LooConfig(cfg.fold_budget, cfg.seed),
-                    rng_path=("logit", rep))
-    b_cv = eta_hat - loo.fit_term / cfg.N
-
-    if cfg.eta_oracle == "exact":
-        eta_true, eta_se = true_predictive_loglik_exact(draws, beta_true, trial_sizes), 0.0
-    else:
-        est = estimate_true_eta_logit(
-            draws, beta_true, cfg, substream(cfg.seed, "logit", rep, "eta"))
-        eta_true, eta_se = est.value, est.mc_se
-
-    gap = eta_hat - eta_true
-    return {
-        "replication": rep,
-        "eta_hat": eta_hat,
-        "eta_true": eta_true,
-        "eta_mc_se": eta_se,
-        "b_paic": b_paic,
-        "b_bpic": b_bpic,
-        "b_waic2": b_waic2,
-        "b_cv": b_cv,
-        "err_paic": gap - b_paic,
-        "err_bpic": gap - b_bpic,
-        "err_waic2": gap - b_waic2,
-        "err_cv": gap - b_cv,
-        "max_rhat": diag.max_rhat,
-        "min_ess": diag.min_ess,
-        "loo_flagged": float(len(loo.flagged_folds)),
-        "attempts": float(attempt + 1),
+    pair = functools.partial(info_matrix_pair, model, data, mode.theta_hat)
+    reports = {
+        "paic": paic(pw, pair("paic"), min_draws=draws.S),
+        "bpic": bpic(model, data, draws, mode, pair("bpic"), min_draws=draws.S),
+        "waic2": waic2(pw),
+        "cv": loo_exact(model, data, cfg.fold_budget, cfg.seed, rng_path=("logit", rep)),
     }
+    eta_true = true_predictive_loglik_exact(draws, beta_true, trial_sizes)
+    record = {"replication": rep, "eta_hat": eta_hat, "eta_true": eta_true}
+    for est, r in reports.items():
+        b = (eta_hat - r.fit_term / cfg.N) + r.penalty / cfg.N
+        record[f"b_{est}"] = b
+        record[f"err_{est}"] = (eta_hat - eta_true) - b
+    record.update(
+        max_rhat=diag.max_rhat,
+        min_ess=diag.min_ess,
+        loo_flagged=float(len(reports["cv"].flagged_folds)),
+        attempts=float(attempt + 1),
+    )
+    return record
 
 
 def aggregate_logit_cell(records: dict) -> dict:
@@ -376,7 +331,7 @@ def run_logit_experiment(cfg: LogitExperimentConfig) -> ExperimentResult:
         for name in _LOGIT_RECORD_FIELDS
     }
     cell = CellResult(
-        keys={"N": cfg.N, "n_i": cfg.n_i, "eta_oracle": cfg.eta_oracle},
+        keys={"N": cfg.N, "n_i": cfg.n_i},
         records=records,
         aggregates=aggregate_logit_cell(records),
         excluded=excluded,

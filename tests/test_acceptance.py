@@ -135,8 +135,7 @@ def test_criterion_3_misspecification():
 @pytest.fixture(scope="module")
 def logit_study():
     t0 = time.perf_counter()
-    cfg = LogitExperimentConfig(replications=100, seed=1234,
-                                eta_oracle="exact", workers=WORKERS)
+    cfg = LogitExperimentConfig(replications=100, seed=1234, workers=WORKERS)
     result = run_logit_experiment(cfg)
     return result, time.perf_counter() - t0
 

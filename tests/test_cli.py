@@ -253,6 +253,31 @@ def test_experiment_normal_three_cells(tmp_path):
     assert truth.splitlines()[0] == "n,mean_bias"
 
 
+@pytest.mark.parametrize("flags,field", [
+    pytest.param(["--mu-t", "nan"], "mu_T", id="mu-t-nan"),
+    pytest.param(["--mu-t", "inf"], "mu_T", id="mu-t-inf"),
+    pytest.param(["--sigma-t2", "nan"], "sigma_T2", id="sigma-t2-nan"),
+    pytest.param(["--sigma-t2", "inf"], "sigma_T2", id="sigma-t2-inf"),
+    pytest.param(["--sigma-t2", "0"], "sigma_T2", id="sigma-t2-zero"),
+    pytest.param(["--n", "-5"], "n_grid", id="n-negative"),
+    pytest.param(["--n", "1"], "n_grid", id="n-one"),
+    pytest.param(["--n", "25,1"], "n_grid", id="n-one-in-grid"),
+    pytest.param(["--n", ","], "n_grid", id="n-empty"),
+    pytest.param(["--sigma-a2", ","], "sigma_A2_grid", id="sigma-a2-empty"),
+    pytest.param(["--sigma-a2", "nan"], "sigma_A2_grid", id="sigma-a2-nan"),
+    pytest.param(["--tau02-rule", ","], "tau02_rules", id="tau02-rule-empty"),
+])
+def test_experiment_normal_invalid_config_exit_2(tmp_path, capsys, flags, field):
+    out = tmp_path / "exp"
+    code = main(["experiment", "normal", "--reps", "2", "--seed", "1",
+                 "--out", str(out)] + flags)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert field in err
+    assert not out.exists()
+
+
 def test_experiment_logit_deterministic_bytes(tmp_path):
     args = ["experiment", "logit", "--reps", "2", "--seed", "11",
             *FAST_LOGIT_FLAGS]

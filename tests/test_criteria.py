@@ -9,7 +9,6 @@ from paic import (
     HierLogitModel,
     ImproperPriorError,
     LaplaceApprox,
-    LooConfig,
     ObservationSet,
     PointwiseLogLik,
     PosteriorDraws,
@@ -203,11 +202,11 @@ def test_loo_guard_on_large_n():
 
 
 def test_loo_hier_logit_completes(hier_model, hier_data):
-    cfg = LooConfig(SamplerBudget(2, 600, 300), seed=0)
     import time
 
     t0 = time.perf_counter()
-    report = loo_exact(hier_model, hier_data, cfg, rng_path=("t",))
+    report = loo_exact(hier_model, hier_data, SamplerBudget(2, 600, 300), seed=0,
+                       rng_path=("t",))
     elapsed = time.perf_counter() - t0
     assert np.isfinite(report.value)
     assert report.n == 15
@@ -217,8 +216,8 @@ def test_loo_hier_logit_completes(hier_model, hier_data):
 
 def test_loo_flagged_folds_carried_as_indices(hier_model, hier_data):
     # 100 draws per fold cannot reach ESS 400, so every fold is flagged
-    cfg = LooConfig(SamplerBudget(2, 50, 50), seed=0)
-    report = loo_exact(hier_model, hier_data, cfg, rng_path=("t",))
+    report = loo_exact(hier_model, hier_data, SamplerBudget(2, 50, 50), seed=0,
+                       rng_path=("t",))
     assert report.flagged_folds == tuple(range(15))
     assert report.warnings == ("15 fold(s) failed convergence diagnostics",)
 
@@ -382,7 +381,7 @@ def test_loo_fold_groups_equal_one_call_per_fold(hier_model, hier_data, monkeypa
     fold_bytes = budget.chains * budget.draws_per_chain * (hier_model.p - 1) * 8
     monkeypatch.setattr(criteria, "LOO_GROUP_BYTES", folds_per_group * fold_bytes)
     path = ("t", 5)
-    report = loo_exact(hier_model, hier_data, LooConfig(budget, seed=1), rng_path=path)
+    report = loo_exact(hier_model, hier_data, budget, seed=1, rng_path=path)
 
     terms, flagged = [], []
     for i in range(hier_model.N):

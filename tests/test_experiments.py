@@ -14,12 +14,14 @@ from paic import (
     PosteriorDraws,
     SamplerBudget,
     ValidationError,
-    estimate_true_eta_logit,
+    pointwise_loglik,
     run_logit_experiment,
     run_normal_bias_experiment,
+    trace_correction,
     true_bias_normal,
     true_predictive_loglik_exact,
 )
+from paic import experiments
 from paic.experiments import (
     LOGIT_ESTIMATORS,
     NORMAL_ESTIMATORS,
@@ -136,36 +138,24 @@ def test_eta_exact_with_point_mass_draws():
     assert eta == pytest.approx(expected / N, rel=1e-10)
 
 
-def test_eta_mc_matches_exact_within_se():
-    gen = substream(11, "eta-mc")
+def test_eta_exact_matches_brute_force_over_spread_draws():
+    gen = substream(11, "eta-brute")
     N = 15
-    cfg = LogitExperimentConfig(N=N, n_i=50, eta_draws=20000, seed=1)
     beta_true = gen.standard_normal(N)
-    theta = np.concatenate([gen.standard_normal(N) * 0.5, [0.0, 1.0]])
-    mat = theta + 0.1 * gen.standard_normal((4000, N + 2))
-    mat[:, -1] = np.abs(mat[:, -1]) + 0.5  # tau2 stays positive
-    draws = PosteriorDraws(mat, np.zeros(4000, dtype=int), 0, 0)
-    exact = true_predictive_loglik_exact(draws, beta_true, np.full(N, 50))
-    est = estimate_true_eta_logit(draws, beta_true, cfg, substream(2, "mc"))
-    assert abs(est.value - exact) <= 4 * est.mc_se
-
-
-def test_eta_mc_variance_halves_when_doubling_draws():
-    gen = substream(12, "eta-var")
-    N = 10
-    beta_true = gen.standard_normal(N)
-    theta = np.concatenate([beta_true, [0.0, 1.0]])
-    draws = PosteriorDraws(np.tile(theta, (300, 1)), np.zeros(300, dtype=int), 0, 0)
-    cfg_small = LogitExperimentConfig(N=N, n_i=50, eta_draws=500, seed=1)
-    cfg_big = LogitExperimentConfig(N=N, n_i=50, eta_draws=1000, seed=1)
-    small = [estimate_true_eta_logit(draws, beta_true, cfg_small,
-                                     substream(13, "rep", r)).value
-             for r in range(200)]
-    big = [estimate_true_eta_logit(draws, beta_true, cfg_big,
-                                   substream(14, "rep", r)).value
-           for r in range(200)]
-    ratio = np.var(small, ddof=1) / np.var(big, ddof=1)
-    assert 1.4 <= ratio <= 2.8
+    trials = gen.integers(5, 60, N)
+    S = 200
+    mat = np.concatenate([gen.standard_normal((S, N)) * 1.5 + 0.3,
+                          gen.standard_normal((S, 1)),
+                          np.abs(gen.standard_normal((S, 1))) + 0.5], axis=1)
+    draws = PosteriorDraws(mat, np.zeros(S, dtype=int), 0, 0)
+    expected = 0.0
+    for i in range(N):
+        z = np.arange(trials[i] + 1)
+        logpmf = binom.logpmf(z[None, :], trials[i], expit(mat[:, i])[:, None])
+        expected += float(binom.pmf(z, trials[i], expit(beta_true[i]))
+                          @ logpmf.mean(axis=0))
+    eta = true_predictive_loglik_exact(draws, beta_true, trials)
+    assert eta == pytest.approx(expected / N, rel=1e-12)
 
 
 def test_logit_experiment_smoke_two_replications():
@@ -203,15 +193,37 @@ def test_logit_aggregates_self_consistent():
     assert aggregate_logit_cell(cell.records) == cell.aggregates
 
 
-def test_logit_sample_oracle_close_to_exact():
-    base = dict(replications=2, seed=6, **FAST_LOGIT)
-    exact = run_logit_experiment(LogitExperimentConfig(eta_oracle="exact", **base))
-    sampled = run_logit_experiment(LogitExperimentConfig(eta_oracle="sample", **base))
-    e = exact.cells[0].records["eta_true"]
-    s = sampled.cells[0].records["eta_true"]
-    se = sampled.cells[0].records["eta_mc_se"]
-    assert np.all(np.abs(e - s) <= 5 * se)
-    assert np.all(exact.cells[0].records["eta_mc_se"] == 0.0)
+def test_logit_replication_scores_the_shipped_criteria(monkeypatch):
+    captured = {}
+
+    def recording(name):
+        shipped = getattr(experiments, name)
+
+        def call(*args, **kwargs):
+            report = shipped(*args, **kwargs)
+            captured[name] = (args, report)
+            return report
+        return call
+
+    for name in ("paic", "bpic", "waic2", "loo_exact"):
+        monkeypatch.setattr(experiments, name, recording(name))
+    cfg = LogitExperimentConfig(replications=1, seed=3, **FAST_LOGIT)
+    rec = experiments._logit_replication(cfg, 0)
+
+    eta_hat, N = rec["eta_hat"], cfg.N
+    for est, name in (("paic", "paic"), ("bpic", "bpic"), ("waic2", "waic2"),
+                      ("cv", "loo_exact")):
+        r = captured[name][1]
+        assert rec[f"b_{est}"] == (eta_hat - r.fit_term / N) + r.penalty / N
+        assert rec[f"err_{est}"] == (eta_hat - rec["eta_true"]) - rec[f"b_{est}"]
+
+    # the study's former hand-written bpic bias, from the captured arguments
+    model, data, draws, mode, pair = captured["bpic"][0]
+    loglik = pointwise_loglik(model, data, draws).values.sum(axis=1)
+    logpost = loglik + model.logprior_draws(draws.draws)
+    parent = (float(np.mean(logpost)) - mode.logpost
+              + trace_correction(pair).value + 0.5 * model.p) / N
+    assert rec["b_bpic"] == pytest.approx(parent, rel=1e-12)
 
 
 def test_logit_experiment_aborts_when_budget_hopeless():
@@ -223,8 +235,6 @@ def test_logit_experiment_aborts_when_budget_hopeless():
 
 
 def test_config_validation():
-    with pytest.raises(ValidationError):
-        LogitExperimentConfig(eta_oracle="bogus")
     with pytest.raises(ValidationError):
         LogitExperimentConfig(N=1)
     with pytest.raises(ValidationError):
