@@ -33,7 +33,7 @@ from .exceptions import (
     ValidationError,
 )
 from .infomat import InfoMatrixPair, trace_correction
-from .mcmc import PosteriorDraws, SamplerBudget, _sample_hier_logit_rows
+from .mcmc import PosteriorDraws, SamplerBudget, _problems_per_loop, _sample_hier_logit_rows
 from .models import (
     ConjugateNormalModel,
     HierLogitModel,
@@ -48,8 +48,6 @@ from .optimize import LaplaceApprox, ModeResult, find_posterior_mode, laplace_ap
 
 MIN_DRAWS = 1000
 LOO_MAX_N = 1000
-# cap on the retained draws of one group of exact-LOO folds sampled together
-LOO_GROUP_BYTES = 4_000_000
 # sampler budget of each exact-LOO fold refit
 LOO_BUDGET = SamplerBudget(chains=3, draws_per_chain=2000, warmup=1000)
 
@@ -295,20 +293,22 @@ def _loo_fold_group(model: HierLogitModel, data: ObservationSet, folds,
                     budget: SamplerBudget, seed: int, rng_path):
     """Sample the folds as rows of one sampler loop; (term, flagged) per fold.
 
-    The group's draws die when this returns, before the next group is sampled.
+    Each fold's draws are cut to the mu and tau2 columns its term needs, and
+    the group's draws die before the quadrature runs.
     """
     problems, mode_ok = zip(*(_fold_problem(model, data, i, seed, rng_path)
                               for i in folds))
+    sampled = _sample_hier_logit_rows(problems, budget, seed)
+    hyper = [(draws.draws[:, model.N - 1].copy(), np.sqrt(draws.draws[:, model.N]),
+              diag.ok() and ok) for ok, (draws, diag) in zip(mode_ok, sampled)]
+    del sampled
     out = []
-    for i, ok, (draws, diag) in zip(folds, mode_ok,
-                                    _sample_hier_logit_rows(problems, budget, seed)):
-        mu_d = draws.draws[:, model.N - 1]
-        sd_d = np.sqrt(draws.draws[:, model.N])
+    for i, (mu_d, sd_d, good) in zip(folds, hyper):
         term = _binom_loglik(
             float(data.trial_sizes[i]), float(data.y[i]),
             float(np.mean(mu_d)), float(np.mean(_gh_mean_softplus(mu_d, sd_d))),
         )
-        out.append((term, not (diag.ok() and ok)))
+        out.append((term, not good))
     return out
 
 
@@ -318,10 +318,10 @@ def _loo_terms_hier_logit(model: HierLogitModel, data: ObservationSet,
     conditional N(mu, tau2) by quadrature under every retained draw.
 
     Folds are sampled in groups whose retained draws stay under
-    LOO_GROUP_BYTES; each group is reduced to its terms before the next.
+    ``mcmc.LOOP_DRAW_BYTES`` (at the default budget all N = 15 folds fit in
+    one loop); each group is reduced to its terms before the next.
     """
-    fold_bytes = budget.chains * budget.draws_per_chain * (model.p - 1) * 8
-    size = max(1, LOO_GROUP_BYTES // fold_bytes)
+    size = _problems_per_loop(budget, model.p - 1)
     terms = np.empty(model.N)
     flagged = []
     for first in range(0, model.N, size):
@@ -341,8 +341,9 @@ def loo_exact(model, data: ObservationSet, budget: SamplerBudget = LOO_BUDGET,
     The normal model uses analytic fold posteriors and ignores the sampler
     arguments.  The hierarchical logit re-samples each fold with ``budget``
     from the substreams ``(seed, *rng_path, "loo-fold", i)``, sampling the
-    folds in groups as rows of one sampler loop (each fold's draws are those
-    of sampling it alone).  Folds failing convergence diagnostics are flagged
+    folds as rows of one sampler loop, or of as few loops as keep the
+    retained draws under ``mcmc.LOOP_DRAW_BYTES`` (each fold's draws are
+    those of sampling it alone).  Folds failing convergence diagnostics are flagged
     in the report, not dropped.
     """
     model.validate_data(data)

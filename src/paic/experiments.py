@@ -13,9 +13,13 @@ average log likelihood minus the report's fit term per group, plus its
 penalty per group.  The out-of-sample average log likelihood is computed
 exactly by summing over each group's finite support.
 
-Everything is driven by Philox substreams keyed on (seed, cell, replication),
-so results are bit-identical for a given (config, seed) no matter how many
-workers run the replications.
+The logit replications run in batches: each replication's exact-LOO folds
+share one sampler loop, then the main chains of the whole batch share
+another, with the batch sized so that a loop's retained draws stay under
+``mcmc.LOOP_DRAW_BYTES``; the process pool maps batches.  Everything is
+driven by Philox substreams keyed on (seed, cell, replication), so results
+are bit-identical for a given (config, seed) whatever the batch size and
+however many workers run the batches.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import numpy as np
 
 from .criteria import (
     LOO_BUDGET,
+    CriterionReport,
     bpic,
     closed_form_bias_estimators,
     loo_exact,
@@ -40,10 +45,12 @@ from .criteria import (
 )
 from .exceptions import ExperimentError, PaicError, ValidationError
 from .infomat import info_matrix_pair, trace_correction
-from .mcmc import SamplerBudget, PosteriorDraws, sample_hier_logit
+from .mcmc import (Diagnostics, PosteriorDraws, SamplerBudget, _problems_per_loop,
+                   _sample_hier_logit_rows)
 from .models import (ConjugateNormalModel, HierLogitModel, ObservationSet,
                      _binom_loglik, _expit, softplus)
-from .optimize import find_posterior_mode, laplace_approx, posterior_mode
+from .optimize import (LaplaceApprox, ModeResult, find_posterior_mode, laplace_approx,
+                       posterior_mode)
 from .rng import substream
 
 TAU02_RULES = ("1e4", "1e4_over_n", "0.25", "flat")
@@ -96,6 +103,12 @@ class LogitExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("N", "n_i"):
+            value = getattr(self, name)
+            if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+                    or not -2 ** 63 <= value < 2 ** 63):
+                raise ValidationError(f"{name} must be an integer in the int64 range, "
+                                      f"got {value!r}")
         if self.N < 2 or self.n_i < 1:
             raise ValidationError("need N >= 2 groups and n_i >= 1 trials")
         if self.replications < 1:
@@ -238,43 +251,85 @@ _LOGIT_RECORD_FIELDS = (
 )
 
 
-def _logit_replication(cfg: LogitExperimentConfig, rep: int) -> Optional[dict]:
-    """One replication, or None when excluded (mode/Laplace failure or two gate failures)."""
+@dataclass(frozen=True)
+class _LogitFit:
+    """One replication's data and everything fitted to it before its main chains."""
+
+    model: HierLogitModel
+    data: ObservationSet
+    beta_true: np.ndarray
+    mode: ModeResult
+    lap: LaplaceApprox
+    loo: CriterionReport
+
+
+def _logit_fit(cfg: LogitExperimentConfig, rep: int) -> Optional[_LogitFit]:
+    """Simulate replication ``rep``, find its mode and Laplace start and run
+    its exact LOO; None when the mode search or the Laplace step fails."""
     trial_sizes = np.full(cfg.N, cfg.n_i)
     model = HierLogitModel(trial_sizes)
     gen = substream(cfg.seed, "logit", rep, "truth")
     beta_true = cfg.mu_true + cfg.tau_true * gen.standard_normal(cfg.N)
     y = gen.binomial(trial_sizes, _expit(beta_true))
     data = ObservationSet(y.astype(float), trial_sizes)
-
     try:
         mode = find_posterior_mode(model, data, seed=cfg.seed)
         lap = laplace_approx(model, data, mode)
     except PaicError:
         return None
-    for attempt in range(2):
-        budget = cfg.budget if attempt == 0 else cfg.budget.scaled(2.0)
-        try:
-            draws, diag = sample_hier_logit(
-                model, data, budget=budget, seed=cfg.seed,
-                rng_path=("logit", rep, "main", attempt), init=lap, check=True,
-            )
-            break
-        except PaicError:
-            continue  # sampler gate failure: retry once with a doubled budget
-    else:
-        return None
+    loo = loo_exact(model, data, cfg.fold_budget, cfg.seed, rng_path=("logit", rep))
+    return _LogitFit(model, data, beta_true, mode, lap, loo)
 
+
+def _logit_main_chains(cfg: LogitExperimentConfig, fits: dict) -> dict:
+    """Main chains of the fitted replications {rep: fit}, as {rep: (draws,
+    diag, attempts)} for those that pass the convergence gate.
+
+    Attempt 0 samples the replications as rows of shared sampler loops; the
+    ones that fail the gate are rerun together once with a doubled budget.
+    Each row's substream is keyed by (replication, attempt), so a
+    replication's chains do not depend on which others share its loop.
+    """
+    passed, pending = {}, list(fits)
+    for attempt, budget in enumerate((cfg.budget, cfg.budget.scaled(2.0))):
+        failed = []
+        size = _problems_per_loop(budget, cfg.N + 2)
+        for first in range(0, len(pending), size):
+            reps = pending[first : first + size]
+            problems = [(fits[rep].model, fits[rep].data, fits[rep].lap,
+                         ("logit", rep, "main", attempt)) for rep in reps]
+            try:
+                sampled = _sample_hier_logit_rows(problems, budget, cfg.seed)
+            except PaicError:
+                failed += reps
+                continue
+            for rep, (draws, diag) in zip(reps, sampled):
+                if diag.ok():
+                    passed[rep] = (draws, diag, attempt + 1)
+                else:
+                    failed.append(rep)
+        pending = failed
+    return passed
+
+
+def _logit_replication(cfg: LogitExperimentConfig, rep: int, fit: _LogitFit,
+                       draws: PosteriorDraws, diag: Diagnostics, attempts: int) -> dict:
+    """Score replication ``rep`` from its fit and its main-chain draws.
+
+    perfbench's tracer wraps this function and reads ``rep`` (argument 1)
+    as the id of the replication its spans belong to.
+    """
+    model, data = fit.model, fit.data
     pw = pointwise_loglik(model, data, draws)
     eta_hat = mean_insample_loglik(pw)
-    pair = functools.partial(info_matrix_pair, model, data, mode.theta_hat)
+    pair = functools.partial(info_matrix_pair, model, data, fit.mode.theta_hat)
     reports = {
         "paic": paic(pw, pair("paic"), min_draws=draws.S),
-        "bpic": bpic(model, data, draws, mode, pair("bpic"), min_draws=draws.S),
+        "bpic": bpic(model, data, draws, fit.mode, pair("bpic"), min_draws=draws.S),
         "waic2": waic2(pw),
-        "cv": loo_exact(model, data, cfg.fold_budget, cfg.seed, rng_path=("logit", rep)),
+        "cv": fit.loo,
     }
-    eta_true = true_predictive_loglik_exact(draws, beta_true, trial_sizes)
+    eta_true = true_predictive_loglik_exact(draws, fit.beta_true, model.trial_sizes)
     record = {"replication": rep, "eta_hat": eta_hat, "eta_true": eta_true}
     for est, r in reports.items():
         b = (eta_hat - r.fit_term / cfg.N) + r.penalty / cfg.N
@@ -283,10 +338,37 @@ def _logit_replication(cfg: LogitExperimentConfig, rep: int) -> Optional[dict]:
     record.update(
         max_rhat=diag.max_rhat,
         min_ess=diag.min_ess,
-        loo_flagged=float(len(reports["cv"].flagged_folds)),
-        attempts=float(attempt + 1),
+        loo_flagged=float(len(fit.loo.flagged_folds)),
+        attempts=float(attempts),
     )
     return record
+
+
+def _logit_batch(cfg: LogitExperimentConfig, reps: range) -> list:
+    """Records of replications ``reps``, None for an excluded one (mode or
+    Laplace failure, or two gate failures).
+
+    Every replication's LOO folds are sampled and reduced before the batch's
+    main chains, so the two never hold their draws at the same time.
+    """
+    fits = {rep: _logit_fit(cfg, rep) for rep in reps}
+    sampled = _logit_main_chains(
+        cfg, {rep: fit for rep, fit in fits.items() if fit is not None})
+    return [_logit_replication(cfg, rep, fits[rep], *sampled[rep])
+            if rep in sampled else None for rep in reps]
+
+
+def _logit_batches(cfg: LogitExperimentConfig) -> list:
+    """Split the replications into the fewest batches whose main chains fit
+    one sampler loop and whose number is a multiple of the worker count
+    (when there are enough replications); sizes differ by at most one."""
+    R = cfg.replications
+    n = -(-R // _problems_per_loop(cfg.budget, cfg.N + 2))
+    workers = max(1, cfg.workers)
+    n = min(R, -(-n // workers) * workers)
+    size, extra = divmod(R, n)
+    bounds = [b * size + min(b, extra) for b in range(n + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def aggregate_logit_cell(records: dict) -> dict:
@@ -311,14 +393,14 @@ def run_logit_experiment(cfg: LogitExperimentConfig) -> ExperimentResult:
     doubled-budget retry are excluded; more than ``max_fail_frac`` of them
     aborts the study.
     """
-    reps = range(cfg.replications)
+    run_batch = functools.partial(_logit_batch, cfg)
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_logit_replication, [cfg] * cfg.replications, reps))
+            batches = list(pool.map(run_batch, _logit_batches(cfg)))
     else:
-        results = [_logit_replication(cfg, rep) for rep in reps]
+        batches = [run_batch(reps) for reps in _logit_batches(cfg)]
 
-    kept = [r for r in results if r is not None]
+    kept = [r for batch in batches for r in batch if r is not None]
     excluded = cfg.replications - len(kept)
     if excluded > cfg.max_fail_frac * cfg.replications:
         raise ExperimentError(

@@ -9,12 +9,16 @@ updates.  Step sizes adapt toward a 0.44 acceptance rate during warmup only;
 the post-warmup kernel is frozen.
 
 One loop runs the chains of several problems at once as rows of one state
-array; rows may belong to different datasets (the exact-LOO folds are
-sampled that way).  Each row draws from its own Philox substream keyed by
-(seed, *path, "chain", c): the per-step proposal and acceptance noise is
-replayed from it in chunks of REPLAY_CHUNK iterations, so a row's
-trajectory does not depend on the other rows or on how the surrounding code
-schedules work.
+array; rows may belong to different datasets (the exact-LOO folds of a
+dataset, and the main chains of several replications of the logit study,
+are sampled that way).  Callers size a loop so that its retained draws stay
+under LOOP_DRAW_BYTES.  Each row draws from its own Philox substream keyed
+by (seed, *path, "chain", c): all four of its noise blocks (proposal
+normals, acceptance uniforms, and the mu normals and tau2 chi-squares of the
+Gibbs steps) are replayed from it in chunks of REPLAY_CHUNK iterations, so a
+row's trajectory does not depend on the other rows or on how the
+surrounding code schedules work, and the noise held at once does not grow
+with the chain length.
 
 ESS (Geyer's initial monotone sequence, per chain) and split R-hat (BDA3)
 are array kernels over the sampler's (chains, draws, p) layout; the public
@@ -23,7 +27,6 @@ single-series ``ess`` and ``rhat`` reshape their input into it.
 
 from __future__ import annotations
 
-import copy
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -39,7 +42,9 @@ TARGET_ACCEPT = 0.44
 ADAPT_BATCH = 50
 RHAT_MAX = 1.05
 ESS_MIN = 400.0
-REPLAY_CHUNK = 256  # sampler iterations of z_move/log_u held per refill
+REPLAY_CHUNK = 64  # sampler iterations of each row's noise held per refill
+# cap on the retained draws of one sampler loop, summed over its rows
+LOOP_DRAW_BYTES = 12_000_000
 
 
 @dataclass(frozen=True)
@@ -179,10 +184,15 @@ def rhat(x, chain_ids) -> float:
 def compute_diagnostics(chains: np.ndarray, accept_rate: np.ndarray,
                         scales_warm: np.ndarray, scales_final: np.ndarray) -> Diagnostics:
     """ESS (summed over chains, capped at the draw count) and split R-hat of
-    every coordinate of a (chains, draws, p) array."""
+    every coordinate of a (chains, draws, p) array.
+
+    The ESS kernel runs chain by chain, which bounds its FFT buffers at one
+    chain's and gives the same values as one call over all chains.
+    """
     C, n, _ = chains.shape
+    ess_sum = sum(_ess_kernel(chains[c : c + 1])[0] for c in range(C))
     return Diagnostics(
-        ess=np.minimum(_ess_kernel(chains).sum(axis=0), float(C * n)),
+        ess=np.minimum(ess_sum, float(C * n)),
         rhat=_rhat_kernel(chains),
         accept_rate=accept_rate,
         step_scales_warmup_end=scales_warm,
@@ -220,19 +230,35 @@ def _initial_states(model: HierLogitModel, lap: LaplaceApprox,
     return states, scales
 
 
-def _row_streams(seed: int, path, T: int, N: int, df: float):
+def _fork(gen: np.random.Generator) -> np.random.Generator:
+    """A generator that continues ``gen``'s stream from where it stands."""
+    bit_gen = np.random.Philox(key=0)
+    bit_gen.state = gen.bit_generator.state
+    return np.random.Generator(bit_gen)
+
+
+def _row_streams(seed: int, path, T: int, N: int):
     """One row's randomness, in the order it is drawn from its substream.
 
-    Returns generators that replay the (T, N) ``z_move`` and ``log_u``
-    blocks chunk by chunk (consecutive draws continue one stream), and the
-    whole ``z_mu`` and ``chi2`` series that follow them.
+    Returns four generators, each standing at the start of one block: the
+    (T, N) ``z_move`` and ``log_u`` blocks, then the length-T ``z_mu`` and
+    ``chi2`` series.  Each block is replayed chunk by chunk (consecutive
+    draws continue one stream).
     """
     gen = substream(seed, *path)
-    z_gen = copy.deepcopy(gen)
+    z_gen = _fork(gen)
     gen.standard_normal((T, N))  # skip past the z_move block ...
-    u_gen = copy.deepcopy(gen)
-    gen.random((T, N))  # ... and the log_u block
-    return z_gen, u_gen, gen.standard_normal(T), gen.chisquare(df, T)
+    u_gen = _fork(gen)
+    gen.random((T, N))  # ... the log_u block ...
+    mu_gen = _fork(gen)
+    gen.standard_normal(T)  # ... and the z_mu series
+    return z_gen, u_gen, mu_gen, gen
+
+
+def _problems_per_loop(budget: SamplerBudget, p: int) -> int:
+    """How many p-parameter problems one sampler loop holds under
+    LOOP_DRAW_BYTES of retained draws (at least one)."""
+    return max(1, LOOP_DRAW_BYTES // (budget.chains * budget.draws_per_chain * p * 8))
 
 
 def _sample_hier_logit_rows(problems, budget: SamplerBudget, seed: int):
@@ -267,13 +293,12 @@ def _sample_hier_logit_rows(problems, budget: SamplerBudget, seed: int):
     tau2 = np.maximum(beta_mu_tau[:, N + 1], 1e-8)
 
     df = model.nu + N
-    z_gens, u_gens, z_mu, chi2 = zip(*(
-        _row_streams(seed, (*path, "chain", c), T, N, df)
-        for path in paths for c in range(C)))
-    z_mu = np.stack(z_mu, axis=1)
-    chi2 = np.stack(chi2, axis=1)
-    z_move = np.empty((min(REPLAY_CHUNK, T), R, N))
+    streams = [_row_streams(seed, (*path, "chain", c), T, N)
+               for path in paths for c in range(C)]
+    z_move = np.empty((R, min(REPLAY_CHUNK, T), N))
     log_u = np.empty_like(z_move)
+    z_mu = np.empty(z_move.shape[:2])
+    chi2 = np.empty_like(z_mu)
 
     sp_beta = softplus(beta)
     out = np.empty((R, D, p))
@@ -289,10 +314,13 @@ def _sample_hier_logit_rows(problems, budget: SamplerBudget, seed: int):
         j = it % REPLAY_CHUNK
         if j == 0:
             L = min(REPLAY_CHUNK, T - it)
-            for r in range(R):
-                z_move[:L, r] = z_gens[r].standard_normal((L, N))
-                log_u[:L, r] = np.log(u_gens[r].random((L, N)))
-        prop = beta + scales * z_move[j]
+            for r, (z_gen, u_gen, mu_gen, chi_gen) in enumerate(streams):
+                z_gen.standard_normal(out=z_move[r, :L])
+                u_gen.random(out=log_u[r, :L])
+                mu_gen.standard_normal(out=z_mu[r, :L])
+                chi2[r, :L] = chi_gen.chisquare(df, L)
+            np.log(log_u[:, :L], out=log_u[:, :L])
+        prop = beta + scales * z_move[:, j]
         sp_prop = softplus(prop)
         dlp = (
             y * (prop - beta)
@@ -300,7 +328,7 @@ def _sample_hier_logit_rows(problems, budget: SamplerBudget, seed: int):
             - ((prop - mu[:, None]) ** 2 - (beta - mu[:, None]) ** 2)
             / (2.0 * tau2[:, None])
         )
-        acc = log_u[j] < dlp
+        acc = log_u[:, j] < dlp
         beta = np.where(acc, prop, beta)
         sp_beta = np.where(acc, sp_prop, sp_beta)
         if it < warmup:
@@ -317,9 +345,9 @@ def _sample_hier_logit_rows(problems, budget: SamplerBudget, seed: int):
         else:
             accept_total += acc
         v = 1.0 / (inv_mu_var + N / tau2)
-        mu = v * (prior_mean_term + beta.sum(axis=1) / tau2) + np.sqrt(v) * z_mu[it]
+        mu = v * (prior_mean_term + beta.sum(axis=1) / tau2) + np.sqrt(v) * z_mu[:, j]
         sse = ((beta - mu[:, None]) ** 2).sum(axis=1)
-        tau2 = (nu_s2 + sse) / chi2[it]
+        tau2 = (nu_s2 + sse) / chi2[:, j]
         if it >= warmup:
             k = it - warmup
             out[:, k, :N] = beta

@@ -278,6 +278,18 @@ def test_experiment_normal_invalid_config_exit_2(tmp_path, capsys, flags, field)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--trials", "--groups"])
+def test_experiment_logit_count_beyond_int64_exit_2(tmp_path, capsys, flag):
+    out = tmp_path / "exp"
+    code = main(["experiment", "logit", "--reps", "2", flag, "100000000000000000000",
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "100000000000000000000" in err
+    assert not out.exists()
+
+
 def test_experiment_logit_deterministic_bytes(tmp_path):
     args = ["experiment", "logit", "--reps", "2", "--seed", "11",
             *FAST_LOGIT_FLAGS]

@@ -34,7 +34,7 @@ from paic import (
     trace_correction,
     waic2,
 )
-from paic import criteria
+from paic import mcmc
 from paic.criteria import _gh_mean_softplus
 from paic.infomat import InfoMatrixPair
 from paic.mcmc import _sample_hier_logit_rows
@@ -379,7 +379,7 @@ def test_loo_fold_groups_equal_one_call_per_fold(hier_model, hier_data, monkeypa
     # leave a last group of 3; about half of the folds are flagged
     budget = SamplerBudget(2, 1200, 143)
     fold_bytes = budget.chains * budget.draws_per_chain * (hier_model.p - 1) * 8
-    monkeypatch.setattr(criteria, "LOO_GROUP_BYTES", folds_per_group * fold_bytes)
+    monkeypatch.setattr(mcmc, "LOOP_DRAW_BYTES", folds_per_group * fold_bytes)
     path = ("t", 5)
     report = loo_exact(hier_model, hier_data, budget, seed=1, rng_path=path)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from paic import (
     true_bias_normal,
     true_predictive_loglik_exact,
 )
-from paic import experiments
+from paic import experiments, mcmc
 from paic.experiments import (
     LOGIT_ESTIMATORS,
     NORMAL_ESTIMATORS,
@@ -29,6 +30,7 @@ from paic.experiments import (
     aggregate_normal_cell,
     resolve_tau02,
 )
+from paic.fileio import provenance, write_experiment_outputs
 from paic.rng import substream
 
 FAST_LOGIT = dict(
@@ -186,6 +188,51 @@ def test_logit_experiment_deterministic_and_worker_invariant():
                                       c.cells[0].records[key])
 
 
+def _logit_output_digests(cfg, outdir):
+    result = run_logit_experiment(cfg)
+    write_experiment_outputs(str(outdir), result, provenance(result.config, cfg.seed))
+    digests = {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+               for name in ("replications.csv", "aggregates.json")}
+    return digests, result.cells[0].records["attempts"]
+
+
+def test_logit_outputs_do_not_depend_on_batch_size_or_workers(tmp_path, monkeypatch):
+    # at this budget one of the four replications takes the doubled-budget retry
+    cfg = LogitExperimentConfig(replications=4, seed=5, **FAST_LOGIT)
+    b = cfg.budget
+    one_replication = b.chains * b.draws_per_chain * (cfg.N + 2) * 8
+    runs = {}
+    for cap in (one_replication, mcmc.LOOP_DRAW_BYTES, 4 * one_replication):
+        monkeypatch.setattr(mcmc, "LOOP_DRAW_BYTES", cap)
+        for workers in (1, 2):
+            run_cfg = dataclasses.replace(cfg, workers=workers)
+            sizes = {len(reps) for reps in experiments._logit_batches(run_cfg)}
+            runs[cap, workers] = _logit_output_digests(run_cfg, tmp_path / f"{cap}-{workers}")
+            if cap == one_replication:
+                assert sizes == {1}
+            if cap == 4 * one_replication and workers == 1:
+                assert sizes == {4}
+    (digests, attempts), *others = runs.values()
+    assert 2.0 in attempts
+    for other, _ in others:
+        assert other == digests
+
+
+@pytest.mark.parametrize("reps,workers,sizes", [
+    (12, 2, [3, 3, 3, 3]),
+    (100, 2, [5] * 20),
+    (7, 1, [4, 3]),
+    (3, 4, [1, 1, 1]),
+])
+def test_logit_batches_fewest_under_the_cap(reps, workers, sizes):
+    # five default main chains fit the cap; the batch count is a multiple of
+    # the workers unless there are fewer replications than that
+    batches = experiments._logit_batches(
+        LogitExperimentConfig(replications=reps, workers=workers))
+    assert [len(b) for b in batches] == sizes
+    assert [rep for b in batches for rep in b] == list(range(reps))
+
+
 def test_logit_aggregates_self_consistent():
     cfg = LogitExperimentConfig(replications=3, seed=5, **FAST_LOGIT)
     result = run_logit_experiment(cfg)
@@ -208,7 +255,7 @@ def test_logit_replication_scores_the_shipped_criteria(monkeypatch):
     for name in ("paic", "bpic", "waic2", "loo_exact"):
         monkeypatch.setattr(experiments, name, recording(name))
     cfg = LogitExperimentConfig(replications=1, seed=3, **FAST_LOGIT)
-    rec = experiments._logit_replication(cfg, 0)
+    [rec] = experiments._logit_batch(cfg, range(1))
 
     eta_hat, N = rec["eta_hat"], cfg.N
     for est, name in (("paic", "paic"), ("bpic", "bpic"), ("waic2", "waic2"),

@@ -13,7 +13,7 @@ from paic import (
     sample_conjugate_normal,
     sample_hier_logit,
 )
-from paic.mcmc import REPLAY_CHUNK, _row_streams, compute_diagnostics
+from paic.mcmc import REPLAY_CHUNK, _ess_kernel, _row_streams, compute_diagnostics
 from paic.models import logpost_unnorm
 from paic.rng import substream
 
@@ -213,6 +213,14 @@ def test_compute_diagnostics_matches_single_series_functions():
     assert diag.ess[3] == C * n
 
 
+def test_compute_diagnostics_ess_chain_by_chain_equals_one_kernel_call():
+    # the main chains' shape: the chain-by-chain ESS must be bit-identical
+    C, n, p = 3, 5000, 17
+    chains = _ar1_chains(21, (C, n, p), np.linspace(-0.5, 0.95, p))
+    diag = compute_diagnostics(chains, np.zeros(p), np.zeros(p), np.zeros(p))
+    np.testing.assert_array_equal(diag.ess, np.minimum(_ess_kernel(chains).sum(0), C * n))
+
+
 def test_compute_diagnostics_constant_coordinate():
     chains = _ar1_chains(13, (1, 200, 3), [0.3, 0.3, 0.3])
     chains[0, :, 1] = 3.0
@@ -266,16 +274,17 @@ def test_rhat_constant_halves_with_different_values():
     assert rhat(x, np.zeros(100, dtype=int)) == np.inf
 
 
-@pytest.mark.parametrize("T", [100, REPLAY_CHUNK, 2 * REPLAY_CHUNK + 37])
+# one chunk exactly, whole chunks only, and partial last chunks
+@pytest.mark.parametrize("T", [REPLAY_CHUNK, 4 * REPLAY_CHUNK, 100, 549])
 def test_chunked_replay_equals_whole_draws(T):
     N, df = 15, 15.1
     path = ("replay", "chain", 1)
-    z_gen, u_gen, z_mu, chi2 = _row_streams(7, path, T, N, df)
-    starts = range(0, T, REPLAY_CHUNK)
-    z_move = np.concatenate(
-        [z_gen.standard_normal((min(REPLAY_CHUNK, T - s), N)) for s in starts])
-    log_u = np.concatenate(
-        [np.log(u_gen.random((min(REPLAY_CHUNK, T - s), N))) for s in starts])
+    z_gen, u_gen, mu_gen, chi_gen = _row_streams(7, path, T, N)
+    sizes = [min(REPLAY_CHUNK, T - s) for s in range(0, T, REPLAY_CHUNK)]
+    z_move = np.concatenate([z_gen.standard_normal((L, N)) for L in sizes])
+    log_u = np.concatenate([np.log(u_gen.random((L, N))) for L in sizes])
+    z_mu = np.concatenate([mu_gen.standard_normal(L) for L in sizes])
+    chi2 = np.concatenate([chi_gen.chisquare(df, L) for L in sizes])
     gen = substream(7, *path)
     np.testing.assert_array_equal(z_move, gen.standard_normal((T, N)))
     np.testing.assert_array_equal(log_u, np.log(gen.random((T, N))))
