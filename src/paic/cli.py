@@ -169,8 +169,10 @@ def cmd_compute(args) -> int:
     data = read_observations_csv(args.data)
     model = _build_model(args, data)
     model.validate_data(data)
-    # one mode search serves the sampler's start and the paic/bpic penalties
+    # one mode search serves the sampler's start and the paic/bpic penalties,
+    # and one information-matrix pair serves both penalties
     get_mode = functools.cache(lambda: find_posterior_mode(model, data, seed=args.seed))
+    get_pair = functools.cache(lambda: info_matrix_pair(model, data, get_mode().theta_hat))
     draws = _obtain_draws(args, model, data, get_mode)
     min_draws = min(crit.MIN_DRAWS, draws.S)  # supplied draw files may be small
     get_pointwise = functools.cache(lambda: crit.pointwise_loglik(model, data, draws))
@@ -180,11 +182,9 @@ def cmd_compute(args) -> int:
     for name in args.criteria:
         try:
             if name == "paic":
-                pair = info_matrix_pair(model, data, get_mode().theta_hat, "paic")
-                report = crit.paic(get_pointwise(), pair, min_draws=min_draws)
+                report = crit.paic(get_pointwise(), get_pair(), min_draws=min_draws)
             elif name == "bpic":
-                pair = info_matrix_pair(model, data, get_mode().theta_hat, "bpic")
-                report = crit.bpic(model, data, draws, get_mode(), pair,
+                report = crit.bpic(model, data, draws, get_mode(), get_pair(),
                                    min_draws=min_draws)
             elif name == "waic2":
                 report = crit.waic2(get_pointwise())

@@ -7,8 +7,9 @@ both fitting and evaluation:
 
   paic   posterior-averaged fit, trace penalty tr{J^-1 I} with the 1/(n-1)
          score convention; defined for improper priors as well
-  bpic   plug-in fit at the mode, prior-dependent correction with the 1/n
-         score convention; refuses improper priors
+  bpic   plug-in fit at the mode, prior-dependent correction whose trace
+         divides the score sum by n, i.e. (n-1)/n times paic's trace from
+         the same pair; refuses improper priors
   waic2  posterior-averaged fit, penalty = sum of per-observation posterior
          variances of the log likelihood
   loo    exact leave-one-out refits (no penalty term)
@@ -41,7 +42,6 @@ from .models import (
     _binom_loglik,
     _normal_loglik,
     conjugate_posterior,
-    logpost_unnorm,
     softplus,
 )
 from .optimize import LaplaceApprox, ModeResult, find_posterior_mode, laplace_approx
@@ -149,17 +149,19 @@ def bpic(model, data: ObservationSet, draws: PosteriorDraws, mode: ModeResult,
          info_pair: InfoMatrixPair, min_draws: int = MIN_DRAWS) -> CriterionReport:
     """Plug-in criterion: -2 log{pi L}(theta_hat) + 2 [E log pi + tr + p/2].
 
-    The prior expectation is a draw average, so this refuses improper priors
-    (their log density is only defined up to a constant).
+    ``info_pair`` is the pair paic takes; tr is its trace times (n-1)/n, the
+    trace with the score sum divided by n.  The fit term is the mode's
+    ``logpost``.  The prior expectation is a draw average, so this refuses
+    improper priors (their log density is only defined up to a constant).
     """
     if not model.prior_proper:
         raise ImproperPriorError("BPIC undefined under degenerate prior")
     _check_draws(draws.S, min_draws)
-    if info_pair.score_denominator != "n":
-        raise ValidationError("bpic needs the 1/n score convention")
-    tr = trace_correction(info_pair).value
+    if info_pair.score_denominator != "n-1":
+        raise ValidationError("bpic needs the 1/(n-1) pair that paic takes")
+    tr = trace_correction(info_pair).value * (data.n - 1) / data.n
     e_logprior = float(np.mean(model.logprior_draws(draws.draws)))
-    fit = logpost_unnorm(model, data, mode.theta_hat)
+    fit = mode.logpost
     penalty = e_logprior + tr + 0.5 * model.p
     return _report("bpic", fit, penalty, data.n, draws.S)
 
@@ -277,7 +279,7 @@ def _fold_problem(model: HierLogitModel, data: ObservationSet, i: int, seed: int
         mode = find_posterior_mode(sub_model, sub_data, seed=seed)
         lap, ok = laplace_approx(sub_model, sub_data, mode), True
     except (ValidationError, NumericalError):
-        # stalled fold mode: start from the best point found (or the
+        # unconverged fold mode: start from where its search stopped (or the
         # data-driven init) with a crude diagonal spread, and flag it
         ok = False
         if mode is not None:

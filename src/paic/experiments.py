@@ -192,17 +192,15 @@ def run_normal_bias_experiment(cfg: NormalExperimentConfig) -> ExperimentResult:
                     data = ObservationSet(y)
                     cf = closed_form_bias_estimators(model, data)
                     mode = posterior_mode(model, data, model.default_init(data))
-                    tr_paic = trace_correction(
-                        info_matrix_pair(model, data, mode.theta_hat, "paic")).value
-                    tr_bpic = trace_correction(
-                        info_matrix_pair(model, data, mode.theta_hat, "bpic")).value
+                    tr = trace_correction(
+                        info_matrix_pair(model, data, mode.theta_hat)).value
                     records["b_paic"][r] = cf.paic
                     records["b_bpic"][r] = cf.bpic
                     records["b_waic2"][r] = cf.waic2
                     records["b_popt"][r] = cf.popt
                     records["b_cv"][r] = cf.cv
-                    records["b_paic_generic"][r] = tr_paic / n
-                    records["b_bpic_generic"][r] = tr_bpic / n
+                    records["b_paic_generic"][r] = tr / n
+                    records["b_bpic_generic"][r] = tr * (n - 1) / n / n
                 keys = {"n": n, "tau02_rule": rule, "sigma_A2": sigma_A2,
                         "true_bias": b_true}
                 cells.append(CellResult(
@@ -322,10 +320,10 @@ def _logit_replication(cfg: LogitExperimentConfig, rep: int, fit: _LogitFit,
     model, data = fit.model, fit.data
     pw = pointwise_loglik(model, data, draws)
     eta_hat = mean_insample_loglik(pw)
-    pair = functools.partial(info_matrix_pair, model, data, fit.mode.theta_hat)
+    pair = info_matrix_pair(model, data, fit.mode.theta_hat)
     reports = {
-        "paic": paic(pw, pair("paic"), min_draws=draws.S),
-        "bpic": bpic(model, data, draws, fit.mode, pair("bpic"), min_draws=draws.S),
+        "paic": paic(pw, pair, min_draws=draws.S),
+        "bpic": bpic(model, data, draws, fit.mode, pair, min_draws=draws.S),
         "waic2": waic2(pw),
         "cv": fit.loo,
     }

@@ -4,11 +4,11 @@ Both matrices are built from the prior-weighted per-observation terms
 t_i(theta) = log g(y_i|theta) + (1/n) log pi(theta), evaluated at the
 posterior mode:
 
-    hess_info  = -(1/n) sum_i  d^2 t_i / dtheta dtheta'      (curvature)
-    score_info = (1/d)  sum_i (dt_i/dtheta)(dt_i/dtheta)'    (score outer products)
+    hess_info  = -(1/n)     sum_i  d^2 t_i / dtheta dtheta'    (curvature)
+    score_info = (1/(n-1)) sum_i (dt_i/dtheta)(dt_i/dtheta)'  (score outer products)
 
-where the denominator d is n-1 for the posterior-averaging penalty and n for
-the plug-in (BPIC) convention; the two traces differ by exactly (n-1)/n.
+One pair serves both criteria: the plug-in (BPIC) penalty divides the score
+sum by n instead, so its trace is the pair's trace times (n-1)/n.
 Scores are not centered: at the mode their prior-weighted sum is already
 (numerically) zero.  Adding a constant to log pi changes neither matrix.
 Scores and the Hessian sum come from the model, which decides whether they
@@ -30,15 +30,14 @@ from .models import ObservationSet
 
 COND_LIMIT = 1e12
 
-_DENOMS = {"n-1": lambda n: n - 1.0, "n": lambda n: float(n)}
-
 
 @dataclass(frozen=True)
 class InfoMatrixPair:
     """Curvature / score-outer-product pair at the posterior mode.
 
     ``cond`` is the spectral condition number of the curvature matrix;
-    computations refuse to proceed past COND_LIMIT.
+    computations refuse to proceed past COND_LIMIT.  ``score_denominator``
+    is "n" only on the view that divides the score sum by n.
     """
 
     hess_info: np.ndarray
@@ -67,36 +66,38 @@ def compute_hess_info(model, data: ObservationSet, theta_hat) -> np.ndarray:
     return 0.5 * (J + J.T)
 
 
-def compute_score_info(model, data: ObservationSet, theta_hat,
-                       denominator: str = "n-1") -> np.ndarray:
-    """Sum of score outer products over observations, divided by n-1 (or n)."""
-    if denominator not in _DENOMS:
-        raise ValidationError("denominator must be 'n-1' or 'n'")
+def compute_score_info(model, data: ObservationSet, theta_hat) -> np.ndarray:
+    """Sum of score outer products over observations, divided by n-1."""
     model.validate_data(data)
     theta_hat = np.atleast_1d(np.asarray(theta_hat, dtype=float))
     S = model.score_matrix(data, theta_hat)
     if not np.all(np.isfinite(S)):
         i = int(np.flatnonzero(~np.isfinite(S).all(axis=1))[0])
         raise NumericalError(f"non-finite score for observation {i}")
-    I_mat = S.T @ S / _DENOMS[denominator](data.n)
+    I_mat = S.T @ S / (data.n - 1.0)
     return 0.5 * (I_mat + I_mat.T)
 
 
 def info_matrix_pair(model, data: ObservationSet, theta_hat,
                      convention: str = "paic") -> InfoMatrixPair:
-    """Assemble the pair at theta_hat; 'paic' uses 1/(n-1), 'bpic' uses 1/n."""
-    denom = {"paic": "n-1", "bpic": "n"}.get(convention)
-    if denom is None:
+    """Assemble the pair at theta_hat, the one that paic and bpic both take.
+
+    ``convention="bpic"`` gives a view of the same pair with the score sum
+    divided by n (``score_denominator="n"``); the criteria refuse that view.
+    """
+    if convention not in ("paic", "bpic"):
         raise ValidationError("convention must be 'paic' or 'bpic'")
     J = compute_hess_info(model, data, theta_hat)
-    I_mat = compute_score_info(model, data, theta_hat, denom)
+    I_mat = compute_score_info(model, data, theta_hat)
     eig = np.linalg.eigvalsh(J)
     if eig[0] <= 0:
         cond = np.inf
     else:
         cond = float(eig[-1] / eig[0])
-    return InfoMatrixPair(J, I_mat, np.atleast_1d(np.asarray(theta_hat, float)),
-                          cond, denom)
+    theta_hat = np.atleast_1d(np.asarray(theta_hat, float))
+    if convention == "bpic":
+        return InfoMatrixPair(J, I_mat * ((data.n - 1.0) / data.n), theta_hat, cond, "n")
+    return InfoMatrixPair(J, I_mat, theta_hat, cond)
 
 
 def trace_correction(pair: InfoMatrixPair) -> TraceCorrection:

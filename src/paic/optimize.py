@@ -1,13 +1,16 @@
 """Posterior mode search and the Gaussian (Laplace) posterior approximation.
 
 The mode maximizes log{L(theta|y) pi(theta)} by damped Newton iterations with
-an Armijo backtracking line search, falling back to gradient steps whenever
-the Newton direction is not an ascent direction.  Positive coordinates
-(declared by the model via ``log_scale_coords``) are searched on the log
-scale; the objective is the unchanged theta-parameterization density, so the
-reported mode and curvature are theta-space quantities.  Its gradient and
-Hessian come from the model (``logpost_derivatives``), once per iterate.
-Restarts from perturbed starts are only a fallback for a failed search.
+an Armijo backtracking line search, falling back to gradient steps wherever
+the curvature is indefinite.  Positive coordinates (declared by the model
+via ``log_scale_coords``) are searched on the log scale; the objective is
+the unchanged theta-parameterization density, so the reported mode and
+curvature are theta-space quantities.  Its gradient and Hessian come from
+the model (``logpost_derivatives``), once per iterate.
+The search stops on the Newton decrement g'(-H)^-1 g / 2, the predicted gain
+of a full Newton step, relative to the rounding of the log posterior (Boyd &
+Vandenberghe 2004, sec. 9.5).  A search that raises is retried from a
+perturbed start; an unconverged search is returned as it is.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .exceptions import (
 from .rng import substream
 from .models import ObservationSet, _safe_logpost
 
-MODE_TOL_SCALE = 1e-8
+DECREMENT_TOL = 1e-15
 RIDGE_SCALE = 1e-8
 ARMIJO_C = 1e-4
 MODE_RESTARTS = 3
@@ -111,10 +114,12 @@ def posterior_mode(model, data: ObservationSet, init,
                    max_iter: int = 200) -> ModeResult:
     """Damped Newton ascent on the log unnormalized posterior from ``init``.
 
-    Convergence requires the theta-space gradient inf-norm to fall below
-    MODE_TOL_SCALE * max(1, |logpost|) and the negative Hessian at the mode to be
-    positive definite.  ``iterations`` counts the Newton steps taken; hitting
-    ``max_iter`` of them returns converged=False rather than raising.
+    Convergence requires the Newton decrement on the search scale, g'd / 2
+    with d the Newton direction, to fall below DECREMENT_TOL * max(1,
+    |logpost|), and the negative Hessian at the mode to be positive definite.
+    ``iterations`` counts the Newton steps taken; hitting ``max_iter`` of them,
+    or a line search that finds no ascent, returns converged=False rather
+    than raising.
     """
     model.validate_data(data)
     init = np.atleast_1d(np.asarray(init, dtype=float))
@@ -128,17 +133,15 @@ def posterior_mode(model, data: ObservationSet, init,
         raise ValidationError("log posterior not finite at init")
 
     iterations = 0
-    stalled = False
     while True:
         g_theta, H_theta = model.logpost_derivatives(data, theta)
-        grad_norm = float(np.max(np.abs(g_theta)))
-        converged = grad_norm <= MODE_TOL_SCALE * max(1.0, abs(fval))
-        if converged or stalled or iterations == max_iter:
-            break
         g_u, H_u = tr.chain(theta, g_theta, H_theta)
         d = _solve_ascent(H_u, g_u)
         slope = float(g_u @ d) if d is not None else 0.0
-        if d is None or slope <= 0.0:
+        converged = d is not None and 0.5 * slope <= DECREMENT_TOL * max(1.0, abs(fval))
+        if converged or iterations == max_iter:
+            break
+        if d is None:  # indefinite curvature: take a gradient step
             d = g_u
             slope = float(g_u @ g_u)
         alpha = 1.0
@@ -151,8 +154,6 @@ def posterior_mode(model, data: ObservationSet, init,
         else:
             break  # the line search found no ascent from this iterate
         iterations += 1
-        # a step below floating-point resolution cannot make further progress
-        stalled = np.max(np.abs(alpha * d)) <= 1e-14 * max(1.0, np.max(np.abs(u_new)))
         u = u_new
         theta = tr.to_theta(u)
         fval = f_new
@@ -164,7 +165,7 @@ def posterior_mode(model, data: ObservationSet, init,
         converged = False  # a maximum needs a positive definite negative Hessian
     return ModeResult(
         theta_hat=theta,
-        grad_norm=grad_norm,
+        grad_norm=float(np.max(np.abs(g_theta))),
         iterations=iterations,
         converged=bool(converged),
         neg_hessian=neg_hess,
@@ -174,31 +175,24 @@ def posterior_mode(model, data: ObservationSet, init,
 
 def find_posterior_mode(model, data: ObservationSet, init=None,
                         seed: int = 0) -> ModeResult:
-    """First converged search from ``init`` (default: the model's init).
+    """First search from ``init`` (default: the model's init) that does not raise.
 
-    A search that raises or does not converge is retried from a perturbed
-    start, up to MODE_RESTARTS searches; if none converges, the best
-    unconverged one is returned, and if all raise, NumericalError.
+    A search that raises is retried from a perturbed start, up to
+    MODE_RESTARTS searches, and NumericalError follows if all of them raise.
+    An unconverged search is returned as it is; callers check ``converged``.
     """
     base = np.atleast_1d(np.asarray(
         model.default_init(data) if init is None else init, dtype=float))
     tr = _Transform(model.p, getattr(model, "log_scale_coords", ()))
     u0 = tr.to_u(base)
     rng = substream(seed, "mode-restarts")
-    best = None
     for r in range(MODE_RESTARTS):
         u_start = u0 if r == 0 else u0 + 0.3 * rng.standard_normal(model.p)
         try:
-            res = posterior_mode(model, data, tr.to_theta(u_start))
+            return posterior_mode(model, data, tr.to_theta(u_start))
         except (ValidationError, NumericalError):
             continue
-        if res.converged:
-            return res
-        if best is None or res.logpost > best.logpost:
-            best = res
-    if best is None:
-        raise NumericalError("all mode-search restarts failed")
-    return best
+    raise NumericalError("all mode-search restarts failed")
 
 
 def laplace_approx(model, data: ObservationSet, mode: ModeResult) -> LaplaceApprox:

@@ -69,6 +69,29 @@ def test_compute_flat_prior_bpic_partial_success(tmp_path):
     assert "error" not in entries["paic"]
 
 
+def test_compute_info_pair_failure_partial_success(tmp_path, monkeypatch):
+    import paic.cli
+
+    def broken(*args, **kwargs):
+        raise paic.NumericalError("no information matrices")
+
+    monkeypatch.setattr(paic.cli, "info_matrix_pair", broken)
+    data_path = tmp_path / "y.csv"
+    write_normal_data(data_path)
+    out = tmp_path / "report.json"
+    code = main([
+        "compute", "--model", "normal", "--data", str(data_path),
+        "--criteria", "paic,bpic,waic2", "--seed", "1", "--out", str(out),
+    ])
+    assert code == 0
+    entries = {r["criterion"]: r for r in json.loads(out.read_text())["reports"]}
+    for name in ("paic", "bpic"):
+        assert "no information matrices" in entries[name]["error"]
+    assert "error" not in entries["waic2"]
+    assert entries["waic2"]["value"] == pytest.approx(
+        -2 * entries["waic2"]["fit"] + 2 * entries["waic2"]["penalty"])
+
+
 def test_compute_malformed_csv_exit_2(tmp_path, capsys):
     data_path = tmp_path / "y.csv"
     data_path.write_text("y\n1.0\nbroken\n")
@@ -211,14 +234,19 @@ def test_compute_invalid_input_exit_2(tmp_path, capsys, data, flags):
 def test_compute_hier_logit_one_mode_search(tmp_path, monkeypatch):
     import paic.cli
 
-    calls = []
-    search = paic.cli.find_posterior_mode
+    calls, pairs = [], []
+    search, pair = paic.cli.find_posterior_mode, paic.cli.info_matrix_pair
 
     def counted(*args, **kwargs):
         calls.append(1)
         return search(*args, **kwargs)
 
+    def counted_pair(*args, **kwargs):
+        pairs.append(1)
+        return pair(*args, **kwargs)
+
     monkeypatch.setattr(paic.cli, "find_posterior_mode", counted)
+    monkeypatch.setattr(paic.cli, "info_matrix_pair", counted_pair)
     gen = np.random.default_rng(5)
     y = gen.binomial(40, 0.5, size=8)
     data_path = tmp_path / "counts.csv"
@@ -231,6 +259,7 @@ def test_compute_hier_logit_one_mode_search(tmp_path, monkeypatch):
     ])
     assert code == 0
     assert len(calls) == 1
+    assert len(pairs) == 1
     payload = json.loads(out.read_text())
     assert all("error" not in r for r in payload["reports"])
 

@@ -23,6 +23,7 @@ from paic import (
     find_posterior_mode,
     info_matrix_pair,
     laplace_approx,
+    logpost_unnorm,
     loo_exact,
     mean_insample_loglik,
     paic,
@@ -35,7 +36,7 @@ from paic import (
     waic2,
 )
 from paic import mcmc
-from paic.criteria import _gh_mean_softplus
+from paic.criteria import MIN_DRAWS, _gh_mean_softplus
 from paic.infomat import InfoMatrixPair
 from paic.mcmc import _sample_hier_logit_rows
 from paic.models import _binom_loglik
@@ -115,19 +116,18 @@ def test_degenerate_prior_contract():
     pair = info_matrix_pair(m, data, mode.theta_hat, "paic")
     report = paic(pw, pair)
     assert np.isfinite(report.value)
-    pair_b = info_matrix_pair(m, data, mode.theta_hat, "bpic")
     with pytest.raises(ImproperPriorError, match="degenerate prior"):
-        bpic(m, data, draws, mode, pair_b)
+        bpic(m, data, draws, mode, pair)
 
 
 def test_bpic_closed_form_and_ratio(normal_setup):
     m, data, mode, draws = normal_setup
-    pair_b = info_matrix_pair(m, data, mode.theta_hat, "bpic")
-    report = bpic(m, data, draws, mode, pair_b)
+    pair = info_matrix_pair(m, data, mode.theta_hat)
+    report = bpic(m, data, draws, mode, pair)
     assert_decomposition(report)
     cf = closed_form_bias_estimators(m, data)
     # deterministic trace part equals the closed-form value exactly
-    tr = trace_correction(pair_b).value
+    tr = trace_correction(pair).value * (data.n - 1) / data.n
     assert tr / data.n == pytest.approx(cf.bpic, rel=1e-6)
     assert cf.bpic / cf.paic == pytest.approx((data.n - 1) / data.n, rel=1e-10)
     # full bias estimate (draw-averaged prior term) agrees within MC error:
@@ -138,6 +138,34 @@ def test_bpic_closed_form_and_ratio(normal_setup):
     lp = pw.values.sum(axis=1) + m.logprior_draws(draws.draws)
     se = lp.std(ddof=1) / math.sqrt(draws.S) / data.n
     assert abs(b_generic - cf.bpic) <= 5 * se + 1e-9
+
+
+@pytest.mark.parametrize("case", ["normal", "hier"])
+def test_bpic_takes_the_paic_pair(case, normal_setup, hier_model, hier_data):
+    if case == "normal":
+        m, data, mode, draws = normal_setup
+    else:
+        m, data = hier_model, hier_data
+        mode = find_posterior_mode(m, data, seed=0)
+        draws = draws_from(mode.theta_hat * np.linspace(0.9, 1.1, 1000)[:, None])
+    pair = info_matrix_pair(m, data, mode.theta_hat)
+    report = bpic(m, data, draws, mode, pair)
+    tr = trace_correction(pair).value
+    e_logprior = float(np.mean(m.logprior_draws(draws.draws)))
+    assert report.penalty == pytest.approx(
+        e_logprior + (data.n - 1) / data.n * tr + 0.5 * m.p, rel=1e-13)
+    # the fit term is the mode's own log posterior, to the last bit
+    assert report.fit_term == logpost_unnorm(m, data, mode.theta_hat)
+
+
+def test_paic_and_bpic_reject_the_bpic_view(normal_setup):
+    m, data, mode, draws = normal_setup
+    view = info_matrix_pair(m, data, mode.theta_hat, "bpic")
+    assert view.score_denominator == "n"
+    with pytest.raises(ValidationError, match=r"1/\(n-1\)"):
+        paic(PointwiseLogLik(np.zeros((MIN_DRAWS, data.n))), view)
+    with pytest.raises(ValidationError, match=r"1/\(n-1\)"):
+        bpic(m, data, draws, mode, view)
 
 
 def test_waic2_identical_draws_zero_penalty(normal_setup):

@@ -269,7 +269,7 @@ def test_logit_replication_scores_the_shipped_criteria(monkeypatch):
     loglik = pointwise_loglik(model, data, draws).values.sum(axis=1)
     logpost = loglik + model.logprior_draws(draws.draws)
     parent = (float(np.mean(logpost)) - mode.logpost
-              + trace_correction(pair).value + 0.5 * model.p) / N
+              + trace_correction(pair).value * (N - 1) / N + 0.5 * model.p) / N
     assert rec["b_bpic"] == pytest.approx(parent, rel=1e-12)
 
 

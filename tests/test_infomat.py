@@ -129,8 +129,8 @@ def test_bpic_convention_scales_by_n_minus_1_over_n():
     m = ConjugateNormalModel(1.0, mu0=0.0, tau02=3.0)
     data = ObservationSet(np.array([0.1, 0.7, -0.9, 1.8, 0.2, -0.3]))
     theta = posterior_mode(m, data, [0.0]).theta_hat
-    I_paic = compute_score_info(m, data, theta, "n-1")
-    I_bpic = compute_score_info(m, data, theta, "n")
+    I_paic = info_matrix_pair(m, data, theta).score_info
+    I_bpic = info_matrix_pair(m, data, theta, "bpic").score_info
     np.testing.assert_allclose(I_bpic, I_paic * (data.n - 1) / data.n, rtol=1e-14)
 
 

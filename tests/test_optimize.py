@@ -4,6 +4,7 @@ import pytest
 from paic import (
     ConjugateNormalModel,
     HierLogitModel,
+    LogitExperimentConfig,
     ModeResult,
     ModelDefinition,
     NotPositiveDefiniteError,
@@ -181,8 +182,8 @@ def test_find_mode_stops_at_first_converged_search(monkeypatch, hier_model, hier
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("first", [NumericalError("boom"), ValidationError("bad"), False],
-                         ids=["numerical-error", "validation-error", "unconverged"])
+@pytest.mark.parametrize("first", [NumericalError("boom"), ValidationError("bad")],
+                         ids=["numerical-error", "validation-error"])
 def test_find_mode_restarts_after_a_failed_search(monkeypatch, hier_model, hier_data,
                                                    first):
     calls = _scripted_search(monkeypatch, [first, True, True])
@@ -195,11 +196,50 @@ def test_find_mode_restarts_after_a_failed_search(monkeypatch, hier_model, hier_
     np.testing.assert_array_equal(mode.theta_hat, expect.theta_hat)
 
 
-def test_find_mode_returns_best_unconverged_search(monkeypatch, hier_model, hier_data):
-    calls = _scripted_search(monkeypatch, [False, False, False])
+def test_find_mode_returns_an_unconverged_search(monkeypatch, hier_model, hier_data):
+    calls = _scripted_search(monkeypatch, [False, True, True])
     mode = find_posterior_mode(hier_model, hier_data, seed=0)
-    assert len(calls) == 3
+    assert len(calls) == 1
     assert not mode.converged
+
+
+def _criterion_4_searches(reps):
+    """(model, data) of the main fit and the 15 LOO folds of each replication
+    in ``reps`` of the logit study at its default setup and seed 1234."""
+    from paic.models import _expit
+
+    cfg = LogitExperimentConfig(seed=1234)
+    n_i = np.full(cfg.N, cfg.n_i)
+    for rep in reps:
+        gen = substream(cfg.seed, "logit", rep, "truth")
+        beta = cfg.mu_true + cfg.tau_true * gen.standard_normal(cfg.N)
+        model = HierLogitModel(n_i)
+        data = ObservationSet(gen.binomial(n_i, _expit(beta)).astype(float), n_i)
+        yield model, data
+        for i in range(cfg.N):
+            keep = np.arange(cfg.N) != i
+            yield model.drop_group(i), ObservationSet(data.y[keep], n_i[keep])
+
+
+def test_mode_converges_where_the_line_search_meets_rounding():
+    # replication 0 of the criterion-4 setup without group 7: a gradient
+    # stop at 1e-8 |logpost| left this search unconverged after 4 steps
+    # (gradient 8.1e-7), as the Armijo test could no longer see a gain
+    y = np.array([32, 14, 25, 35, 42, 12, 18, 15, 40, 22, 20, 20, 29, 23], dtype=float)
+    model = HierLogitModel(np.full(y.size, 50))
+    data = ObservationSet(y, np.full(y.size, 50))
+    fold = list(_criterion_4_searches([0]))[1 + 7]
+    np.testing.assert_array_equal(fold[1].y, y)
+    res = posterior_mode(model, data, model.default_init(data))
+    assert res.converged
+
+
+def test_find_mode_searches_once_over_criterion_4_setup(monkeypatch):
+    calls = _scripted_search(monkeypatch, [None] * 160)
+    for k, (model, data) in enumerate(_criterion_4_searches(range(10))):
+        mode = find_posterior_mode(model, data, seed=1234)
+        assert mode.converged
+        assert len(calls) == k + 1
 
 
 def test_find_mode_all_searches_raise(monkeypatch, hier_model, hier_data):
