@@ -34,7 +34,7 @@ from .exceptions import (
     ValidationError,
 )
 from .infomat import InfoMatrixPair, trace_correction
-from .mcmc import PosteriorDraws, SamplerBudget, _problems_per_loop, _sample_hier_logit_rows
+from .mcmc import PosteriorDraws, SamplerBudget, _sample_hier_logit_rows
 from .models import (
     ConjugateNormalModel,
     HierLogitModel,
@@ -291,48 +291,32 @@ def _fold_problem(model: HierLogitModel, data: ObservationSet, i: int, seed: int
     return (sub_model, sub_data, lap, (*rng_path, "loo-fold", i)), ok
 
 
-def _loo_fold_group(model: HierLogitModel, data: ObservationSet, folds,
-                    budget: SamplerBudget, seed: int, rng_path):
-    """Sample the folds as rows of one sampler loop; (term, flagged) per fold.
-
-    Each fold's draws are cut to the mu and tau2 columns its term needs, and
-    the group's draws die before the quadrature runs.
-    """
-    problems, mode_ok = zip(*(_fold_problem(model, data, i, seed, rng_path)
-                              for i in folds))
-    sampled = _sample_hier_logit_rows(problems, budget, seed)
-    hyper = [(draws.draws[:, model.N - 1].copy(), np.sqrt(draws.draws[:, model.N]),
-              diag.ok() and ok) for ok, (draws, diag) in zip(mode_ok, sampled)]
-    del sampled
-    out = []
-    for i, (mu_d, sd_d, good) in zip(folds, hyper):
-        term = _binom_loglik(
-            float(data.trial_sizes[i]), float(data.y[i]),
-            float(np.mean(mu_d)), float(np.mean(_gh_mean_softplus(mu_d, sd_d))),
-        )
-        out.append((term, not good))
-    return out
-
-
 def _loo_terms_hier_logit(model: HierLogitModel, data: ObservationSet,
                           budget: SamplerBudget, seed: int, rng_path):
     """Refit without each group; the held-out logit is integrated against its
     conditional N(mu, tau2) by quadrature under every retained draw.
 
-    Folds are sampled in groups whose retained draws stay under
-    ``mcmc.LOOP_DRAW_BYTES`` (at the default budget all N = 15 folds fit in
-    one loop); each group is reduced to its terms before the next.
+    All N folds go to the sampler in one call, which sizes its own loops
+    under ``mcmc.LOOP_DRAW_BYTES``.  Each fold's draws are cut to the mu and
+    tau2 columns its term needs as the sampler yields them, and the
+    quadrature runs once the sampler has released its last loop.
     """
-    size = _problems_per_loop(budget, model.p - 1)
-    terms = np.empty(model.N)
-    flagged = []
-    for first in range(0, model.N, size):
-        folds = range(first, min(first + size, model.N))
-        group = _loo_fold_group(model, data, folds, budget, seed, rng_path)
-        for i, (term, bad) in zip(folds, group):
-            terms[i] = term
-            if bad:
-                flagged.append(i)
+    if model.N < 3:  # a fold keeps N - 1 groups and the model needs two
+        raise ValidationError(f"exact LOO needs at least 3 groups, got {model.N}")
+    problems, mode_ok = zip(*(_fold_problem(model, data, i, seed, rng_path)
+                              for i in range(model.N)))
+
+    def cut(sampled):
+        draws, diag = sampled
+        return draws.draws[:, model.N - 1].copy(), np.sqrt(draws.draws[:, model.N]), diag.ok()
+
+    # map holds no fold's draws while the sampler runs its next loop
+    hyper = list(map(cut, _sample_hier_logit_rows(problems, budget, seed)))
+    terms = np.array([
+        _binom_loglik(float(data.trial_sizes[i]), float(data.y[i]),
+                      float(np.mean(mu_d)), float(np.mean(_gh_mean_softplus(mu_d, sd_d))))
+        for i, (mu_d, sd_d, _) in enumerate(hyper)])
+    flagged = [i for i, ((*_, good), ok) in enumerate(zip(hyper, mode_ok)) if not (good and ok)]
     return terms, flagged
 
 
@@ -341,12 +325,13 @@ def loo_exact(model, data: ObservationSet, budget: SamplerBudget = LOO_BUDGET,
     """Exact-refit leave-one-out: value = -2 sum_i E_post(-i)[log g(y_i | theta)].
 
     The normal model uses analytic fold posteriors and ignores the sampler
-    arguments.  The hierarchical logit re-samples each fold with ``budget``
-    from the substreams ``(seed, *rng_path, "loo-fold", i)``, sampling the
-    folds as rows of one sampler loop, or of as few loops as keep the
-    retained draws under ``mcmc.LOOP_DRAW_BYTES`` (each fold's draws are
-    those of sampling it alone).  Folds failing convergence diagnostics are flagged
-    in the report, not dropped.
+    arguments.  The hierarchical logit needs at least 3 groups; it re-samples
+    each fold with ``budget`` from the substreams ``(seed, *rng_path,
+    "loo-fold", i)``, passing all folds to the sampler at once, which runs
+    them as rows of as few loops as keep the retained draws under
+    ``mcmc.LOOP_DRAW_BYTES`` (each fold's draws are those of sampling it
+    alone).  Folds failing convergence diagnostics are flagged in the report,
+    not dropped.
     """
     model.validate_data(data)
     if data.n > LOO_MAX_N:

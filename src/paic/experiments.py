@@ -13,13 +13,14 @@ average log likelihood minus the report's fit term per group, plus its
 penalty per group.  The out-of-sample average log likelihood is computed
 exactly by summing over each group's finite support.
 
-The logit replications run in batches: each replication's exact-LOO folds
-share one sampler loop, then the main chains of the whole batch share
-another, with the batch sized so that a loop's retained draws stay under
-``mcmc.LOOP_DRAW_BYTES``; the process pool maps batches.  Everything is
-driven by Philox substreams keyed on (seed, cell, replication), so results
-are bit-identical for a given (config, seed) whatever the batch size and
-however many workers run the batches.
+The logit replications run in batches: the sampler takes each replication's
+exact-LOO folds in one call, then the batch's main chains in another, and
+splits each call into loops whose retained draws stay under
+``mcmc.LOOP_DRAW_BYTES``; a batch holds as many replications as one such
+loop, and the process pool maps batches.  Everything is driven by Philox
+substreams keyed on (seed, cell, replication), so results are bit-identical
+for a given (config, seed) whatever the batch size and however many workers
+run the batches.
 """
 
 from __future__ import annotations
@@ -103,14 +104,14 @@ class LogitExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name in ("N", "n_i"):
+        for name, low in (("N", 3), ("n_i", 1)):  # an exact-LOO fold keeps N - 1 >= 2 groups
             value = getattr(self, name)
             if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
                     or not -2 ** 63 <= value < 2 ** 63):
                 raise ValidationError(f"{name} must be an integer in the int64 range, "
                                       f"got {value!r}")
-        if self.N < 2 or self.n_i < 1:
-            raise ValidationError("need N >= 2 groups and n_i >= 1 trials")
+            if value < low:
+                raise ValidationError(f"{name} must be >= {low}, got {value}")
         if self.replications < 1:
             raise ValidationError("replications must be >= 1")
 
@@ -283,29 +284,23 @@ def _logit_main_chains(cfg: LogitExperimentConfig, fits: dict) -> dict:
     """Main chains of the fitted replications {rep: fit}, as {rep: (draws,
     diag, attempts)} for those that pass the convergence gate.
 
-    Attempt 0 samples the replications as rows of shared sampler loops; the
+    Attempt 0 passes all the replications to the sampler in one call, which
+    runs them as rows of as few loops as fit ``mcmc.LOOP_DRAW_BYTES``; the
     ones that fail the gate are rerun together once with a doubled budget.
     Each row's substream is keyed by (replication, attempt), so a
     replication's chains do not depend on which others share its loop.
     """
     passed, pending = {}, list(fits)
     for attempt, budget in enumerate((cfg.budget, cfg.budget.scaled(2.0))):
+        problems = [(fits[rep].model, fits[rep].data, fits[rep].lap,
+                     ("logit", rep, "main", attempt)) for rep in pending]
+        sampled = _sample_hier_logit_rows(problems, budget, cfg.seed)
         failed = []
-        size = _problems_per_loop(budget, cfg.N + 2)
-        for first in range(0, len(pending), size):
-            reps = pending[first : first + size]
-            problems = [(fits[rep].model, fits[rep].data, fits[rep].lap,
-                         ("logit", rep, "main", attempt)) for rep in reps]
-            try:
-                sampled = _sample_hier_logit_rows(problems, budget, cfg.seed)
-            except PaicError:
-                failed += reps
-                continue
-            for rep, (draws, diag) in zip(reps, sampled):
-                if diag.ok():
-                    passed[rep] = (draws, diag, attempt + 1)
-                else:
-                    failed.append(rep)
+        for rep, (draws, diag) in zip(pending, sampled):
+            if diag.ok():
+                passed[rep] = (draws, diag, attempt + 1)
+            else:
+                failed.append(rep)
         pending = failed
     return passed
 

@@ -10,15 +10,15 @@ the post-warmup kernel is frozen.
 
 One loop runs the chains of several problems at once as rows of one state
 array; rows may belong to different datasets (the exact-LOO folds of a
-dataset, and the main chains of several replications of the logit study,
-are sampled that way).  Callers size a loop so that its retained draws stay
-under LOOP_DRAW_BYTES.  Each row draws from its own Philox substream keyed
-by (seed, *path, "chain", c): all four of its noise blocks (proposal
-normals, acceptance uniforms, and the mu normals and tau2 chi-squares of the
-Gibbs steps) are replayed from it in chunks of REPLAY_CHUNK iterations, so a
-row's trajectory does not depend on the other rows or on how the
-surrounding code schedules work, and the noise held at once does not grow
-with the chain length.
+dataset, or the main chains of several logit-study replications).  Callers
+pass all their problems, and the sampler splits them into as few loops as
+keep each loop's retained draws under LOOP_DRAW_BYTES.  Each row draws from
+its own Philox substream keyed by (seed, *path, "chain", c): all four of its
+noise blocks (proposal normals, acceptance uniforms, and the mu normals and
+tau2 chi-squares of the Gibbs steps) are replayed from it in chunks of
+REPLAY_CHUNK iterations, so a row's trajectory does not depend on the other
+rows or on how the surrounding code schedules work, and the noise held at
+once does not grow with the chain length.
 
 ESS (Geyer's initial monotone sequence, per chain) and split R-hat (BDA3)
 are array kernels over the sampler's (chains, draws, p) layout; the public
@@ -27,6 +27,7 @@ single-series ``ess`` and ``rhat`` reshape their input into it.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -42,6 +43,7 @@ TARGET_ACCEPT = 0.44
 ADAPT_BATCH = 50
 RHAT_MAX = 1.05
 ESS_MIN = 400.0
+ESS_MIN_SERIES = 10  # shortest series the ESS kernel accepts
 REPLAY_CHUNK = 64  # sampler iterations of each row's noise held per refill
 # cap on the retained draws of one sampler loop, summed over its rows
 LOOP_DRAW_BYTES = 12_000_000
@@ -54,8 +56,10 @@ class SamplerBudget:
     warmup: int = 2000
 
     def __post_init__(self):
-        if self.chains < 1 or self.draws_per_chain < 1 or self.warmup < 0:
-            raise ValidationError("invalid sampler budget")
+        for name, low in (("chains", 1), ("draws_per_chain", ESS_MIN_SERIES), ("warmup", 0)):
+            value = getattr(self, name)
+            if value < low:
+                raise ValidationError(f"sampler budget {name} must be >= {low}, got {value}")
 
     def scaled(self, factor: float) -> "SamplerBudget":
         return SamplerBudget(
@@ -114,8 +118,8 @@ class Diagnostics:
 def _ess_kernel(chains: np.ndarray) -> np.ndarray:
     """ESS of each series of a (chains, n, p) array, as (chains, p)."""
     n = chains.shape[1]
-    if n < 10:
-        raise ValidationError("ess needs a 1-D series of at least 10 draws")
+    if n < ESS_MIN_SERIES:
+        raise ValidationError(f"ess needs a 1-D series of at least {ESS_MIN_SERIES} draws")
     # 2n points keep every lag unwrapped; squaring in place bounds the FFT buffers at two
     acov = np.fft.rfft(chains - chains.mean(axis=1, keepdims=True), 2 * n, axis=1)
     acov *= np.conj(acov)
@@ -159,7 +163,7 @@ def ess(x) -> float:
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
-        raise ValidationError("ess needs a 1-D series of at least 10 draws")
+        raise ValidationError(f"ess needs a 1-D series of at least {ESS_MIN_SERIES} draws")
     return float(_ess_kernel(x[None, :, None])[0, 0])
 
 
@@ -262,22 +266,35 @@ def _problems_per_loop(budget: SamplerBudget, p: int) -> int:
 
 
 def _sample_hier_logit_rows(problems, budget: SamplerBudget, seed: int):
-    """Metropolis-within-Gibbs for K hierarchical logit problems at once.
+    """Metropolis-within-Gibbs for any number of hierarchical logit problems.
 
-    A problem is (model, data, init LaplaceApprox, rng_path); all share N and
-    the hyperpriors.  Its C chains are rows of one state array, each with its
-    own counts, trial sizes, start, step scales and substream (seed,
-    *rng_path, "chain", c).  Every update is elementwise per row, so each
-    problem's draws are those of sampling it alone.  Returns one
-    (PosteriorDraws, Diagnostics) pair per problem.
+    A problem is (model, data, init LaplaceApprox, rng_path).  All must share
+    N and the hyperpriors; that and every problem's data are checked before
+    any loop runs.  Returns an iterator over one (PosteriorDraws, Diagnostics)
+    pair per problem, in order.
     """
-    models, datas, inits, paths = zip(*problems)
-    model = models[0]
-    for m, d in zip(models, datas):
+    problems = list(problems)
+    if not problems:
+        return iter(())
+    model = problems[0][0]
+    for m, d, _, _ in problems:
         if (m.N, m.mu_mean, m.mu_var, m.nu, m.s2) != (
                 model.N, model.mu_mean, model.mu_var, model.nu, model.s2):
             raise ValidationError("batched problems must share N and the hyperpriors")
         m.validate_data(d)
+    size = _problems_per_loop(budget, model.p)
+    return itertools.chain.from_iterable(
+        _sample_loop(problems[first : first + size], budget, seed)
+        for first in range(0, len(problems), size))
+
+
+def _sample_loop(problems, budget: SamplerBudget, seed: int):
+    """One sampler loop: each problem's C chains are rows of one state array
+    with their own counts, trial sizes, start, step scales and substream
+    (seed, *rng_path, "chain", c).  Every update is elementwise per row, so
+    each problem's draws are those of sampling it alone."""
+    models, datas, inits, paths = zip(*problems)
+    model = models[0]
     N, p, C, D = model.N, model.p, budget.chains, budget.draws_per_chain
     T = budget.warmup + D
     R = len(problems) * C
@@ -354,7 +371,6 @@ def _sample_hier_logit_rows(problems, budget: SamplerBudget, seed: int):
             out[:, k, N] = mu
             out[:, k, N + 1] = tau2
 
-    results = []
     for first in range(0, R, C):
         rows = slice(first, first + C)
         draws = PosteriorDraws(
@@ -363,9 +379,8 @@ def _sample_hier_logit_rows(problems, budget: SamplerBudget, seed: int):
             warmup_discarded=warmup,
             seed=seed,
         )
-        results.append((draws, compute_diagnostics(
-            out[rows], accept_total[rows].mean(axis=0) / D, scales_warm[rows], scales[rows])))
-    return results
+        yield draws, compute_diagnostics(
+            out[rows], accept_total[rows].mean(axis=0) / D, scales_warm[rows], scales[rows])
 
 
 def sample_hier_logit(model: HierLogitModel, data: ObservationSet,

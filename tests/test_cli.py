@@ -214,6 +214,7 @@ COUNTS_CSV = "y,n_trials\n3,10\n7,10\n5,10\n"
     pytest.param(None, ["--model", "normal", "--criteria", ","], id="no-criteria"),
     pytest.param("y,n_trials\n3,10\n7,1e300\n", ["--model", "hier-logit"],
                  id="n-trials-overflow"),
+    pytest.param(COUNTS_CSV, ["--model", "hier-logit", "--samples", "5"], id="samples-5"),
 ])
 def test_compute_invalid_input_exit_2(tmp_path, capsys, data, flags):
     data_path = tmp_path / "y.csv"
@@ -316,6 +317,24 @@ def test_experiment_logit_count_beyond_int64_exit_2(tmp_path, capsys, flag):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "100000000000000000000" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,field", [
+    pytest.param(["--samples", "5"], "draws_per_chain", id="samples-5"),
+    pytest.param(["--fold-samples", "5"], "draws_per_chain", id="fold-samples-5"),
+    pytest.param(["--chains", "0"], "chains", id="chains-0"),
+    pytest.param(["--warmup", "-1"], "warmup", id="warmup-negative"),
+    pytest.param(["--groups", "2"], "N", id="groups-2"),
+])
+def test_experiment_logit_invalid_config_exit_2(tmp_path, capsys, flags, field):
+    out = tmp_path / "exp"
+    code = main(["experiment", "logit", "--reps", "2", "--seed", "1",
+                 "--out", str(out)] + flags)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert f"{field} must be" in err and f"got {flags[1]}" in err
     assert not out.exists()
 
 

@@ -437,12 +437,30 @@ def test_loo_fold_groups_equal_one_call_per_fold(hier_model, hier_data, monkeypa
     HierLogitModel(np.full(15, 50), nu=0.2),
     HierLogitModel(np.full(15, 50), mu_var=4.0),
 ])
-def test_batched_sampler_rejects_mixed_problems(hier_model, hier_data, other):
+def test_batched_sampler_rejects_mixed_problems(hier_model, hier_data, monkeypatch, other):
     def problem(model, c):
         data = ObservationSet(hier_data.y[:model.N], hier_data.trial_sizes[:model.N])
         lap = LaplaceApprox(model.default_init(data), np.eye(model.p))
         return model, data, lap, ("mixed", c)
 
-    with pytest.raises(ValidationError, match="share N and the hyperpriors"):
-        _sample_hier_logit_rows([problem(hier_model, 0), problem(other, 1)],
-                                SamplerBudget(1, 20, 10), seed=0)
+    # under the second cap each loop holds one problem, so the mismatched one
+    # would be sampled only in the second loop, yet the call itself raises
+    for cap in (mcmc.LOOP_DRAW_BYTES, 20 * hier_model.p * 8):
+        monkeypatch.setattr(mcmc, "LOOP_DRAW_BYTES", cap)
+        with pytest.raises(ValidationError, match="share N and the hyperpriors"):
+            _sample_hier_logit_rows([problem(hier_model, 0), problem(other, 1)],
+                                    SamplerBudget(1, 20, 10), seed=0)
+
+
+def test_loo_exact_hier_logit_needs_three_groups(monkeypatch):
+    import paic.criteria
+
+    def no_refit(*args, **kwargs):
+        raise AssertionError("a fold was refitted")
+
+    monkeypatch.setattr(paic.criteria, "find_posterior_mode", no_refit)
+    monkeypatch.setattr(paic.criteria, "_sample_hier_logit_rows", no_refit)
+    model = HierLogitModel(np.array([10, 10]))
+    data = ObservationSet(np.array([3.0, 7.0]), np.array([10, 10]))
+    with pytest.raises(ValidationError, match="needs at least 3 groups, got 2"):
+        loo_exact(model, data, SamplerBudget(1, 20, 10), seed=0)

@@ -212,6 +212,21 @@ def test_logit_outputs_do_not_depend_on_batch_size_or_workers(tmp_path, monkeypa
                 assert sizes == {1}
             if cap == 4 * one_replication and workers == 1:
                 assert sizes == {4}
+    # one batch of all four replications under a one-replication cap: one
+    # _logit_main_chains call spans four sampler loops
+    loops = []
+    sample_loop = mcmc._sample_loop
+
+    def counted_loop(problems, budget, seed):
+        if problems[0][3][2:] == ("main", 0):
+            loops.append(len(problems))
+        return sample_loop(problems, budget, seed)
+
+    monkeypatch.setattr(mcmc, "LOOP_DRAW_BYTES", one_replication)
+    monkeypatch.setattr(mcmc, "_sample_loop", counted_loop)
+    monkeypatch.setattr(experiments, "_logit_batches", lambda c: [range(c.replications)])
+    runs["one batch"] = _logit_output_digests(cfg, tmp_path / "one-batch")
+    assert loops == [1, 1, 1, 1]
     (digests, attempts), *others = runs.values()
     assert 2.0 in attempts
     for other, _ in others:
@@ -284,6 +299,8 @@ def test_logit_experiment_aborts_when_budget_hopeless():
 def test_config_validation():
     with pytest.raises(ValidationError):
         LogitExperimentConfig(N=1)
+    with pytest.raises(ValidationError, match="N must be >= 3, got 2"):
+        LogitExperimentConfig(N=2)
     with pytest.raises(ValidationError):
         NormalExperimentConfig(replications=0)
     with pytest.raises(ValidationError):
