@@ -74,6 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bias-corrected predictive criteria for Bayesian models",
     )
     parser.add_argument("--version", action="version", version=__version__)
+    default_budget = SamplerBudget()
     sub = parser.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("compute", help="compute criteria for one dataset")
@@ -95,10 +96,10 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--s2", type=float, default=10.0)
     pc.add_argument("--draw-count", type=int, default=20000,
                     help="draws for the exact normal sampler")
-    pc.add_argument("--chains", type=int, default=3)
-    pc.add_argument("--samples", type=int, default=5000,
+    pc.add_argument("--chains", type=int, default=default_budget.chains)
+    pc.add_argument("--samples", type=int, default=default_budget.draws_per_chain,
                     help="post-warmup draws per chain (hier-logit)")
-    pc.add_argument("--warmup", type=int, default=2000)
+    pc.add_argument("--warmup", type=int, default=default_budget.warmup)
     pc.add_argument("--fold-samples", type=int, default=crit.LOO_BUDGET.draws_per_chain)
     pc.add_argument("--fold-warmup", type=int, default=crit.LOO_BUDGET.warmup)
     pc.set_defaults(func=cmd_compute)
@@ -120,9 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
     # logit scenario flags
     pe.add_argument("--groups", type=int, default=15)
     pe.add_argument("--trials", type=int, default=50)
-    pe.add_argument("--chains", type=int, default=3)
-    pe.add_argument("--samples", type=int, default=5000)
-    pe.add_argument("--warmup", type=int, default=2000)
+    pe.add_argument("--chains", type=int, default=default_budget.chains)
+    pe.add_argument("--samples", type=int, default=default_budget.draws_per_chain)
+    pe.add_argument("--warmup", type=int, default=default_budget.warmup)
     pe.add_argument("--fold-samples", type=int, default=crit.LOO_BUDGET.draws_per_chain)
     pe.add_argument("--fold-warmup", type=int, default=crit.LOO_BUDGET.warmup)
     pe.set_defaults(func=cmd_experiment)
@@ -140,7 +141,7 @@ def _build_model(args, data):
                           args.nu, args.s2)
 
 
-def _obtain_draws(args, model, data, get_mode):
+def _obtain_draws(args, model, data, get_mode, budget):
     if args.draws is not None:
         draws = read_draws_csv(args.draws)
         if draws.p != model.p:
@@ -154,13 +155,19 @@ def _obtain_draws(args, model, data, get_mode):
     if not mode.converged:
         raise NumericalError("posterior mode search did not converge")
     lap = laplace_approx(model, data, mode)
-    budget = SamplerBudget(args.chains, args.samples, args.warmup)
     draws, _ = sample_hier_logit(model, data, budget=budget, seed=args.seed,
                                  init=lap, check=True)
     return draws
 
 
+def _budgets(args):
+    """The main and the exact-LOO fold sampler budgets the flags ask for."""
+    return (SamplerBudget(args.chains, args.samples, args.warmup),
+            SamplerBudget(args.chains, args.fold_samples, args.fold_warmup))
+
+
 def cmd_compute(args) -> int:
+    budget, fold_budget = _budgets(args)  # checked before any work
     if not args.criteria:
         raise ValidationError("--criteria names no criterion")
     for name in args.criteria:
@@ -173,7 +180,7 @@ def cmd_compute(args) -> int:
     # and one information-matrix pair serves both penalties
     get_mode = functools.cache(lambda: find_posterior_mode(model, data, seed=args.seed))
     get_pair = functools.cache(lambda: info_matrix_pair(model, data, get_mode().theta_hat))
-    draws = _obtain_draws(args, model, data, get_mode)
+    draws = _obtain_draws(args, model, data, get_mode, budget)
     min_draws = min(crit.MIN_DRAWS, draws.S)  # supplied draw files may be small
     get_pointwise = functools.cache(lambda: crit.pointwise_loglik(model, data, draws))
 
@@ -193,8 +200,7 @@ def cmd_compute(args) -> int:
             elif name == "popt":
                 report = crit.popt_closed_form(model, data)
             else:
-                budget = SamplerBudget(args.chains, args.fold_samples, args.fold_warmup)
-                report = crit.loo_exact(model, data, budget, args.seed)
+                report = crit.loo_exact(model, data, fold_budget, args.seed)
         except PaicError as exc:
             errors.append((name, str(exc)))
             continue
@@ -232,12 +238,11 @@ def cmd_experiment(args) -> int:
         )
         result = run_normal_bias_experiment(cfg)
     else:
+        budget, fold_budget = _budgets(args)
         cfg = LogitExperimentConfig(
             N=args.groups, n_i=args.trials,
             replications=args.reps,
-            budget=SamplerBudget(args.chains, args.samples, args.warmup),
-            fold_budget=SamplerBudget(args.chains, args.fold_samples,
-                                      args.fold_warmup),
+            budget=budget, fold_budget=fold_budget,
             seed=args.seed,
             workers=threads,
         )

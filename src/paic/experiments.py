@@ -13,14 +13,13 @@ average log likelihood minus the report's fit term per group, plus its
 penalty per group.  The out-of-sample average log likelihood is computed
 exactly by summing over each group's finite support.
 
-The logit replications run in batches: the sampler takes each replication's
-exact-LOO folds in one call, then the batch's main chains in another, and
-splits each call into loops whose retained draws stay under
-``mcmc.LOOP_DRAW_BYTES``; a batch holds as many replications as one such
-loop, and the process pool maps batches.  Everything is driven by Philox
-substreams keyed on (seed, cell, replication), so results are bit-identical
-for a given (config, seed) whatever the batch size and however many workers
-run the batches.
+The logit replications run in one batch per worker.  A batch samples and
+reduces each replication's exact-LOO folds, then passes all its main chains
+to the sampler in one call and scores each replication as the sampler
+yields its chains; the sampler sizes its own loops.  Everything is driven by
+Philox substreams keyed on (seed, cell, replication), so results are
+bit-identical for a given (config, seed) however many workers run the
+batches.
 """
 
 from __future__ import annotations
@@ -46,8 +45,7 @@ from .criteria import (
 )
 from .exceptions import ExperimentError, PaicError, ValidationError
 from .infomat import info_matrix_pair, trace_correction
-from .mcmc import (Diagnostics, PosteriorDraws, SamplerBudget, _problems_per_loop,
-                   _sample_hier_logit_rows)
+from .mcmc import Diagnostics, PosteriorDraws, SamplerBudget, _sample_hier_logit_rows
 from .models import (ConjugateNormalModel, HierLogitModel, ObservationSet,
                      _binom_loglik, _expit, softplus)
 from .optimize import (LaplaceApprox, ModeResult, find_posterior_mode, laplace_approx,
@@ -97,14 +95,15 @@ class LogitExperimentConfig:
     mu_true: float = 0.0
     tau_true: float = 1.0
     replications: int = 100
-    budget: SamplerBudget = SamplerBudget(chains=3, draws_per_chain=5000, warmup=2000)
+    budget: SamplerBudget = SamplerBudget()
     fold_budget: SamplerBudget = LOO_BUDGET
     seed: int = 0
     max_fail_frac: float = 0.05
     workers: int = 1
 
     def __post_init__(self):
-        for name, low in (("N", 3), ("n_i", 1)):  # an exact-LOO fold keeps N - 1 >= 2 groups
+        # N >= 3: an exact-LOO fold keeps N - 1 >= 2 groups
+        for name, low in (("N", 3), ("n_i", 1), ("workers", 1)):
             value = getattr(self, name)
             if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
                     or not -2 ** 63 <= value < 2 ** 63):
@@ -280,31 +279,6 @@ def _logit_fit(cfg: LogitExperimentConfig, rep: int) -> Optional[_LogitFit]:
     return _LogitFit(model, data, beta_true, mode, lap, loo)
 
 
-def _logit_main_chains(cfg: LogitExperimentConfig, fits: dict) -> dict:
-    """Main chains of the fitted replications {rep: fit}, as {rep: (draws,
-    diag, attempts)} for those that pass the convergence gate.
-
-    Attempt 0 passes all the replications to the sampler in one call, which
-    runs them as rows of as few loops as fit ``mcmc.LOOP_DRAW_BYTES``; the
-    ones that fail the gate are rerun together once with a doubled budget.
-    Each row's substream is keyed by (replication, attempt), so a
-    replication's chains do not depend on which others share its loop.
-    """
-    passed, pending = {}, list(fits)
-    for attempt, budget in enumerate((cfg.budget, cfg.budget.scaled(2.0))):
-        problems = [(fits[rep].model, fits[rep].data, fits[rep].lap,
-                     ("logit", rep, "main", attempt)) for rep in pending]
-        sampled = _sample_hier_logit_rows(problems, budget, cfg.seed)
-        failed = []
-        for rep, (draws, diag) in zip(pending, sampled):
-            if diag.ok():
-                passed[rep] = (draws, diag, attempt + 1)
-            else:
-                failed.append(rep)
-        pending = failed
-    return passed
-
-
 def _logit_replication(cfg: LogitExperimentConfig, rep: int, fit: _LogitFit,
                        draws: PosteriorDraws, diag: Diagnostics, attempts: int) -> dict:
     """Score replication ``rep`` from its fit and its main-chain draws.
@@ -341,26 +315,41 @@ def _logit_batch(cfg: LogitExperimentConfig, reps: range) -> list:
     """Records of replications ``reps``, None for an excluded one (mode or
     Laplace failure, or two gate failures).
 
-    Every replication's LOO folds are sampled and reduced before the batch's
-    main chains, so the two never hold their draws at the same time.
+    Every replication's LOO folds are sampled and reduced first.  Attempt 0
+    then passes all fitted replications to the sampler in one call; each one
+    that passes the convergence gate is scored as the sampler yields its
+    chains, and the failed ones are rerun together once with a doubled
+    budget.  Each row's substream is keyed by (replication, attempt), so a
+    replication's chains do not depend on which others share its loop.
     """
     fits = {rep: _logit_fit(cfg, rep) for rep in reps}
-    sampled = _logit_main_chains(
-        cfg, {rep: fit for rep, fit in fits.items() if fit is not None})
-    return [_logit_replication(cfg, rep, fits[rep], *sampled[rep])
-            if rep in sampled else None for rep in reps]
+    records = dict.fromkeys(reps)
+    pending = [rep for rep in reps if fits[rep] is not None]
+    for attempt, budget in enumerate((cfg.budget, cfg.budget.scaled(2.0))):
+        sampled = _sample_hier_logit_rows(
+            [(fits[rep].model, fits[rep].data, fits[rep].lap, ("logit", rep, "main", attempt))
+             for rep in pending], budget, cfg.seed)
+        failed = []
+        for rep in pending:
+            draws, diag = next(sampled)
+            if diag.ok():
+                records[rep] = _logit_replication(cfg, rep, fits[rep], draws, diag,
+                                                  attempt + 1)
+            else:
+                failed.append(rep)
+            # explicit release: no draws of this loop stay held while the
+            # sampler runs its next one
+            del draws
+        pending = failed
+    return list(records.values())
 
 
 def _logit_batches(cfg: LogitExperimentConfig) -> list:
-    """Split the replications into the fewest batches whose main chains fit
-    one sampler loop and whose number is a multiple of the worker count
-    (when there are enough replications); sizes differ by at most one."""
+    """One contiguous range of replications per worker, or one per
+    replication when there are fewer; sizes differ by at most one."""
     R = cfg.replications
-    n = -(-R // _problems_per_loop(cfg.budget, cfg.N + 2))
-    workers = max(1, cfg.workers)
-    n = min(R, -(-n // workers) * workers)
-    size, extra = divmod(R, n)
-    bounds = [b * size + min(b, extra) for b in range(n + 1)]
+    n = min(R, cfg.workers)
+    bounds = [b * R // n for b in range(n + 1)]
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
@@ -387,11 +376,13 @@ def run_logit_experiment(cfg: LogitExperimentConfig) -> ExperimentResult:
     aborts the study.
     """
     run_batch = functools.partial(_logit_batch, cfg)
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            batches = list(pool.map(run_batch, _logit_batches(cfg)))
+    ranges = _logit_batches(cfg)
+    if len(ranges) > 1:
+        # a forked pool starts all its processes at once: one per batch
+        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
+            batches = list(pool.map(run_batch, ranges))
     else:
-        batches = [run_batch(reps) for reps in _logit_batches(cfg)]
+        batches = [run_batch(reps) for reps in ranges]
 
     kept = [r for batch in batches for r in batch if r is not None]
     excluded = cfg.replications - len(kept)

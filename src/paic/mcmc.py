@@ -12,13 +12,15 @@ One loop runs the chains of several problems at once as rows of one state
 array; rows may belong to different datasets (the exact-LOO folds of a
 dataset, or the main chains of several logit-study replications).  Callers
 pass all their problems, and the sampler splits them into as few loops as
-keep each loop's retained draws under LOOP_DRAW_BYTES.  Each row draws from
-its own Philox substream keyed by (seed, *path, "chain", c): all four of its
-noise blocks (proposal normals, acceptance uniforms, and the mu normals and
-tau2 chi-squares of the Gibbs steps) are replayed from it in chunks of
-REPLAY_CHUNK iterations, so a row's trajectory does not depend on the other
-rows or on how the surrounding code schedules work, and the noise held at
-once does not grow with the chain length.
+keep each loop's retained draws under LOOP_DRAW_BYTES, with sizes that
+differ by at most one (6 problems that fit 5 to a loop run as 3 + 3, not
+5 + 1).  Each row draws from its own Philox substream keyed by (seed,
+*path, "chain", c): all four of its noise blocks (proposal normals,
+acceptance uniforms, and the mu normals and tau2 chi-squares of the Gibbs
+steps) are replayed from it in chunks of REPLAY_CHUNK iterations, so a
+row's trajectory does not depend on the other rows or on how the
+surrounding code schedules work, and the noise held at once does not grow
+with the chain length.
 
 ESS (Geyer's initial monotone sequence, per chain) and split R-hat (BDA3)
 are array kernels over the sampler's (chains, draws, p) layout; the public
@@ -259,19 +261,14 @@ def _row_streams(seed: int, path, T: int, N: int):
     return z_gen, u_gen, mu_gen, gen
 
 
-def _problems_per_loop(budget: SamplerBudget, p: int) -> int:
-    """How many p-parameter problems one sampler loop holds under
-    LOOP_DRAW_BYTES of retained draws (at least one)."""
-    return max(1, LOOP_DRAW_BYTES // (budget.chains * budget.draws_per_chain * p * 8))
-
-
 def _sample_hier_logit_rows(problems, budget: SamplerBudget, seed: int):
     """Metropolis-within-Gibbs for any number of hierarchical logit problems.
 
     A problem is (model, data, init LaplaceApprox, rng_path).  All must share
     N and the hyperpriors; that and every problem's data are checked before
     any loop runs.  Returns an iterator over one (PosteriorDraws, Diagnostics)
-    pair per problem, in order.
+    pair per problem, in order, from the fewest balanced loops under
+    LOOP_DRAW_BYTES.
     """
     problems = list(problems)
     if not problems:
@@ -282,10 +279,11 @@ def _sample_hier_logit_rows(problems, budget: SamplerBudget, seed: int):
                 model.N, model.mu_mean, model.mu_var, model.nu, model.s2):
             raise ValidationError("batched problems must share N and the hyperpriors")
         m.validate_data(d)
-    size = _problems_per_loop(budget, model.p)
+    per_loop = max(1, LOOP_DRAW_BYTES // (budget.chains * budget.draws_per_chain * model.p * 8))
+    loops = -(-len(problems) // per_loop)
+    bounds = [k * len(problems) // loops for k in range(loops + 1)]
     return itertools.chain.from_iterable(
-        _sample_loop(problems[first : first + size], budget, seed)
-        for first in range(0, len(problems), size))
+        _sample_loop(problems[lo:hi], budget, seed) for lo, hi in zip(bounds, bounds[1:]))
 
 
 def _sample_loop(problems, budget: SamplerBudget, seed: int):

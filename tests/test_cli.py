@@ -215,8 +215,18 @@ COUNTS_CSV = "y,n_trials\n3,10\n7,10\n5,10\n"
     pytest.param("y,n_trials\n3,10\n7,1e300\n", ["--model", "hier-logit"],
                  id="n-trials-overflow"),
     pytest.param(COUNTS_CSV, ["--model", "hier-logit", "--samples", "5"], id="samples-5"),
+    pytest.param(COUNTS_CSV, ["--model", "hier-logit", "--criteria", "loo",
+                              "--fold-samples", "5"], id="fold-samples-5"),
+    pytest.param(None, ["--model", "normal", "--chains", "0"], id="chains-0"),
 ])
-def test_compute_invalid_input_exit_2(tmp_path, capsys, data, flags):
+def test_compute_invalid_input_exit_2(tmp_path, capsys, monkeypatch, data, flags):
+    import paic.cli
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the mode search ran before the input was checked")
+
+    # every input here is refused before any work, the mode search included
+    monkeypatch.setattr(paic.cli, "find_posterior_mode", no_search)
     data_path = tmp_path / "y.csv"
     if data is None:
         write_normal_data(data_path)
@@ -326,6 +336,7 @@ def test_experiment_logit_count_beyond_int64_exit_2(tmp_path, capsys, flag):
     pytest.param(["--chains", "0"], "chains", id="chains-0"),
     pytest.param(["--warmup", "-1"], "warmup", id="warmup-negative"),
     pytest.param(["--groups", "2"], "N", id="groups-2"),
+    pytest.param(["--threads", "0"], "workers", id="threads-0"),
 ])
 def test_experiment_logit_invalid_config_exit_2(tmp_path, capsys, flags, field):
     out = tmp_path / "exp"

@@ -403,13 +403,22 @@ def test_closed_form_insample_matches_gauss_hermite(tau02):
 @pytest.mark.parametrize("folds_per_group", [1, 4, 15])
 def test_loo_fold_groups_equal_one_call_per_fold(hier_model, hier_data, monkeypatch,
                                                   folds_per_group):
-    # T = 1343 is not a multiple of the replay chunk; 4 folds per group
-    # leave a last group of 3; about half of the folds are flagged
+    # T = 1343 is not a multiple of the replay chunk; at 4 folds per group the
+    # 15 folds run as balanced loops of 3, 4, 4, 4; about half of the folds
+    # are flagged
     budget = SamplerBudget(2, 1200, 143)
     fold_bytes = budget.chains * budget.draws_per_chain * (hier_model.p - 1) * 8
     monkeypatch.setattr(mcmc, "LOOP_DRAW_BYTES", folds_per_group * fold_bytes)
+    loops, sample_loop = [], mcmc._sample_loop
+
+    def counted_loop(problems, *args):
+        loops.append(len(problems))
+        return sample_loop(problems, *args)
+
+    monkeypatch.setattr(mcmc, "_sample_loop", counted_loop)
     path = ("t", 5)
     report = loo_exact(hier_model, hier_data, budget, seed=1, rng_path=path)
+    assert loops == {1: [1] * 15, 4: [3, 4, 4, 4], 15: [15]}[folds_per_group]
 
     terms, flagged = [], []
     for i in range(hier_model.N):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -206,42 +207,55 @@ def test_logit_outputs_do_not_depend_on_batch_size_or_workers(tmp_path, monkeypa
         monkeypatch.setattr(mcmc, "LOOP_DRAW_BYTES", cap)
         for workers in (1, 2):
             run_cfg = dataclasses.replace(cfg, workers=workers)
-            sizes = {len(reps) for reps in experiments._logit_batches(run_cfg)}
             runs[cap, workers] = _logit_output_digests(run_cfg, tmp_path / f"{cap}-{workers}")
-            if cap == one_replication:
-                assert sizes == {1}
-            if cap == 4 * one_replication and workers == 1:
-                assert sizes == {4}
-    # one batch of all four replications under a one-replication cap: one
-    # _logit_main_chains call spans four sampler loops
-    loops = []
-    sample_loop = mcmc._sample_loop
-
-    def counted_loop(problems, budget, seed):
-        if problems[0][3][2:] == ("main", 0):
-            loops.append(len(problems))
-        return sample_loop(problems, budget, seed)
-
-    monkeypatch.setattr(mcmc, "LOOP_DRAW_BYTES", one_replication)
-    monkeypatch.setattr(mcmc, "_sample_loop", counted_loop)
-    monkeypatch.setattr(experiments, "_logit_batches", lambda c: [range(c.replications)])
-    runs["one batch"] = _logit_output_digests(cfg, tmp_path / "one-batch")
-    assert loops == [1, 1, 1, 1]
     (digests, attempts), *others = runs.values()
     assert 2.0 in attempts
     for other, _ in others:
         assert other == digests
 
+    # one batch of all four replications under a one-replication cap: four
+    # attempt-0 loops, each replication scored before the next loop starts,
+    # and no loop's draws still held when the next one begins
+    events, last_draws = [], []
+    sample_loop, score = mcmc._sample_loop, experiments._logit_replication
+
+    def traced_loop(problems, budget, seed):
+        assert all(ref() is None for ref in last_draws)
+        if problems[0][3][2] == "main":
+            events.append(("loop", [p[3][1] for p in problems], problems[0][3][3]))
+        for draws, diag in sample_loop(problems, budget, seed):
+            last_draws[:] = [weakref.ref(draws.draws)]
+            yield draws, diag
+
+    def traced_score(cfg, rep, *args):
+        events.append(("score", rep))
+        return score(cfg, rep, *args)
+
+    monkeypatch.setattr(mcmc, "LOOP_DRAW_BYTES", one_replication)
+    monkeypatch.setattr(mcmc, "_sample_loop", traced_loop)
+    monkeypatch.setattr(experiments, "_logit_replication", traced_score)
+    assert _logit_output_digests(cfg, tmp_path / "traced")[0] == digests
+    loops = [len(e[1]) for e in events if e[0] == "loop" and e[2] == 0]
+    assert loops == [1, 1, 1, 1]
+    retried = [rep for rep in range(4) if attempts[rep] == 2.0]
+    expected = []
+    for rep in range(4):
+        expected += [("loop", [rep], 0)] + ([] if rep in retried else [("score", rep)])
+    for rep in retried:
+        expected += [("loop", [rep], 1), ("score", rep)]
+    assert events == expected
+
 
 @pytest.mark.parametrize("reps,workers,sizes", [
-    (12, 2, [3, 3, 3, 3]),
-    (100, 2, [5] * 20),
-    (7, 1, [4, 3]),
+    (12, 2, [6, 6]),
+    (100, 2, [50, 50]),
+    (7, 1, [7]),
     (3, 4, [1, 1, 1]),
+    (7, 3, [2, 2, 3]),
 ])
 def test_logit_batches_fewest_under_the_cap(reps, workers, sizes):
-    # five default main chains fit the cap; the batch count is a multiple of
-    # the workers unless there are fewer replications than that
+    # one batch per worker, whatever the budget and the sampler's draw cap;
+    # with fewer replications than workers each replication is its own batch
     batches = experiments._logit_batches(
         LogitExperimentConfig(replications=reps, workers=workers))
     assert [len(b) for b in batches] == sizes
