@@ -27,6 +27,7 @@ from .criteria import (
 )
 from .exceptions import (
     ExperimentError,
+    GridBorderError,
     IllConditionedError,
     ImproperPriorError,
     NonConvergenceError,

@@ -60,12 +60,11 @@ def _str_list(text: str):
 
 def default_threads() -> int:
     env = os.environ.get("PAIC_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValidationError(f"PAIC_THREADS is not an integer: {env!r}")
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    if not env.strip().isdigit() or int(env) < 1:
+        raise ValidationError(f"PAIC_THREADS must be an integer >= 1, got {env!r}")
+    return int(env)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,8 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--samples", type=int, default=default_budget.draws_per_chain,
                     help="post-warmup draws per chain (hier-logit)")
     pc.add_argument("--warmup", type=int, default=default_budget.warmup)
-    pc.add_argument("--fold-samples", type=int, default=crit.LOO_BUDGET.draws_per_chain)
-    pc.add_argument("--fold-warmup", type=int, default=crit.LOO_BUDGET.warmup)
     pc.set_defaults(func=cmd_compute)
 
     pe = sub.add_parser("experiment", help="run a replication study")
@@ -124,8 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--chains", type=int, default=default_budget.chains)
     pe.add_argument("--samples", type=int, default=default_budget.draws_per_chain)
     pe.add_argument("--warmup", type=int, default=default_budget.warmup)
-    pe.add_argument("--fold-samples", type=int, default=crit.LOO_BUDGET.draws_per_chain)
-    pe.add_argument("--fold-warmup", type=int, default=crit.LOO_BUDGET.warmup)
     pe.set_defaults(func=cmd_experiment)
     return parser
 
@@ -160,14 +155,8 @@ def _obtain_draws(args, model, data, get_mode, budget):
     return draws
 
 
-def _budgets(args):
-    """The main and the exact-LOO fold sampler budgets the flags ask for."""
-    return (SamplerBudget(args.chains, args.samples, args.warmup),
-            SamplerBudget(args.chains, args.fold_samples, args.fold_warmup))
-
-
 def cmd_compute(args) -> int:
-    budget, fold_budget = _budgets(args)  # checked before any work
+    budget = SamplerBudget(args.chains, args.samples, args.warmup)  # checked before any work
     if not args.criteria:
         raise ValidationError("--criteria names no criterion")
     for name in args.criteria:
@@ -200,7 +189,7 @@ def cmd_compute(args) -> int:
             elif name == "popt":
                 report = crit.popt_closed_form(model, data)
             else:
-                report = crit.loo_exact(model, data, fold_budget, args.seed)
+                report = crit.loo_exact(model, data, args.seed)
         except PaicError as exc:
             errors.append((name, str(exc)))
             continue
@@ -215,7 +204,6 @@ def cmd_compute(args) -> int:
         "nu": args.nu, "s2": args.s2,
         "draw_count": args.draw_count, "chains": args.chains,
         "samples": args.samples, "warmup": args.warmup,
-        "fold_samples": args.fold_samples, "fold_warmup": args.fold_warmup,
         "draws_supplied": args.draws is not None,
         "seed": args.seed,
     }
@@ -238,11 +226,10 @@ def cmd_experiment(args) -> int:
         )
         result = run_normal_bias_experiment(cfg)
     else:
-        budget, fold_budget = _budgets(args)
         cfg = LogitExperimentConfig(
             N=args.groups, n_i=args.trials,
             replications=args.reps,
-            budget=budget, fold_budget=fold_budget,
+            budget=SamplerBudget(args.chains, args.samples, args.warmup),
             seed=args.seed,
             workers=threads,
         )

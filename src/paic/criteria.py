@@ -12,7 +12,7 @@ both fitting and evaluation:
          the same pair; refuses improper priors
   waic2  posterior-averaged fit, penalty = sum of per-observation posterior
          variances of the log likelihood
-  loo    exact leave-one-out refits (no penalty term)
+  loo    exact leave-one-out (no penalty term), by group for the logit model
   popt   expected-deviance penalized loss, closed form for the normal model
   dic    plug-in fit at the posterior mean (reference criterion)
 
@@ -28,28 +28,36 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import (
+    GridBorderError,
     ImproperPriorError,
     NumericalError,
     UnsupportedModelError,
     ValidationError,
 )
 from .infomat import InfoMatrixPair, trace_correction
-from .mcmc import PosteriorDraws, SamplerBudget, _sample_hier_logit_rows
+from .mcmc import PosteriorDraws
 from .models import (
     ConjugateNormalModel,
     HierLogitModel,
     ObservationSet,
     _binom_loglik,
+    _expit,
     _normal_loglik,
     conjugate_posterior,
+    scaled_inv_chi2_logpdf,
     softplus,
 )
-from .optimize import LaplaceApprox, ModeResult, find_posterior_mode, laplace_approx
+from .optimize import ModeResult, find_posterior_mode, laplace_approx
 
 MIN_DRAWS = 1000
 LOO_MAX_N = 1000
-# sampler budget of each exact-LOO fold refit
-LOO_BUDGET = SamplerBudget(chains=3, draws_per_chain=2000, warmup=1000)
+# hierarchical-logit LOO grid: LOO_GRID_STEP Laplace sd apart, half-width LOO_SPANS[0]
+# sd, widened while a (fold) posterior holds more than LOO_BORDER_MASS on its outer
+# ring; its group integrals run in blocks of at most LOO_CHUNK_BYTES
+LOO_GRID_STEP = 0.6
+LOO_SPANS = (12.0, 18.0, 27.0, 40.0)
+LOO_BORDER_MASS = 1e-5
+LOO_CHUNK_BYTES = 1_000_000
 
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(32)
 _GH_WEIGHTS = _GH_WEIGHTS / math.sqrt(math.pi)
@@ -93,23 +101,11 @@ class CriterionReport:
     notes: str = ""
     warnings: tuple = ()
     seed: Optional[int] = None
-    # indices of exact-LOO folds that failed convergence diagnostics
-    flagged_folds: tuple = ()
 
 
-def _report(name, fit, penalty, n, S, notes="", warnings=(),
-            flagged_folds=()) -> CriterionReport:
-    return CriterionReport(
-        name=name,
-        value=-2.0 * fit + 2.0 * penalty,
-        fit_term=float(fit),
-        penalty=float(penalty),
-        n=int(n),
-        S=int(S),
-        notes=notes,
-        warnings=tuple(warnings),
-        flagged_folds=tuple(flagged_folds),
-    )
+def _report(name, fit, penalty, n, S, notes="") -> CriterionReport:
+    return CriterionReport(name=name, value=-2.0 * fit + 2.0 * penalty, fit_term=float(fit),
+                           penalty=float(penalty), n=int(n), S=int(S), notes=notes)
 
 
 def pointwise_loglik(model, data: ObservationSet, draws: PosteriorDraws) -> PointwiseLogLik:
@@ -257,9 +253,9 @@ def popt_closed_form(model: ConjugateNormalModel, data: ObservationSet) -> Crite
 # -- exact leave-one-out ---------------------------------------------------
 
 
-def _gh_mean_softplus(mu_draws: np.ndarray, sd_draws: np.ndarray) -> np.ndarray:
-    """E[softplus(b)] for b ~ N(mu_s, sd_s^2), one value per draw (32-node GH)."""
-    nodes = mu_draws[:, None] + math.sqrt(2.0) * sd_draws[:, None] * _GH_NODES[None, :]
+def _gh_mean_softplus(mu: np.ndarray, sd: np.ndarray) -> np.ndarray:
+    """E[softplus(b)] for b ~ N(mu_k, sd_k^2), one value per k (32-node GH)."""
+    nodes = mu[:, None] + math.sqrt(2.0) * sd[:, None] * _GH_NODES[None, :]
     return softplus(nodes) @ _GH_WEIGHTS
 
 
@@ -268,88 +264,108 @@ def _loo_terms_normal(model: ConjugateNormalModel, data: ObservationSet) -> np.n
     return _normal_loglik(data.y, mu_loo, model.sigma_A2, s2_loo)
 
 
-def _fold_problem(model: HierLogitModel, data: ObservationSet, i: int, seed: int, rng_path):
-    """Fold i as a sampler problem (model, data, Laplace start, rng_path), and
-    whether its mode search succeeded."""
-    keep = np.arange(model.N) != i
-    sub_model = model.drop_group(i)
-    sub_data = ObservationSet(data.y[keep], data.trial_sizes[keep])
-    mode = None
-    try:
-        mode = find_posterior_mode(sub_model, sub_data, seed=seed)
-        lap, ok = laplace_approx(sub_model, sub_data, mode), True
-    except (ValidationError, NumericalError):
-        # unconverged fold mode: start from where its search stopped (or the
-        # data-driven init) with a crude diagonal spread, and flag it
-        ok = False
-        if mode is not None:
-            diag_h = np.clip(np.diag(mode.neg_hessian), 1e-2, None)
-            lap = LaplaceApprox(mode.theta_hat, np.diag(1.0 / diag_h))
-        else:
-            init = sub_model.default_init(sub_data)
-            lap = LaplaceApprox(init, np.diag(np.full(sub_model.p, 0.25)))
-    return (sub_model, sub_data, lap, (*rng_path, "loo-fold", i)), ok
+def _conditional_modes(y, n, mu, tau2):
+    """Mode and Laplace sd of y b - n softplus(b) - (b - mu)^2 / (2 tau2) per group
+    (rows of y, n) and grid point: Newton in a bracket shrinking from [mu, mu +
+    tau2 f'(mu)], bisecting where a step leaves it or stalls (Numerical Recipes' rtsafe)."""
+    end = mu + tau2 * (y * _expit(-mu) - (n - y) * _expit(mu))
+    lo, hi = np.minimum(mu, end), np.maximum(mu, end)
+    ph = (y + 0.5) / (n + 1.0)  # start between mu and the empirical logit
+    w = n * ph * (1.0 - ph)
+    b = np.clip((mu / tau2 + w * np.log(ph / (1.0 - ph))) / (1.0 / tau2 + w), lo, hi)
+    dx = dx_old = np.inf
+    for _ in range(100):  # 3 to 5 iterations on the criterion-4 grids
+        s, sc = _expit(b), _expit(-b)  # both, for precision where expit saturates
+        grad = y * sc - (n - y) * s - (b - mu) / tau2
+        lo, hi = np.where(grad > 0, b, lo), np.where(grad < 0, b, hi)
+        curv = n * s * sc + 1.0 / tau2
+        step = grad / curv
+        live = np.minimum(np.abs(step), hi - lo) > 1e-10 * (1.0 + np.abs(b))
+        if not live.any():
+            return np.clip(b + step, lo, hi), 1.0 / np.sqrt(curv)
+        new = b + step
+        bisect = live & ((new < lo) | (new > hi) | (2.0 * np.abs(step) > dx_old))
+        new = np.where(bisect, 0.5 * (lo + hi), new)
+        dx_old, dx, b = dx, np.abs(new - b), new
+    raise NumericalError("group conditional-mode search did not converge")
 
 
-def _loo_terms_hier_logit(model: HierLogitModel, data: ObservationSet,
-                          budget: SamplerBudget, seed: int, rng_path):
-    """Refit without each group; the held-out logit is integrated against its
-    conditional N(mu, tau2) by quadrature under every retained draw.
-
-    All N folds go to the sampler in one call, which sizes its own loops
-    under ``mcmc.LOOP_DRAW_BYTES``.  Each fold's draws are cut to the mu and
-    tau2 columns its term needs as the sampler yields them, and the
-    quadrature runs once the sampler has released its last loop.
-    """
-    if model.N < 3:  # a fold keeps N - 1 groups and the model needs two
-        raise ValidationError(f"exact LOO needs at least 3 groups, got {model.N}")
-    problems, mode_ok = zip(*(_fold_problem(model, data, i, seed, rng_path)
-                              for i in range(model.N)))
-
-    def cut(sampled):
-        draws, diag = sampled
-        return draws.draws[:, model.N - 1].copy(), np.sqrt(draws.draws[:, model.N]), diag.ok()
-
-    # map holds no fold's draws while the sampler runs its next loop
-    hyper = list(map(cut, _sample_hier_logit_rows(problems, budget, seed)))
-    terms = np.array([
-        _binom_loglik(float(data.trial_sizes[i]), float(data.y[i]),
-                      float(np.mean(mu_d)), float(np.mean(_gh_mean_softplus(mu_d, sd_d))))
-        for i, (mu_d, sd_d, _) in enumerate(hyper)])
-    flagged = [i for i, ((*_, good), ok) in enumerate(zip(hyper, mode_ok)) if not (good and ok)]
-    return terms, flagged
+def _group_log_marginals(data: ObservationSet, mu: np.ndarray, tau2: np.ndarray) -> np.ndarray:
+    """(N, G) log m_i = log int Bin(y_i | n_i, expit(b)) N(b | mu, tau2) db by
+    Gauss-Hermite at each integrand's mode and Laplace sd (Liu & Pierce 1994),
+    over chunks of groups with (groups, G, nodes) blocks under LOO_CHUNK_BYTES."""
+    y, n = data.y[:, None], data.trial_sizes[:, None].astype(float)
+    out = _binom_loglik(n, y, 0.0, 0.0) - 0.5 * np.log(tau2)  # log C - log tau
+    chunk = max(1, LOO_CHUNK_BYTES // (mu.size * _GH_NODES.size * 8))
+    for rows in (slice(lo, lo + chunk) for lo in range(0, data.n, chunk)):
+        b, sd = _conditional_modes(y[rows], n[rows], mu, tau2)
+        f_mode = y[rows] * b - n[rows] * softplus(b) - (b - mu) ** 2 / (2.0 * tau2)
+        nodes = b[..., None] + math.sqrt(2.0) * sd[..., None] * _GH_NODES
+        f = (y[rows, :, None] * nodes - n[rows, :, None] * softplus(nodes)
+             - (nodes - mu[:, None]) ** 2 / (2.0 * tau2[:, None]))
+        f += _GH_NODES ** 2 - f_mode[..., None]
+        out[rows] += f_mode + np.log(sd) + np.log(np.exp(f) @ _GH_WEIGHTS)
+    return out
 
 
-def loo_exact(model, data: ObservationSet, budget: SamplerBudget = LOO_BUDGET,
-              seed: int = 0, rng_path=()) -> CriterionReport:
-    """Exact-refit leave-one-out: value = -2 sum_i E_post(-i)[log g(y_i | theta)].
+def _hyper_grid(model: HierLogitModel, data: ObservationSet, seed: int):
+    """(mu, tau2, log_w, log_fold_w): G points over (mu, log tau2) in Laplace sd
+    at the mode of ``seed``'s search, and the normalized log weights of the
+    posterior (G,) and of each leave-one-group-out posterior (N, G).  Given
+    (mu, tau2) the groups are independent: the posterior is the hyperprior times
+    the marginals m_i, fold i divides m_i out (Rue, Martino & Chopin 2009)."""
+    mode = find_posterior_mode(model, data, seed=seed)
+    mu_hat, tau2_hat = mode.theta_hat[-2:]
+    sd_mu, sd_tau2 = laplace_approx(model, data, mode).marginal_sd()[-2:]
+    for span in LOO_SPANS:
+        half = round(span / LOO_GRID_STEP)
+        k_mu, k_lam = np.indices((2 * half + 1, 2 * half + 1)).reshape(2, -1) - half
+        lam = math.log(tau2_hat) + sd_tau2 / tau2_hat * LOO_GRID_STEP * k_lam
+        # given tau2, mu spreads like tau: its axis scales by sqrt((1 + tau2 / tau2_hat) / 2)
+        log_scale = 0.5 * (softplus(lam - math.log(tau2_hat)) - math.log(2.0))
+        mu = mu_hat + sd_mu * LOO_GRID_STEP * k_mu * np.exp(log_scale)
+        tau2 = np.exp(lam)
+        log_m = _group_log_marginals(data, mu, tau2)
+        log_w = (_normal_loglik(mu, model.mu_mean, model.mu_var) + lam + log_scale
+                 + scaled_inv_chi2_logpdf(tau2, model.nu, model.s2) + log_m.sum(axis=0))
+        log_w -= np.logaddexp.reduce(log_w)
+        log_fold_w = log_w - log_m
+        log_fold_w -= np.logaddexp.reduce(log_fold_w, axis=1, keepdims=True)
+        ring = np.maximum(np.abs(k_mu), np.abs(k_lam)) == half
+        border = max(np.exp(log_w[ring]).sum(), np.exp(log_fold_w[:, ring]).sum(axis=1).max())
+        if border <= LOO_BORDER_MASS:
+            return mu, tau2, log_w, log_fold_w
+    raise GridBorderError(f"posterior mass {border:.2g} on the LOO grid border", border_mass=border)
 
-    The normal model uses analytic fold posteriors and ignores the sampler
-    arguments.  The hierarchical logit needs at least 3 groups; it re-samples
-    each fold with ``budget`` from the substreams ``(seed, *rng_path,
-    "loo-fold", i)``, passing all folds to the sampler at once, which runs
-    them as rows of as few loops as keep the retained draws under
-    ``mcmc.LOOP_DRAW_BYTES`` (each fold's draws are those of sampling it
-    alone).  Folds failing convergence diagnostics are flagged in the report,
-    not dropped.
+
+def _loo_terms_hier_logit(model: HierLogitModel, data: ObservationSet, seed: int):
+    """log C + y_i E[mu] - n_i E[E(softplus(b) | mu, tau2)], b ~ N(mu, tau2),
+    under each fold posterior of ``_hyper_grid``."""
+    mu, tau2, _, log_fold_w = _hyper_grid(model, data, seed)
+    fold_w = np.exp(log_fold_w)
+    mean_sp = _gh_mean_softplus(mu, np.sqrt(tau2))
+    return _binom_loglik(data.trial_sizes.astype(float), data.y, fold_w @ mu, fold_w @ mean_sp)
+
+
+def loo_exact(model, data: ObservationSet, seed: int = 0) -> CriterionReport:
+    """Exact leave-one-out: value = -2 sum_i E_post(-i)[log g(y_i | theta)].
+
+    The normal model uses analytic fold posteriors.  The hierarchical logit
+    leaves out one group at a time (at least 3 groups); its fold posteriors
+    all come from ``_hyper_grid`` at the mode of ``seed``'s search, with no
+    draws (S = 0), or raise GridBorderError.
     """
     model.validate_data(data)
     if data.n > LOO_MAX_N:
         raise ValidationError(f"exact LOO guarded at n <= {LOO_MAX_N}")
-    flagged = ()
     if isinstance(model, ConjugateNormalModel):
         terms = _loo_terms_normal(model, data)
         notes = "analytic fold posteriors"
-        S = 0
     elif isinstance(model, HierLogitModel):
-        terms, flagged = _loo_terms_hier_logit(model, data, budget, seed, rng_path)
-        notes = "sampled fold posteriors"
-        S = budget.chains * budget.draws_per_chain
+        if model.N < 3:  # a one-group fold: only its hyperprior holds tau2
+            raise ValidationError(f"exact LOO needs at least 3 groups, got {model.N}")
+        terms = _loo_terms_hier_logit(model, data, seed)
+        notes = "quadrature fold posteriors"
     else:
         raise UnsupportedModelError("exact LOO implemented for the built-in models only")
-    warnings_ = (
-        (f"{len(flagged)} fold(s) failed convergence diagnostics",) if flagged else ()
-    )
-    fit = float(np.sum(terms))
-    return _report("loo", fit, 0.0, data.n, S, notes=notes, warnings=warnings_,
-                   flagged_folds=flagged)
+    return _report("loo", float(np.sum(terms)), 0.0, data.n, 0, notes=notes)

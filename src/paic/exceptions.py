@@ -38,6 +38,14 @@ class IllConditionedError(NumericalError):
         self.cond = cond
 
 
+class GridBorderError(NumericalError):
+    """Posterior mass on a quadrature grid's border too large; result refused."""
+
+    def __init__(self, message, border_mass=None):
+        super().__init__(message)
+        self.border_mass = border_mass
+
+
 class NonConvergenceError(NumericalError):
     """Sampler diagnostics failed the convergence gate.
 

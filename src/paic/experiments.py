@@ -13,9 +13,9 @@ average log likelihood minus the report's fit term per group, plus its
 penalty per group.  The out-of-sample average log likelihood is computed
 exactly by summing over each group's finite support.
 
-The logit replications run in one batch per worker.  A batch samples and
-reduces each replication's exact-LOO folds, then passes all its main chains
-to the sampler in one call and scores each replication as the sampler
+The logit replications run in one batch per worker.  A batch fits each
+replication's mode and exact LOO (by quadrature), then passes all its main
+chains to the sampler in one call and scores each replication as the sampler
 yields its chains; the sampler sizes its own loops.  Everything is driven by
 Philox substreams keyed on (seed, cell, replication), so results are
 bit-identical for a given (config, seed) however many workers run the
@@ -33,7 +33,6 @@ from typing import Optional
 import numpy as np
 
 from .criteria import (
-    LOO_BUDGET,
     CriterionReport,
     bpic,
     closed_form_bias_estimators,
@@ -43,7 +42,7 @@ from .criteria import (
     pointwise_loglik,
     waic2,
 )
-from .exceptions import ExperimentError, PaicError, ValidationError
+from .exceptions import ExperimentError, NumericalError, PaicError, ValidationError
 from .infomat import info_matrix_pair, trace_correction
 from .mcmc import Diagnostics, PosteriorDraws, SamplerBudget, _sample_hier_logit_rows
 from .models import (ConjugateNormalModel, HierLogitModel, ObservationSet,
@@ -96,13 +95,12 @@ class LogitExperimentConfig:
     tau_true: float = 1.0
     replications: int = 100
     budget: SamplerBudget = SamplerBudget()
-    fold_budget: SamplerBudget = LOO_BUDGET
     seed: int = 0
     max_fail_frac: float = 0.05
     workers: int = 1
 
     def __post_init__(self):
-        # N >= 3: an exact-LOO fold keeps N - 1 >= 2 groups
+        # N >= 3: exact LOO refuses one-group folds (only a hyperprior holds tau2)
         for name, low in (("N", 3), ("n_i", 1), ("workers", 1)):
             value = getattr(self, name)
             if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
@@ -245,7 +243,7 @@ _LOGIT_RECORD_FIELDS = (
     "replication", "eta_hat", "eta_true",
     "b_paic", "b_bpic", "b_waic2", "b_cv",
     "err_paic", "err_bpic", "err_waic2", "err_cv",
-    "max_rhat", "min_ess", "loo_flagged", "attempts",
+    "max_rhat", "min_ess", "attempts",
 )
 
 
@@ -263,7 +261,7 @@ class _LogitFit:
 
 def _logit_fit(cfg: LogitExperimentConfig, rep: int) -> Optional[_LogitFit]:
     """Simulate replication ``rep``, find its mode and Laplace start and run
-    its exact LOO; None when the mode search or the Laplace step fails."""
+    its exact LOO; None when any of the three fails."""
     trial_sizes = np.full(cfg.N, cfg.n_i)
     model = HierLogitModel(trial_sizes)
     gen = substream(cfg.seed, "logit", rep, "truth")
@@ -275,7 +273,10 @@ def _logit_fit(cfg: LogitExperimentConfig, rep: int) -> Optional[_LogitFit]:
         lap = laplace_approx(model, data, mode)
     except PaicError:
         return None
-    loo = loo_exact(model, data, cfg.fold_budget, cfg.seed, rng_path=("logit", rep))
+    try:
+        loo = loo_exact(model, data, cfg.seed)
+    except NumericalError:  # a posterior the LOO grid cannot hold
+        return None
     return _LogitFit(model, data, beta_true, mode, lap, loo)
 
 
@@ -302,25 +303,20 @@ def _logit_replication(cfg: LogitExperimentConfig, rep: int, fit: _LogitFit,
         b = (eta_hat - r.fit_term / cfg.N) + r.penalty / cfg.N
         record[f"b_{est}"] = b
         record[f"err_{est}"] = (eta_hat - eta_true) - b
-    record.update(
-        max_rhat=diag.max_rhat,
-        min_ess=diag.min_ess,
-        loo_flagged=float(len(fit.loo.flagged_folds)),
-        attempts=float(attempts),
-    )
+    record.update(max_rhat=diag.max_rhat, min_ess=diag.min_ess, attempts=float(attempts))
     return record
 
 
 def _logit_batch(cfg: LogitExperimentConfig, reps: range) -> list:
-    """Records of replications ``reps``, None for an excluded one (mode or
-    Laplace failure, or two gate failures).
+    """Records of replications ``reps``, None for an excluded one (mode,
+    Laplace or LOO-grid failure, or two gate failures).
 
-    Every replication's LOO folds are sampled and reduced first.  Attempt 0
-    then passes all fitted replications to the sampler in one call; each one
-    that passes the convergence gate is scored as the sampler yields its
-    chains, and the failed ones are rerun together once with a doubled
-    budget.  Each row's substream is keyed by (replication, attempt), so a
-    replication's chains do not depend on which others share its loop.
+    Every replication is fitted first.  Attempt 0 then passes all fitted
+    replications to the sampler in one call; each one that passes the
+    convergence gate is scored as the sampler yields its chains, and the
+    failed ones are rerun together once with a doubled budget.  Each row's
+    substream is keyed by (replication, attempt), so a replication's chains
+    do not depend on which others share its loop.
     """
     fits = {rep: _logit_fit(cfg, rep) for rep in reps}
     records = dict.fromkeys(reps)
@@ -371,9 +367,9 @@ def aggregate_logit_cell(records: dict) -> dict:
 def run_logit_experiment(cfg: LogitExperimentConfig) -> ExperimentResult:
     """Replicated study of the four bias estimators for the logit model.
 
-    Replications whose sampler fails the convergence gate even after one
-    doubled-budget retry are excluded; more than ``max_fail_frac`` of them
-    aborts the study.
+    Replications whose mode search, Laplace step or LOO grid fails, or whose
+    sampler fails the convergence gate even after one doubled-budget retry,
+    are excluded; more than ``max_fail_frac`` of them aborts the study.
     """
     run_batch = functools.partial(_logit_batch, cfg)
     ranges = _logit_batches(cfg)
@@ -388,7 +384,7 @@ def run_logit_experiment(cfg: LogitExperimentConfig) -> ExperimentResult:
     excluded = cfg.replications - len(kept)
     if excluded > cfg.max_fail_frac * cfg.replications:
         raise ExperimentError(
-            f"{excluded}/{cfg.replications} replications failed the sampler gate"
+            f"{excluded}/{cfg.replications} replications excluded (mode, grid or gate)"
         )
     if not kept:
         raise ExperimentError("no replications survived")

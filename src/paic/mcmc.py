@@ -9,18 +9,17 @@ updates.  Step sizes adapt toward a 0.44 acceptance rate during warmup only;
 the post-warmup kernel is frozen.
 
 One loop runs the chains of several problems at once as rows of one state
-array; rows may belong to different datasets (the exact-LOO folds of a
-dataset, or the main chains of several logit-study replications).  Callers
-pass all their problems, and the sampler splits them into as few loops as
-keep each loop's retained draws under LOOP_DRAW_BYTES, with sizes that
-differ by at most one (6 problems that fit 5 to a loop run as 3 + 3, not
-5 + 1).  Each row draws from its own Philox substream keyed by (seed,
-*path, "chain", c): all four of its noise blocks (proposal normals,
-acceptance uniforms, and the mu normals and tau2 chi-squares of the Gibbs
-steps) are replayed from it in chunks of REPLAY_CHUNK iterations, so a
-row's trajectory does not depend on the other rows or on how the
-surrounding code schedules work, and the noise held at once does not grow
-with the chain length.
+array; rows may belong to different datasets (the main chains of several
+logit-study replications).  Callers pass all their problems, and the sampler
+splits them into as few loops as keep each loop's retained draws under
+LOOP_DRAW_BYTES, with sizes that differ by at most one (6 problems that fit
+5 to a loop run as 3 + 3, not 5 + 1).  Each row draws from its own Philox
+substream keyed by (seed, *path, "chain", c): all four of its noise blocks
+(proposal normals, acceptance uniforms, and the mu normals and tau2
+chi-squares of the Gibbs steps) are replayed from it in chunks of
+REPLAY_CHUNK iterations, so a row's trajectory does not depend on the other
+rows or on how the surrounding code schedules work, and the noise held at
+once does not grow with the chain length.
 
 ESS (Geyer's initial monotone sequence, per chain) and split R-hat (BDA3)
 are array kernels over the sampler's (chains, draws, p) layout; the public
@@ -47,7 +46,8 @@ RHAT_MAX = 1.05
 ESS_MIN = 400.0
 ESS_MIN_SERIES = 10  # shortest series the ESS kernel accepts
 REPLAY_CHUNK = 64  # sampler iterations of each row's noise held per refill
-# cap on the retained draws of one sampler loop, summed over its rows
+# cap on the retained draws of one sampler loop, summed over its rows; sized for
+# the 15 LOO fold refits (11.52 MB) that exact quadrature replaced
 LOOP_DRAW_BYTES = 12_000_000
 
 

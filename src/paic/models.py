@@ -424,14 +424,6 @@ class HierLogitModel(_ModelBase):
         theta[self.N + 1] = max(float(np.var(b)), 0.1)
         return theta
 
-    def drop_group(self, i: int) -> "HierLogitModel":
-        """Model with group i removed; hyperpriors unchanged (for LOO refits)."""
-        keep = np.ones(self.N, dtype=bool)
-        keep[i] = False
-        return HierLogitModel(
-            self.trial_sizes[keep], self.mu_mean, self.mu_var, self.nu, self.s2
-        )
-
 
 @dataclass
 class ModelDefinition(_ModelBase):

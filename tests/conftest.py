@@ -2,8 +2,25 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from paic import HierLogitModel, ObservationSet
+from paic import HierLogitModel, LogitExperimentConfig, ObservationSet
 from paic.rng import substream
+
+def criterion_4_data(rep):
+    """(model, data) of replication ``rep`` of the logit study at its default
+    setup and the criterion-4 seed 1234, simulated as the study does; with
+    ``rep="near-equal"``, 15 groups of 50 trials with counts within one of the
+    middle, where tau2 piles up near 0 against its hyperprior."""
+    from paic.models import _expit
+
+    if rep == "near-equal":
+        n_i = np.full(15, 50)
+        y = np.array([24, 25, 26, 25, 24, 26, 25, 25, 24, 26, 25, 24, 26, 25, 25.0])
+        return HierLogitModel(n_i), ObservationSet(y, n_i)
+    cfg = LogitExperimentConfig(seed=1234)
+    n_i = np.full(cfg.N, cfg.n_i)
+    gen = substream(cfg.seed, "logit", rep, "truth")
+    beta = cfg.mu_true + cfg.tau_true * gen.standard_normal(cfg.N)
+    return HierLogitModel(n_i), ObservationSet(gen.binomial(n_i, _expit(beta)).astype(float), n_i)
 
 
 @pytest.fixture(scope="session")

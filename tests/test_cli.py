@@ -12,10 +12,7 @@ from paic import ConjugateNormalModel, ObservationSet, sample_conjugate_normal
 from paic.cli import main
 from paic.fileio import write_draws_csv
 
-FAST_LOGIT_FLAGS = [
-    "--chains", "2", "--samples", "1200", "--warmup", "600",
-    "--fold-samples", "500", "--fold-warmup", "300",
-]
+FAST_LOGIT_FLAGS = ["--chains", "2", "--samples", "1200", "--warmup", "600"]
 
 
 def write_normal_data(path, n=30, seed=0):
@@ -215,8 +212,6 @@ COUNTS_CSV = "y,n_trials\n3,10\n7,10\n5,10\n"
     pytest.param("y,n_trials\n3,10\n7,1e300\n", ["--model", "hier-logit"],
                  id="n-trials-overflow"),
     pytest.param(COUNTS_CSV, ["--model", "hier-logit", "--samples", "5"], id="samples-5"),
-    pytest.param(COUNTS_CSV, ["--model", "hier-logit", "--criteria", "loo",
-                              "--fold-samples", "5"], id="fold-samples-5"),
     pytest.param(None, ["--model", "normal", "--chains", "0"], id="chains-0"),
 ])
 def test_compute_invalid_input_exit_2(tmp_path, capsys, monkeypatch, data, flags):
@@ -332,7 +327,6 @@ def test_experiment_logit_count_beyond_int64_exit_2(tmp_path, capsys, flag):
 
 @pytest.mark.parametrize("flags,field", [
     pytest.param(["--samples", "5"], "draws_per_chain", id="samples-5"),
-    pytest.param(["--fold-samples", "5"], "draws_per_chain", id="fold-samples-5"),
     pytest.param(["--chains", "0"], "chains", id="chains-0"),
     pytest.param(["--warmup", "-1"], "warmup", id="warmup-negative"),
     pytest.param(["--groups", "2"], "N", id="groups-2"),
@@ -377,7 +371,6 @@ def test_experiment_logit_hopeless_budget_exit_3(tmp_path, capsys):
     code = main([
         "experiment", "logit", "--reps", "2", "--seed", "7",
         "--chains", "2", "--samples", "60", "--warmup", "30",
-        "--fold-samples", "60", "--fold-warmup", "30",
         "--out", str(tmp_path / "x"),
     ])
     assert code == 3
@@ -391,6 +384,17 @@ def test_threads_env_fallback(monkeypatch):
     assert default_threads() == 3
     monkeypatch.delenv("PAIC_THREADS")
     assert default_threads() >= 1
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "two"])
+def test_threads_env_invalid_exit_2(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("PAIC_THREADS", value)
+    out = tmp_path / "exp"
+    code = main(["experiment", "logit", "--reps", "2", "--seed", "1", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: PAIC_THREADS") and repr(value) in err
+    assert not out.exists()
 
 
 def test_version_flag(capsys):

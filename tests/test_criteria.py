@@ -6,6 +6,7 @@ from scipy.stats import norm
 
 from paic import (
     ConjugateNormalModel,
+    GridBorderError,
     HierLogitModel,
     ImproperPriorError,
     LaplaceApprox,
@@ -35,14 +36,13 @@ from paic import (
     trace_correction,
     waic2,
 )
-from paic import mcmc
-from paic.criteria import MIN_DRAWS, _gh_mean_softplus
+from paic import criteria, mcmc
+from paic.criteria import MIN_DRAWS
 from paic.infomat import InfoMatrixPair
 from paic.mcmc import _sample_hier_logit_rows
-from paic.models import _binom_loglik
 from paic.rng import substream
 
-from conftest import assert_decomposition
+from conftest import assert_decomposition, criterion_4_data
 
 
 def draws_from(matrix, seed=0):
@@ -233,21 +233,13 @@ def test_loo_hier_logit_completes(hier_model, hier_data):
     import time
 
     t0 = time.perf_counter()
-    report = loo_exact(hier_model, hier_data, SamplerBudget(2, 600, 300), seed=0,
-                       rng_path=("t",))
+    report = loo_exact(hier_model, hier_data, seed=0)
     elapsed = time.perf_counter() - t0
     assert np.isfinite(report.value)
     assert report.n == 15
+    assert (report.S, report.notes) == (0, "quadrature fold posteriors")
     assert elapsed < 120.0
     assert_decomposition(report)
-
-
-def test_loo_flagged_folds_carried_as_indices(hier_model, hier_data):
-    # 100 draws per fold cannot reach ESS 400, so every fold is flagged
-    report = loo_exact(hier_model, hier_data, SamplerBudget(2, 50, 50), seed=0,
-                       rng_path=("t",))
-    assert report.flagged_folds == tuple(range(15))
-    assert report.warnings == ("15 fold(s) failed convergence diagnostics",)
 
 
 def test_popt_closed_form_values():
@@ -400,45 +392,48 @@ def test_closed_form_insample_matches_gauss_hermite(tau02):
     assert closed_form_insample_loglik(m, data) == pytest.approx(gh, rel=1e-12)
 
 
-@pytest.mark.parametrize("folds_per_group", [1, 4, 15])
-def test_loo_fold_groups_equal_one_call_per_fold(hier_model, hier_data, monkeypatch,
-                                                  folds_per_group):
-    # T = 1343 is not a multiple of the replay chunk; at 4 folds per group the
-    # 15 folds run as balanced loops of 3, 4, 4, 4; about half of the folds
-    # are flagged
-    budget = SamplerBudget(2, 1200, 143)
-    fold_bytes = budget.chains * budget.draws_per_chain * (hier_model.p - 1) * 8
-    monkeypatch.setattr(mcmc, "LOOP_DRAW_BYTES", folds_per_group * fold_bytes)
-    loops, sample_loop = [], mcmc._sample_loop
+@pytest.mark.parametrize("rep", [5, 19, 25, "near-equal"])
+def test_loo_grid_matches_a_fine_reference(rep, monkeypatch):
+    # against a 241 x 241 grid (0.1 Laplace sd apart, +-12 sd), both with
+    # 32-node group integrals: within 1e-3 (measured: 5e-7), a hundredth of
+    # the Monte Carlo noise of a fold term from a 3 x 2000-draw refit.
+    # Replication 25 has a group with 50 successes out of 50.
+    model, data = criterion_4_data(rep)
+    terms = criteria._loo_terms_hier_logit(model, data, 1234)
+    monkeypatch.setattr(criteria, "LOO_GRID_STEP", 0.1)
+    monkeypatch.setattr(criteria, "LOO_SPANS", (12.0,))
+    reference = criteria._loo_terms_hier_logit(model, data, 1234)
+    np.testing.assert_allclose(terms, reference, rtol=0, atol=1e-3)
 
-    def counted_loop(problems, *args):
-        loops.append(len(problems))
-        return sample_loop(problems, *args)
 
-    monkeypatch.setattr(mcmc, "_sample_loop", counted_loop)
-    path = ("t", 5)
-    report = loo_exact(hier_model, hier_data, budget, seed=1, rng_path=path)
-    assert loops == {1: [1] * 15, 4: [3, 4, 4, 4], 15: [15]}[folds_per_group]
+def test_group_log_marginals_match_brute_force_integrals():
+    # log of int Bin(y | n, expit(b)) N(b | mu, tau2) db against a trapezoid
+    # rule with 1e-3 spacing, for counts at and near the ends of their range
+    from scipy.stats import binom
+    from scipy.special import expit
 
-    terms, flagged = [], []
-    for i in range(hier_model.N):
-        keep = np.arange(hier_model.N) != i
-        sub_model = hier_model.drop_group(i)
-        sub_data = ObservationSet(hier_data.y[keep], hier_data.trial_sizes[keep])
-        mode = find_posterior_mode(sub_model, sub_data, seed=1)
-        draws, diag = sample_hier_logit(
-            sub_model, sub_data, budget, seed=1, rng_path=(*path, "loo-fold", i),
-            init=laplace_approx(sub_model, sub_data, mode), check=False)
-        if not diag.ok():
-            flagged.append(i)
-        mu_d = draws.draws[:, sub_model.N]
-        sd_d = np.sqrt(draws.draws[:, sub_model.N + 1])
-        terms.append(_binom_loglik(float(hier_data.trial_sizes[i]), float(hier_data.y[i]),
-                                   float(np.mean(mu_d)),
-                                   float(np.mean(_gh_mean_softplus(mu_d, sd_d)))))
-    assert report.fit_term == float(np.sum(terms))
-    assert report.flagged_folds == tuple(flagged)
-    assert 0 < len(flagged) < hier_model.N
+    data = ObservationSet(np.array([0.0, 3.0, 25.0, 49.0, 50.0]), np.array([50, 10, 50, 50, 50]))
+    mu, tau2 = (g.ravel() for g in np.meshgrid([-6.0, 0.0, 0.5, 4.0], [1e-3, 0.05, 1.0, 4.0]))
+    got = criteria._group_log_marginals(data, mu, tau2)
+    b = np.linspace(-40.0, 40.0, 80_001)
+    for i in range(data.n):
+        log_lik = binom.logpmf(data.y[i], data.trial_sizes[i], expit(b))
+        for j in range(mu.size):
+            log_f = log_lik + norm.logpdf(b, mu[j], math.sqrt(tau2[j]))
+            top = log_f.max()
+            assert got[i, j] == pytest.approx(top + math.log(np.trapezoid(np.exp(log_f - top), b)),
+                                              abs=1e-5)
+
+
+@pytest.mark.parametrize("count", ["none", "all"])
+def test_loo_grid_refuses_mass_on_its_border(count):
+    # with every count 0 (or every count n_i) only the N(0, 1000^2) prior
+    # holds mu, and the widest grid still holds 8.8e-5 on its border
+    model = HierLogitModel(np.full(15, 50))
+    y = np.zeros(15) if count == "none" else model.trial_sizes.astype(float)
+    with pytest.raises(GridBorderError) as err:
+        loo_exact(model, ObservationSet(y, model.trial_sizes), seed=0)
+    assert err.value.border_mass > criteria.LOO_BORDER_MASS
 
 
 @pytest.mark.parametrize("other", [
@@ -462,14 +457,11 @@ def test_batched_sampler_rejects_mixed_problems(hier_model, hier_data, monkeypat
 
 
 def test_loo_exact_hier_logit_needs_three_groups(monkeypatch):
-    import paic.criteria
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the LOO grid was built")
 
-    def no_refit(*args, **kwargs):
-        raise AssertionError("a fold was refitted")
-
-    monkeypatch.setattr(paic.criteria, "find_posterior_mode", no_refit)
-    monkeypatch.setattr(paic.criteria, "_sample_hier_logit_rows", no_refit)
+    monkeypatch.setattr(criteria, "find_posterior_mode", no_grid)
     model = HierLogitModel(np.array([10, 10]))
     data = ObservationSet(np.array([3.0, 7.0]), np.array([10, 10]))
     with pytest.raises(ValidationError, match="needs at least 3 groups, got 2"):
-        loo_exact(model, data, SamplerBudget(1, 20, 10), seed=0)
+        loo_exact(model, data, seed=0)

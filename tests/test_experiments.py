@@ -34,10 +34,7 @@ from paic.experiments import (
 from paic.fileio import provenance, write_experiment_outputs
 from paic.rng import substream
 
-FAST_LOGIT = dict(
-    budget=SamplerBudget(2, 1200, 600),
-    fold_budget=SamplerBudget(2, 500, 300),
-)
+FAST_LOGIT = dict(budget=SamplerBudget(2, 1200, 600))
 
 
 def test_true_bias_flat_is_one_over_n():
@@ -303,9 +300,7 @@ def test_logit_replication_scores_the_shipped_criteria(monkeypatch):
 
 
 def test_logit_experiment_aborts_when_budget_hopeless():
-    cfg = LogitExperimentConfig(replications=2, seed=7,
-                                budget=SamplerBudget(2, 60, 30),
-                                fold_budget=SamplerBudget(2, 60, 30))
+    cfg = LogitExperimentConfig(replications=2, seed=7, budget=SamplerBudget(2, 60, 30))
     with pytest.raises(ExperimentError):
         run_logit_experiment(cfg)
 

@@ -13,9 +13,12 @@ from paic import (
     sample_conjugate_normal,
     sample_hier_logit,
 )
+from paic.criteria import _gh_mean_softplus, _hyper_grid, _loo_terms_hier_logit
 from paic.mcmc import REPLAY_CHUNK, _ess_kernel, _row_streams, compute_diagnostics
-from paic.models import logpost_unnorm
+from paic.models import _binom_loglik, logpost_unnorm
 from paic.rng import substream
+
+from conftest import criterion_4_data
 
 
 def test_conjugate_sampler_moments():
@@ -290,3 +293,42 @@ def test_chunked_replay_equals_whole_draws(T):
     np.testing.assert_array_equal(log_u, np.log(gen.random((T, N))))
     np.testing.assert_array_equal(z_mu, gen.standard_normal(T))
     np.testing.assert_array_equal(chi2, gen.chisquare(df, T))
+
+
+# -- the nested-quadrature oracle ------------------------------------------
+
+
+@pytest.mark.parametrize("rep", [1, 3, 5, "near-equal"])
+def test_hier_sampler_means_match_the_quadrature_oracle(rep):
+    # posterior means of mu and tau2 from 3 x 20000 draws lie within 4 Monte
+    # Carlo standard errors (ESS-based) of the grid's; replication 5 has
+    # tau2 near 2.2 and a group at 1 of 50, the near-equal counts put tau2
+    # against its hyperprior near 0
+    model, data = criterion_4_data(rep)
+    mu, tau2, log_w, _ = _hyper_grid(model, data, 1234)
+    draws, diag = sample_hier_logit(model, data, SamplerBudget(3, 20000, 2000), seed=1)
+    for k, oracle in ((model.N, np.exp(log_w) @ mu), (model.N + 1, np.exp(log_w) @ tau2)):
+        x = draws.draws[:, k]
+        assert abs(x.mean() - oracle) <= 4.0 * x.std(ddof=1) / np.sqrt(diag.ess[k])
+
+
+def test_hier_sampler_fold_sum_matches_the_quadrature_oracle():
+    # replication 5: the 15 leave-one-group-out terms from sampled fold
+    # posteriors (3 x 10000 draws each), summed, lie within 4 Monte Carlo
+    # standard errors of the grid's sum
+    model, data = criterion_4_data(5)
+    C, D = 3, 10000
+    total = var = 0.0
+    for i in range(model.N):
+        keep = np.arange(model.N) != i
+        fold = HierLogitModel(model.trial_sizes[keep])
+        draws, _ = sample_hier_logit(fold, ObservationSet(data.y[keep], data.trial_sizes[keep]),
+                                     SamplerBudget(C, D, 2000), seed=1, rng_path=("fold", i))
+        mu = draws.draws[:, fold.N]
+        mean_sp = _gh_mean_softplus(mu, np.sqrt(draws.draws[:, fold.N + 1]))
+        n_i, y_i = float(data.trial_sizes[i]), data.y[i]
+        total += _binom_loglik(n_i, y_i, mu.mean(), mean_sp.mean())
+        t = y_i * mu - n_i * mean_sp
+        var += t.var(ddof=1) / _ess_kernel(t.reshape(C, D, 1)).sum()
+    grid = float(np.sum(_loo_terms_hier_logit(model, data, 1234)))
+    assert abs(total - grid) <= 4.0 * np.sqrt(var)

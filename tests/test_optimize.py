@@ -4,7 +4,6 @@ import pytest
 from paic import (
     ConjugateNormalModel,
     HierLogitModel,
-    LogitExperimentConfig,
     ModeResult,
     ModelDefinition,
     NotPositiveDefiniteError,
@@ -19,6 +18,8 @@ from paic import (
     sample_hier_logit,
 )
 from paic.rng import substream
+
+from conftest import criterion_4_data
 
 
 def test_mode_flat_prior_is_sample_mean():
@@ -203,22 +204,22 @@ def test_find_mode_returns_an_unconverged_search(monkeypatch, hier_model, hier_d
     assert not mode.converged
 
 
-def _criterion_4_searches(reps):
-    """(model, data) of the main fit and the 15 LOO folds of each replication
-    in ``reps`` of the logit study at its default setup and seed 1234."""
-    from paic.models import _expit
+def _drop_group(model, data, i):
+    """(model, data) without group i; hyperpriors unchanged."""
+    keep = np.arange(model.N) != i
+    return (HierLogitModel(model.trial_sizes[keep], model.mu_mean, model.mu_var,
+                           model.nu, model.s2),
+            ObservationSet(data.y[keep], data.trial_sizes[keep]))
 
-    cfg = LogitExperimentConfig(seed=1234)
-    n_i = np.full(cfg.N, cfg.n_i)
+
+def _criterion_4_searches(reps):
+    """(model, data) of the main fit and the 15 leave-one-group-out fits of
+    each replication in ``reps`` of the criterion-4 logit study."""
     for rep in reps:
-        gen = substream(cfg.seed, "logit", rep, "truth")
-        beta = cfg.mu_true + cfg.tau_true * gen.standard_normal(cfg.N)
-        model = HierLogitModel(n_i)
-        data = ObservationSet(gen.binomial(n_i, _expit(beta)).astype(float), n_i)
+        model, data = criterion_4_data(rep)
         yield model, data
-        for i in range(cfg.N):
-            keep = np.arange(cfg.N) != i
-            yield model.drop_group(i), ObservationSet(data.y[keep], n_i[keep])
+        for i in range(model.N):
+            yield _drop_group(model, data, i)
 
 
 def test_mode_converges_where_the_line_search_meets_rounding():
