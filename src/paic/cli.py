@@ -44,6 +44,7 @@ from .models import ConjugateNormalModel, HierLogitModel
 from .optimize import find_posterior_mode, laplace_approx
 
 KNOWN_CRITERIA = ("paic", "bpic", "waic2", "loo", "dic", "popt")
+DRAW_CRITERIA = ("paic", "bpic", "waic2", "dic")  # the ones computed from posterior draws
 
 
 def _int_list(text: str):
@@ -169,8 +170,11 @@ def cmd_compute(args) -> int:
     # and one information-matrix pair serves both penalties
     get_mode = functools.cache(lambda: find_posterior_mode(model, data, seed=args.seed))
     get_pair = functools.cache(lambda: info_matrix_pair(model, data, get_mode().theta_hat))
-    draws = _obtain_draws(args, model, data, get_mode, budget)
-    min_draws = min(crit.MIN_DRAWS, draws.S)  # supplied draw files may be small
+    # loo and popt need no draws: a request for those alone neither samples
+    # nor reads a draw file
+    if not set(args.criteria).isdisjoint(DRAW_CRITERIA):
+        draws = _obtain_draws(args, model, data, get_mode, budget)
+        min_draws = min(crit.MIN_DRAWS, draws.S)  # supplied draw files may be small
     get_pointwise = functools.cache(lambda: crit.pointwise_loglik(model, data, draws))
 
     reports = []

@@ -291,10 +291,14 @@ def _logit_replication(cfg: LogitExperimentConfig, rep: int, fit: _LogitFit,
     pw = pointwise_loglik(model, data, draws)
     eta_hat = mean_insample_loglik(pw)
     pair = info_matrix_pair(model, data, fit.mode.theta_hat)
+    paic_report, waic2_report = paic(pw, pair, min_draws=draws.S), waic2(pw)
+    # the S x N matrix is not held through bpic's and the oracle's (S, N)
+    # temporaries, while the sampler loop still holds the batch's draws
+    del pw
     reports = {
-        "paic": paic(pw, pair, min_draws=draws.S),
+        "paic": paic_report,
         "bpic": bpic(model, data, draws, fit.mode, pair, min_draws=draws.S),
-        "waic2": waic2(pw),
+        "waic2": waic2_report,
         "cv": fit.loo,
     }
     eta_true = true_predictive_loglik_exact(draws, fit.beta_true, model.trial_sizes)

@@ -12,8 +12,8 @@ One loop runs the chains of several problems at once as rows of one state
 array; rows may belong to different datasets (the main chains of several
 logit-study replications).  Callers pass all their problems, and the sampler
 splits them into as few loops as keep each loop's retained draws under
-LOOP_DRAW_BYTES, with sizes that differ by at most one (6 problems that fit
-5 to a loop run as 3 + 3, not 5 + 1).  Each row draws from its own Philox
+LOOP_DRAW_BYTES, with sizes that differ by at most one (8 problems that fit
+7 to a loop run as 4 + 4, not 7 + 1).  Each row draws from its own Philox
 substream keyed by (seed, *path, "chain", c): all four of its noise blocks
 (proposal normals, acceptance uniforms, and the mu normals and tau2
 chi-squares of the Gibbs steps) are replayed from it in chunks of
@@ -46,9 +46,11 @@ RHAT_MAX = 1.05
 ESS_MIN = 400.0
 ESS_MIN_SERIES = 10  # shortest series the ESS kernel accepts
 REPLAY_CHUNK = 64  # sampler iterations of each row's noise held per refill
-# cap on the retained draws of one sampler loop, summed over its rows; sized for
-# the 15 LOO fold refits (11.52 MB) that exact quadrature replaced
-LOOP_DRAW_BYTES = 12_000_000
+# cap on the retained draws of one sampler loop, summed over its rows: 7
+# default-budget main chains (2.04 MB each), so a logit-study worker's 6
+# replications share one loop, whose T Python-level iterations cost about the
+# same for any row count; a pool worker's peak RSS grows with the cap
+LOOP_DRAW_BYTES = 16_000_000
 
 
 @dataclass(frozen=True)
@@ -243,19 +245,40 @@ def _fork(gen: np.random.Generator) -> np.random.Generator:
     return np.random.Generator(bit_gen)
 
 
+def _skip_raw(gen: np.random.Generator, count: int) -> None:
+    """Move ``gen`` past ``count`` 64-bit outputs of its Philox stream.
+
+    Philox makes its outputs four at a time, one block per counter value.
+    The outputs left in the current block are dropped by ``advance``, which
+    also moves the counter past whole blocks; ``random_raw`` takes the rest.
+    """
+    bit_gen = gen.bit_generator
+    state = bit_gen.state
+    buffered = state["buffer"].size - state["buffer_pos"]
+    if count <= buffered:
+        bit_gen.random_raw(count)
+        return
+    blocks, rest = divmod(count - buffered, state["buffer"].size)
+    bit_gen.advance(blocks)
+    bit_gen.random_raw(rest)
+
+
 def _row_streams(seed: int, path, T: int, N: int):
     """One row's randomness, in the order it is drawn from its substream.
 
     Returns four generators, each standing at the start of one block: the
     (T, N) ``z_move`` and ``log_u`` blocks, then the length-T ``z_mu`` and
     ``chi2`` series.  Each block is replayed chunk by chunk (consecutive
-    draws continue one stream).
+    draws continue one stream).  ``random`` takes one 64-bit output per
+    double, so the ``log_u`` block is skipped by counter arithmetic; the
+    ziggurat behind ``standard_normal`` takes a variable count, so the
+    normal blocks are drawn to be skipped.
     """
     gen = substream(seed, *path)
     z_gen = _fork(gen)
     gen.standard_normal((T, N))  # skip past the z_move block ...
     u_gen = _fork(gen)
-    gen.random((T, N))  # ... the log_u block ...
+    _skip_raw(gen, T * N)  # ... the log_u block ...
     mu_gen = _fork(gen)
     gen.standard_normal(T)  # ... and the z_mu series
     return z_gen, u_gen, mu_gen, gen

@@ -93,11 +93,15 @@ def _normal_loglik(x, mean, var, spread=0.0):
     return -0.5 * (LOG_2PI + math.log(var)) - ((x - mean) ** 2 + spread) / (2.0 * var)
 
 
+def _log_choose(trials, y):
+    """log C(trials, y), elementwise."""
+    return _gammaln(trials + 1.0) - _gammaln(y + 1.0) - _gammaln(trials - y + 1.0)
+
+
 def _binom_loglik(trials, y, beta, softplus_beta):
     """log Bin(y | trials, expit(beta)) = log C(trials, y) + y beta
     - trials softplus(beta), elementwise."""
-    return (_gammaln(trials + 1.0) - _gammaln(y + 1.0) - _gammaln(trials - y + 1.0)
-            + y * beta - trials * softplus_beta)
+    return _log_choose(trials, y) + y * beta - trials * softplus_beta
 
 
 @dataclass(frozen=True)
@@ -340,7 +344,14 @@ class HierLogitModel(_ModelBase):
     def loglik_matrix(self, data: ObservationSet, draws: np.ndarray) -> np.ndarray:
         draws = np.asarray(draws, dtype=float)
         B = draws[:, : self.N]
-        return _binom_loglik(data.trial_sizes.astype(float), data.y, B, softplus(B))
+        t = data.trial_sizes.astype(float)
+        # _binom_loglik's terms, in its order, built in two (S, N) buffers
+        out = np.multiply(data.y, B)
+        out += _log_choose(t, data.y)
+        t_sp = softplus(B)
+        t_sp *= t
+        out -= t_sp
+        return out
 
     def logprior_draws(self, draws: np.ndarray) -> np.ndarray:
         draws = np.asarray(draws, dtype=float)
@@ -353,7 +364,8 @@ class HierLogitModel(_ModelBase):
             lp[~outside] = self.logprior_draws(draws[~outside])
             return lp
         d = B - mu[:, None]
-        lp = -0.5 * self.N * (LOG_2PI + np.log(tau2)) - 0.5 * np.sum(d * d, axis=1) / tau2
+        d *= d
+        lp = -0.5 * self.N * (LOG_2PI + np.log(tau2)) - 0.5 * np.sum(d, axis=1) / tau2
         lp += _normal_loglik(mu, self.mu_mean, self.mu_var)
         lp += scaled_inv_chi2_logpdf(tau2, self.nu, self.s2)
         return lp

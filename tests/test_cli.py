@@ -270,6 +270,32 @@ def test_compute_hier_logit_one_mode_search(tmp_path, monkeypatch):
     assert all("error" not in r for r in payload["reports"])
 
 
+@pytest.mark.parametrize("criteria", ["loo", "popt", "loo,popt"])
+def test_compute_without_draw_criteria_does_not_sample(tmp_path, monkeypatch, criteria):
+    import paic.mcmc
+
+    # 15 groups of 0 out of 50: a sampler run would not converge (exit 3)
+    data_path = tmp_path / "counts.csv"
+    data_path.write_text("y,n_trials\n" + "0,50\n" * 15)
+    draws = paic.PosteriorDraws(np.tile(np.r_[np.full(16, -4.0), 1.0], (20, 1)),
+                                np.zeros(20, dtype=int), 0, 0)
+    draws_path = tmp_path / "draws.csv"
+    write_draws_csv(str(draws_path), draws)
+    base = ["compute", "--model", "hier-logit", "--data", str(data_path),
+            "--criteria", criteria, "--seed", "3"]
+    supplied_out = tmp_path / "supplied.json"
+    supplied_code = main(base + ["--draws", str(draws_path), "--out", str(supplied_out)])
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("the sampler ran for criteria that need no draws")
+
+    monkeypatch.setattr(paic.mcmc, "_sample_loop", no_sampling)
+    out = tmp_path / "sampled.json"
+    assert main(base + ["--out", str(out)]) == supplied_code == 0
+    assert (json.loads(out.read_text())["reports"]
+            == json.loads(supplied_out.read_text())["reports"])
+
+
 def test_experiment_normal_three_cells(tmp_path):
     out = tmp_path / "exp"
     code = main([

@@ -243,6 +243,28 @@ def test_logit_outputs_do_not_depend_on_batch_size_or_workers(tmp_path, monkeypa
     assert events == expected
 
 
+def test_default_cap_holds_a_worker_batch_in_one_loop(monkeypatch):
+    # the benchmark's logit workload gives each worker 6 default-budget
+    # replications: the default cap runs their main chains as one loop, with
+    # the records of one loop per replication
+    cfg = LogitExperimentConfig(replications=6, seed=7)
+    b = cfg.budget
+    loops, sample_loop = [], mcmc._sample_loop
+
+    def traced_loop(problems, budget, seed):
+        loops.append((len(problems), problems[0][3][3]))
+        return sample_loop(problems, budget, seed)
+
+    monkeypatch.setattr(mcmc, "_sample_loop", traced_loop)
+    records = experiments._logit_batch(cfg, range(6))
+    assert None not in records
+    assert [size for size, attempt in loops if attempt == 0] == [6]
+    monkeypatch.setattr(mcmc, "LOOP_DRAW_BYTES", b.chains * b.draws_per_chain * (cfg.N + 2) * 8)
+    loops.clear()
+    assert experiments._logit_batch(cfg, range(6)) == records
+    assert [size for size, attempt in loops if attempt == 0] == [1] * 6
+
+
 @pytest.mark.parametrize("reps,workers,sizes", [
     (12, 2, [6, 6]),
     (100, 2, [50, 50]),

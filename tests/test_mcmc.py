@@ -14,7 +14,7 @@ from paic import (
     sample_hier_logit,
 )
 from paic.criteria import _gh_mean_softplus, _hyper_grid, _loo_terms_hier_logit
-from paic.mcmc import REPLAY_CHUNK, _ess_kernel, _row_streams, compute_diagnostics
+from paic.mcmc import REPLAY_CHUNK, _ess_kernel, _row_streams, _skip_raw, compute_diagnostics
 from paic.models import _binom_loglik, logpost_unnorm
 from paic.rng import substream
 
@@ -277,8 +277,10 @@ def test_rhat_constant_halves_with_different_values():
     assert rhat(x, np.zeros(100, dtype=int)) == np.inf
 
 
-# one chunk exactly, whole chunks only, and partial last chunks
-@pytest.mark.parametrize("T", [REPLAY_CHUNK, 4 * REPLAY_CHUNK, 100, 549])
+# one chunk exactly, whole chunks only, and partial last chunks; the uniform
+# block is skipped by counter arithmetic over four-output Philox blocks, and
+# its length T * N (N = 15) takes every value mod 4 (0, 0, 0, 3, 2, 1)
+@pytest.mark.parametrize("T", [REPLAY_CHUNK, 4 * REPLAY_CHUNK, 100, 549, 66, 67])
 def test_chunked_replay_equals_whole_draws(T):
     N, df = 15, 15.1
     path = ("replay", "chain", 1)
@@ -293,6 +295,20 @@ def test_chunked_replay_equals_whole_draws(T):
     np.testing.assert_array_equal(log_u, np.log(gen.random((T, N))))
     np.testing.assert_array_equal(z_mu, gen.standard_normal(T))
     np.testing.assert_array_equal(chi2, gen.chisquare(df, T))
+
+
+@pytest.mark.parametrize("before", range(6))
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 5, 9, 1003])
+def test_skip_raw_equals_drawing_uniforms(before, count):
+    # from every position inside a Philox output block, skipping count
+    # outputs leaves the stream where count uniforms leave it
+    drawn, skipped = substream(11, "skip"), substream(11, "skip")
+    for gen in (drawn, skipped):
+        gen.random(before)
+    drawn.random(count)
+    _skip_raw(skipped, count)
+    np.testing.assert_array_equal(drawn.standard_normal(9), skipped.standard_normal(9))
+    np.testing.assert_array_equal(drawn.random(5), skipped.random(5))
 
 
 # -- the nested-quadrature oracle ------------------------------------------

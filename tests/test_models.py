@@ -239,6 +239,56 @@ def test_hier_logprior_minus_inf_off_support():
     assert lp[0] == -np.inf and np.isfinite(lp[1])
 
 
+def _hier_draws(S, N, seed, stride=1):
+    """S x (N + 2) draws with tau2 > 0; with stride > 1, a column-sliced view."""
+    gen = np.random.default_rng(seed)
+    wide = gen.normal(0.0, 2.0, (S, stride * (N + 2)))
+    draws = wide[:, ::stride]
+    draws[:, N + 1] = np.abs(draws[:, N + 1]) + 0.05
+    return draws
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+def test_hier_scoring_forms_equal_their_textbook_expressions(stride):
+    # the in-place buffers keep every operand and its order: equal to the bit
+    N = 15
+    m = HierLogitModel(np.full(N, 50))
+    data = ObservationSet(np.random.default_rng(1).integers(0, 51, N).astype(float),
+                          np.full(N, 50))
+    draws = _hier_draws(2000, N, 2, stride)
+    assert draws.flags.c_contiguous == (stride == 1)
+    B, mu, tau2 = draws[:, :N], draws[:, N], draws[:, N + 1]
+    np.testing.assert_array_equal(
+        m.loglik_matrix(data, draws),
+        _binom_loglik(m.trial_sizes.astype(float), data.y, B, np.logaddexp(0.0, B)))
+    d = B - mu[:, None]
+    lp = -0.5 * N * (math.log(2.0 * math.pi) + np.log(tau2)) - 0.5 * np.sum(d * d, axis=1) / tau2
+    lp += -0.5 * (math.log(2.0 * math.pi) + math.log(m.mu_var)) - (mu - m.mu_mean) ** 2 / (
+        2.0 * m.mu_var)
+    lp += scaled_inv_chi2_logpdf(tau2, m.nu, m.s2)
+    np.testing.assert_array_equal(m.logprior_draws(draws), lp)
+
+
+def test_hier_pointwise_loglik_memory_stays_small():
+    # the S x N result and one S x N buffer for the softplus term; the
+    # expression with a temporary per operation peaked at about 3 S N doubles
+    import tracemalloc
+
+    from paic import PosteriorDraws, pointwise_loglik
+
+    S, N = 15000, 15
+    m = HierLogitModel(np.full(N, 50))
+    data = ObservationSet(np.arange(N, dtype=float), np.full(N, 50))
+    draws = PosteriorDraws(_hier_draws(S, N, 3), np.zeros(S, dtype=int), 0, 0)
+    tracemalloc.start()
+    try:
+        pointwise_loglik(m, data, draws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * S * N * 8
+
+
 def test_expit_within_two_ulp_of_scipy():
     import warnings
 
