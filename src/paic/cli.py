@@ -189,7 +189,7 @@ def cmd_compute(args) -> int:
             elif name == "waic2":
                 report = crit.waic2(get_pointwise())
             elif name == "dic":
-                report = crit.dic(model, data, draws, min_draws=min_draws)
+                report = crit.dic(model, data, draws, get_pointwise(), min_draws=min_draws)
             elif name == "popt":
                 report = crit.popt_closed_form(model, data)
             else:

@@ -170,9 +170,10 @@ def waic2(pointwise: PointwiseLogLik) -> CriterionReport:
     return _report("waic2", fit, penalty, pointwise.n, pointwise.S)
 
 
-def dic(model, data: ObservationSet, draws: PosteriorDraws,
+def dic(model, data: ObservationSet, draws: PosteriorDraws, pointwise: PointwiseLogLik,
         min_draws: int = MIN_DRAWS) -> CriterionReport:
-    """Deviance criterion at the posterior mean (reference only)."""
+    """Deviance criterion at the posterior mean (reference only); ``pointwise``
+    is the draws' matrix from ``pointwise_loglik``."""
     _check_draws(draws.S, min_draws)
     theta_bar = draws.draws.mean(axis=0)
     if not model.in_support(theta_bar):
@@ -180,9 +181,8 @@ def dic(model, data: ObservationSet, draws: PosteriorDraws,
             "posterior-mean parameter lies outside the model support; "
             "consider reparameterization"
         )
-    pw = pointwise_loglik(model, data, draws)
     loglik_bar = float(np.sum(model.loglik_terms(data, theta_bar)))
-    mean_loglik = float(np.mean(pw.values.sum(axis=1)))
+    mean_loglik = float(np.mean(pointwise.values.sum(axis=1)))
     p_d = 2.0 * (loglik_bar - mean_loglik)
     return _report("dic", loglik_bar, p_d, data.n, draws.S)
 
@@ -243,9 +243,9 @@ def closed_form_bias_estimators(model: ConjugateNormalModel,
 def popt_closed_form(model: ConjugateNormalModel, data: ObservationSet) -> CriterionReport:
     """Expected-deviance penalized loss; total penalty is n times the
     per-observation value 1/(1/tau02 + (n-1)/sigma_A2)/sigma_A2."""
-    bias = closed_form_bias_estimators(model, data)
     fit = data.n * closed_form_insample_loglik(model, data)
-    penalty = data.n * bias.popt
+    _, s2_loo = model.posterior(data.n - 1.0, 0.0)
+    penalty = data.n * (s2_loo / model.sigma_A2)
     return _report("popt", fit, penalty, data.n, 0,
                    notes="closed form; no draws used")
 

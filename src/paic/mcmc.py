@@ -13,13 +13,14 @@ array; rows may belong to different datasets (the main chains of several
 logit-study replications).  Callers pass all their problems, and the sampler
 splits them into as few loops as keep each loop's retained draws under
 LOOP_DRAW_BYTES, with sizes that differ by at most one (8 problems that fit
-7 to a loop run as 4 + 4, not 7 + 1).  Each row draws from its own Philox
-substream keyed by (seed, *path, "chain", c): all four of its noise blocks
+7 to a loop run as 4 + 4, not 7 + 1).  Each of a row's four noise blocks
 (proposal normals, acceptance uniforms, and the mu normals and tau2
-chi-squares of the Gibbs steps) are replayed from it in chunks of
-REPLAY_CHUNK iterations, so a row's trajectory does not depend on the other
-rows or on how the surrounding code schedules work, and the noise held at
-once does not grow with the chain length.
+chi-squares of the Gibbs steps) has its own Philox substream, keyed by
+(seed, *path, "chain", c, block), and is drawn from it in chunks of
+REPLAY_CHUNK iterations.  Consecutive chunks continue one stream, so a row's
+trajectory does not depend on the chunk size, the other rows or how the
+surrounding code schedules work, and the noise held at once does not grow
+with the chain length.
 
 ESS (Geyer's initial monotone sequence, per chain) and split R-hat (BDA3)
 are array kernels over the sampler's (chains, draws, p) layout; the public
@@ -46,6 +47,7 @@ RHAT_MAX = 1.05
 ESS_MIN = 400.0
 ESS_MIN_SERIES = 10  # shortest series the ESS kernel accepts
 REPLAY_CHUNK = 64  # sampler iterations of each row's noise held per refill
+NOISE_BLOCKS = ("z_move", "log_u", "z_mu", "chi2")  # one substream each, per row
 # cap on the retained draws of one sampler loop, summed over its rows: 7
 # default-budget main chains (2.04 MB each), so a logit-study worker's 6
 # replications share one loop, whose T Python-level iterations cost about the
@@ -238,52 +240,6 @@ def _initial_states(model: HierLogitModel, lap: LaplaceApprox,
     return states, scales
 
 
-def _fork(gen: np.random.Generator) -> np.random.Generator:
-    """A generator that continues ``gen``'s stream from where it stands."""
-    bit_gen = np.random.Philox(key=0)
-    bit_gen.state = gen.bit_generator.state
-    return np.random.Generator(bit_gen)
-
-
-def _skip_raw(gen: np.random.Generator, count: int) -> None:
-    """Move ``gen`` past ``count`` 64-bit outputs of its Philox stream.
-
-    Philox makes its outputs four at a time, one block per counter value.
-    The outputs left in the current block are dropped by ``advance``, which
-    also moves the counter past whole blocks; ``random_raw`` takes the rest.
-    """
-    bit_gen = gen.bit_generator
-    state = bit_gen.state
-    buffered = state["buffer"].size - state["buffer_pos"]
-    if count <= buffered:
-        bit_gen.random_raw(count)
-        return
-    blocks, rest = divmod(count - buffered, state["buffer"].size)
-    bit_gen.advance(blocks)
-    bit_gen.random_raw(rest)
-
-
-def _row_streams(seed: int, path, T: int, N: int):
-    """One row's randomness, in the order it is drawn from its substream.
-
-    Returns four generators, each standing at the start of one block: the
-    (T, N) ``z_move`` and ``log_u`` blocks, then the length-T ``z_mu`` and
-    ``chi2`` series.  Each block is replayed chunk by chunk (consecutive
-    draws continue one stream).  ``random`` takes one 64-bit output per
-    double, so the ``log_u`` block is skipped by counter arithmetic; the
-    ziggurat behind ``standard_normal`` takes a variable count, so the
-    normal blocks are drawn to be skipped.
-    """
-    gen = substream(seed, *path)
-    z_gen = _fork(gen)
-    gen.standard_normal((T, N))  # skip past the z_move block ...
-    u_gen = _fork(gen)
-    _skip_raw(gen, T * N)  # ... the log_u block ...
-    mu_gen = _fork(gen)
-    gen.standard_normal(T)  # ... and the z_mu series
-    return z_gen, u_gen, mu_gen, gen
-
-
 def _sample_hier_logit_rows(problems, budget: SamplerBudget, seed: int):
     """Metropolis-within-Gibbs for any number of hierarchical logit problems.
 
@@ -311,9 +267,9 @@ def _sample_hier_logit_rows(problems, budget: SamplerBudget, seed: int):
 
 def _sample_loop(problems, budget: SamplerBudget, seed: int):
     """One sampler loop: each problem's C chains are rows of one state array
-    with their own counts, trial sizes, start, step scales and substream
-    (seed, *rng_path, "chain", c).  Every update is elementwise per row, so
-    each problem's draws are those of sampling it alone."""
+    with their own counts, trial sizes, start, step scales and substreams
+    (seed, *rng_path, "chain", c, block).  Every update is elementwise per
+    row, so each problem's draws are those of sampling it alone."""
     models, datas, inits, paths = zip(*problems)
     model = models[0]
     N, p, C, D = model.N, model.p, budget.chains, budget.draws_per_chain
@@ -331,7 +287,7 @@ def _sample_loop(problems, budget: SamplerBudget, seed: int):
     tau2 = np.maximum(beta_mu_tau[:, N + 1], 1e-8)
 
     df = model.nu + N
-    streams = [_row_streams(seed, (*path, "chain", c), T, N)
+    streams = [[substream(seed, *path, "chain", c, block) for block in NOISE_BLOCKS]
                for path in paths for c in range(C)]
     z_move = np.empty((R, min(REPLAY_CHUNK, T), N))
     log_u = np.empty_like(z_move)

@@ -270,6 +270,35 @@ def test_compute_hier_logit_one_mode_search(tmp_path, monkeypatch):
     assert all("error" not in r for r in payload["reports"])
 
 
+def test_compute_builds_one_pointwise_matrix(tmp_path, monkeypatch):
+    import paic.criteria
+
+    # paic, waic2 and dic all score the draws' S x n matrix: it is built once
+    calls, pointwise = [], paic.criteria.pointwise_loglik
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return pointwise(*args, **kwargs)
+
+    monkeypatch.setattr(paic.criteria, "pointwise_loglik", counted)
+    data_path = tmp_path / "y.csv"
+    write_normal_data(data_path)
+    m = ConjugateNormalModel(1.0, 0.0, 1e4)
+    data = ObservationSet(np.loadtxt(data_path, skiprows=1))
+    draws_path = tmp_path / "draws.csv"
+    write_draws_csv(str(draws_path), sample_conjugate_normal(m, data, 2000, seed=1))
+    out = tmp_path / "report.json"
+    code = main([
+        "compute", "--model", "normal", "--data", str(data_path),
+        "--draws", str(draws_path), "--criteria", "paic,waic2,dic",
+        "--seed", "7", "--out", str(out),
+    ])
+    assert code == 0
+    assert len(calls) == 1
+    payload = json.loads(out.read_text())
+    assert [r["criterion"] for r in payload["reports"]] == ["paic", "waic2", "dic"]
+
+
 @pytest.mark.parametrize("criteria", ["loo", "popt", "loo,popt"])
 def test_compute_without_draw_criteria_does_not_sample(tmp_path, monkeypatch, criteria):
     import paic.mcmc

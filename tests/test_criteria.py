@@ -263,7 +263,7 @@ def test_popt_rejects_other_models(hier_model, hier_data):
 def test_dic_point_mass_zero_penalty(normal_setup):
     m, data, mode, _ = normal_setup
     rep = draws_from(np.tile(mode.theta_hat, (1200, 1)))
-    report = dic(m, data, rep)
+    report = dic(m, data, rep, pointwise_loglik(m, data, rep))
     assert report.penalty == pytest.approx(0.0, abs=1e-10)
     assert_decomposition(report)
 
@@ -272,7 +272,7 @@ def test_dic_effective_dimension_near_one():
     m = ConjugateNormalModel(1.0, mu0=0.0, tau02=1e4)
     data = ObservationSet(substream(8, "dic").normal(0, 1, 100))
     draws = sample_conjugate_normal(m, data, 100_000, seed=9)
-    report = dic(m, data, draws)
+    report = dic(m, data, draws, pointwise_loglik(m, data, draws))
     assert abs(report.penalty - 1.0) <= 0.1
     assert_decomposition(report)
 
@@ -284,7 +284,8 @@ def test_dic_hier_logit_finite(hier_model, hier_data):
     lap = laplace_approx(hier_model, hier_data, mode)
     draws, _ = sample_hier_logit(hier_model, hier_data, SamplerBudget(2, 1500, 800),
                                  seed=10, init=lap, check=False)
-    report = dic(hier_model, hier_data, draws)
+    report = dic(hier_model, hier_data, draws,
+                 pointwise_loglik(hier_model, hier_data, draws))
     assert np.isfinite(report.value)
     assert_decomposition(report)
 

@@ -13,8 +13,9 @@ from paic import (
     sample_conjugate_normal,
     sample_hier_logit,
 )
+from paic import mcmc
 from paic.criteria import _gh_mean_softplus, _hyper_grid, _loo_terms_hier_logit
-from paic.mcmc import REPLAY_CHUNK, _ess_kernel, _row_streams, _skip_raw, compute_diagnostics
+from paic.mcmc import NOISE_BLOCKS, REPLAY_CHUNK, _ess_kernel, compute_diagnostics
 from paic.models import _binom_loglik, logpost_unnorm
 from paic.rng import substream
 
@@ -277,38 +278,34 @@ def test_rhat_constant_halves_with_different_values():
     assert rhat(x, np.zeros(100, dtype=int)) == np.inf
 
 
-# one chunk exactly, whole chunks only, and partial last chunks; the uniform
-# block is skipped by counter arithmetic over four-output Philox blocks, and
-# its length T * N (N = 15) takes every value mod 4 (0, 0, 0, 3, 2, 1)
+# one chunk exactly, whole chunks only, and partial last chunks
 @pytest.mark.parametrize("T", [REPLAY_CHUNK, 4 * REPLAY_CHUNK, 100, 549, 66, 67])
 def test_chunked_replay_equals_whole_draws(T):
+    # each noise block's refills continue its own substream chunk after chunk
     N, df = 15, 15.1
     path = ("replay", "chain", 1)
-    z_gen, u_gen, mu_gen, chi_gen = _row_streams(7, path, T, N)
+    draw = {
+        "z_move": lambda gen, L: gen.standard_normal((L, N)),
+        "log_u": lambda gen, L: np.log(gen.random((L, N))),
+        "z_mu": lambda gen, L: gen.standard_normal(L),
+        "chi2": lambda gen, L: gen.chisquare(df, L),
+    }
+    assert tuple(draw) == NOISE_BLOCKS
     sizes = [min(REPLAY_CHUNK, T - s) for s in range(0, T, REPLAY_CHUNK)]
-    z_move = np.concatenate([z_gen.standard_normal((L, N)) for L in sizes])
-    log_u = np.concatenate([np.log(u_gen.random((L, N))) for L in sizes])
-    z_mu = np.concatenate([mu_gen.standard_normal(L) for L in sizes])
-    chi2 = np.concatenate([chi_gen.chisquare(df, L) for L in sizes])
-    gen = substream(7, *path)
-    np.testing.assert_array_equal(z_move, gen.standard_normal((T, N)))
-    np.testing.assert_array_equal(log_u, np.log(gen.random((T, N))))
-    np.testing.assert_array_equal(z_mu, gen.standard_normal(T))
-    np.testing.assert_array_equal(chi2, gen.chisquare(df, T))
+    for block, take in draw.items():
+        gen = substream(7, *path, block)
+        chunked = np.concatenate([take(gen, L) for L in sizes])
+        np.testing.assert_array_equal(chunked, take(substream(7, *path, block), T))
 
 
-@pytest.mark.parametrize("before", range(6))
-@pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 5, 9, 1003])
-def test_skip_raw_equals_drawing_uniforms(before, count):
-    # from every position inside a Philox output block, skipping count
-    # outputs leaves the stream where count uniforms leave it
-    drawn, skipped = substream(11, "skip"), substream(11, "skip")
-    for gen in (drawn, skipped):
-        gen.random(before)
-    drawn.random(count)
-    _skip_raw(skipped, count)
-    np.testing.assert_array_equal(drawn.standard_normal(9), skipped.standard_normal(9))
-    np.testing.assert_array_equal(drawn.random(5), skipped.random(5))
+def test_hier_draws_do_not_depend_on_the_replay_chunk(hier_model, hier_data, monkeypatch):
+    budget = SamplerBudget(2, 60, 40)
+    T = budget.warmup + budget.draws_per_chain
+    reference, _ = sample_hier_logit(hier_model, hier_data, budget, seed=4, check=False)
+    for chunk in (1, 7, 64, T + 1):
+        monkeypatch.setattr(mcmc, "REPLAY_CHUNK", chunk)
+        draws, _ = sample_hier_logit(hier_model, hier_data, budget, seed=4, check=False)
+        np.testing.assert_array_equal(draws.draws, reference.draws)
 
 
 # -- the nested-quadrature oracle ------------------------------------------
