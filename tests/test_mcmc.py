@@ -298,6 +298,25 @@ def test_chunked_replay_equals_whole_draws(T):
         np.testing.assert_array_equal(chunked, take(substream(7, *path, block), T))
 
 
+@pytest.mark.parametrize("before", range(6))
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 5, 9, 1003])
+def test_skip_raw_equals_drawing_uniforms(before, count):
+    # a log_u refill may start at any position inside a Philox output block:
+    # a chunk of count uniforms takes count raw 64-bit outputs, so drawing it
+    # continues the block's substream exactly as one whole draw does
+    path = ("skip", "chain", 0, "log_u")
+    whole, chunked, skipped = (substream(11, *path) for _ in range(3))
+    for gen in (chunked, skipped):
+        gen.random(before)
+    expected = whole.random(before + count)
+    np.testing.assert_array_equal(chunked.random(count), expected[before:])
+    skipped.bit_generator.random_raw(count)
+    z, u = whole.standard_normal(9), whole.random(5)
+    for gen in (chunked, skipped):
+        np.testing.assert_array_equal(gen.standard_normal(9), z)
+        np.testing.assert_array_equal(gen.random(5), u)
+
+
 def test_hier_draws_do_not_depend_on_the_replay_chunk(hier_model, hier_data, monkeypatch):
     budget = SamplerBudget(2, 60, 40)
     T = budget.warmup + budget.draws_per_chain
