@@ -23,7 +23,7 @@ import sys
 
 from . import criteria as crit
 from ._version import __version__
-from .exceptions import NumericalError, PaicError, ValidationError
+from .exceptions import PaicError, ValidationError
 from .experiments import (
     LogitExperimentConfig,
     NormalExperimentConfig,
@@ -137,7 +137,7 @@ def _build_model(args, data):
                           args.nu, args.s2)
 
 
-def _obtain_draws(args, model, data, get_mode, budget):
+def _obtain_draws(args, model, data, get_lap, budget):
     if args.draws is not None:
         draws = read_draws_csv(args.draws)
         if draws.p != model.p:
@@ -147,13 +147,7 @@ def _obtain_draws(args, model, data, get_mode, budget):
         return draws
     if isinstance(model, ConjugateNormalModel):
         return sample_conjugate_normal(model, data, args.draw_count, args.seed)
-    mode = get_mode()
-    if not mode.converged:
-        raise NumericalError("posterior mode search did not converge")
-    lap = laplace_approx(model, data, mode)
-    draws, _ = sample_hier_logit(model, data, budget=budget, seed=args.seed,
-                                 init=lap, check=True)
-    return draws
+    return sample_hier_logit(model, data, budget=budget, seed=args.seed, init=get_lap())[0]
 
 
 def cmd_compute(args) -> int:
@@ -166,14 +160,15 @@ def cmd_compute(args) -> int:
     data = read_observations_csv(args.data)
     model = _build_model(args, data)
     model.validate_data(data)
-    # one mode search serves the sampler's start and the paic/bpic penalties,
-    # and one information-matrix pair serves both penalties
+    # one fit (a mode search, then the Laplace step, where an unconverged mode fails)
+    # serves the sampler, the LOO grid and the one info pair of the paic/bpic penalties
     get_mode = functools.cache(lambda: find_posterior_mode(model, data, seed=args.seed))
-    get_pair = functools.cache(lambda: info_matrix_pair(model, data, get_mode().theta_hat))
+    get_lap = functools.cache(lambda: laplace_approx(model, data, get_mode()))
+    get_pair = functools.cache(lambda: info_matrix_pair(model, data, get_lap().mean))
     # loo and popt need no draws: a request for those alone neither samples
     # nor reads a draw file
     if not set(args.criteria).isdisjoint(DRAW_CRITERIA):
-        draws = _obtain_draws(args, model, data, get_mode, budget)
+        draws = _obtain_draws(args, model, data, get_lap, budget)
         min_draws = min(crit.MIN_DRAWS, draws.S)  # supplied draw files may be small
     get_pointwise = functools.cache(lambda: crit.pointwise_loglik(model, data, draws))
 
@@ -192,8 +187,9 @@ def cmd_compute(args) -> int:
                 report = crit.dic(model, data, draws, get_pointwise(), min_draws=min_draws)
             elif name == "popt":
                 report = crit.popt_closed_form(model, data)
-            else:
-                report = crit.loo_exact(model, data, args.seed)
+            else:  # the normal model's closed form takes no fit
+                lap = get_lap() if isinstance(model, HierLogitModel) else None
+                report = crit.loo_exact(model, data, lap)
         except PaicError as exc:
             errors.append((name, str(exc)))
             continue

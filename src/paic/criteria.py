@@ -47,7 +47,7 @@ from .models import (
     scaled_inv_chi2_logpdf,
     softplus,
 )
-from .optimize import ModeResult, find_posterior_mode, laplace_approx
+from .optimize import LaplaceApprox, ModeResult
 
 MIN_DRAWS = 1000
 LOO_MAX_N = 1000
@@ -290,6 +290,11 @@ def _conditional_modes(y, n, mu, tau2):
     raise NumericalError("group conditional-mode search did not converge")
 
 
+def _group_log_integrand(y, n, b, mu, tau2):
+    """y b - n softplus(b) - (b - mu)^2 / (2 tau2): log Bin x N less log C - log tau."""
+    return y * b - n * softplus(b) - (b - mu) ** 2 / (2.0 * tau2)
+
+
 def _group_log_marginals(data: ObservationSet, mu: np.ndarray, tau2: np.ndarray) -> np.ndarray:
     """(N, G) log m_i = log int Bin(y_i | n_i, expit(b)) N(b | mu, tau2) db by
     Gauss-Hermite at each integrand's mode and Laplace sd (Liu & Pierce 1994),
@@ -299,24 +304,23 @@ def _group_log_marginals(data: ObservationSet, mu: np.ndarray, tau2: np.ndarray)
     chunk = max(1, LOO_CHUNK_BYTES // (mu.size * _GH_NODES.size * 8))
     for rows in (slice(lo, lo + chunk) for lo in range(0, data.n, chunk)):
         b, sd = _conditional_modes(y[rows], n[rows], mu, tau2)
-        f_mode = y[rows] * b - n[rows] * softplus(b) - (b - mu) ** 2 / (2.0 * tau2)
+        f_mode = _group_log_integrand(y[rows], n[rows], b, mu, tau2)
         nodes = b[..., None] + math.sqrt(2.0) * sd[..., None] * _GH_NODES
-        f = (y[rows, :, None] * nodes - n[rows, :, None] * softplus(nodes)
-             - (nodes - mu[:, None]) ** 2 / (2.0 * tau2[:, None]))
+        f = _group_log_integrand(y[rows, :, None], n[rows, :, None], nodes,
+                                 mu[:, None], tau2[:, None])
         f += _GH_NODES ** 2 - f_mode[..., None]
         out[rows] += f_mode + np.log(sd) + np.log(np.exp(f) @ _GH_WEIGHTS)
     return out
 
 
-def _hyper_grid(model: HierLogitModel, data: ObservationSet, seed: int):
+def _hyper_grid(model: HierLogitModel, data: ObservationSet, lap: LaplaceApprox):
     """(mu, tau2, log_w, log_fold_w): G points over (mu, log tau2) in Laplace sd
-    at the mode of ``seed``'s search, and the normalized log weights of the
+    around the mode of the fit ``lap``, and the normalized log weights of the
     posterior (G,) and of each leave-one-group-out posterior (N, G).  Given
     (mu, tau2) the groups are independent: the posterior is the hyperprior times
     the marginals m_i, fold i divides m_i out (Rue, Martino & Chopin 2009)."""
-    mode = find_posterior_mode(model, data, seed=seed)
-    mu_hat, tau2_hat = mode.theta_hat[-2:]
-    sd_mu, sd_tau2 = laplace_approx(model, data, mode).marginal_sd()[-2:]
+    mu_hat, tau2_hat = lap.mean[-2:]
+    sd_mu, sd_tau2 = lap.marginal_sd()[-2:]
     for span in LOO_SPANS:
         half = round(span / LOO_GRID_STEP)
         k_mu, k_lam = np.indices((2 * half + 1, 2 * half + 1)).reshape(2, -1) - half
@@ -338,22 +342,22 @@ def _hyper_grid(model: HierLogitModel, data: ObservationSet, seed: int):
     raise GridBorderError(f"posterior mass {border:.2g} on the LOO grid border", border_mass=border)
 
 
-def _loo_terms_hier_logit(model: HierLogitModel, data: ObservationSet, seed: int):
+def _loo_terms_hier_logit(model: HierLogitModel, data: ObservationSet, lap: LaplaceApprox):
     """log C + y_i E[mu] - n_i E[E(softplus(b) | mu, tau2)], b ~ N(mu, tau2),
-    under each fold posterior of ``_hyper_grid``."""
-    mu, tau2, _, log_fold_w = _hyper_grid(model, data, seed)
+    under each fold posterior of ``_hyper_grid`` around ``lap``."""
+    mu, tau2, _, log_fold_w = _hyper_grid(model, data, lap)
     fold_w = np.exp(log_fold_w)
     mean_sp = _gh_mean_softplus(mu, np.sqrt(tau2))
     return _binom_loglik(data.trial_sizes.astype(float), data.y, fold_w @ mu, fold_w @ mean_sp)
 
 
-def loo_exact(model, data: ObservationSet, seed: int = 0) -> CriterionReport:
+def loo_exact(model, data: ObservationSet, lap: Optional[LaplaceApprox] = None) -> CriterionReport:
     """Exact leave-one-out: value = -2 sum_i E_post(-i)[log g(y_i | theta)].
 
-    The normal model uses analytic fold posteriors.  The hierarchical logit
-    leaves out one group at a time (at least 3 groups); its fold posteriors
-    all come from ``_hyper_grid`` at the mode of ``seed``'s search, with no
-    draws (S = 0), or raise GridBorderError.
+    The normal model uses analytic fold posteriors and takes no fit.  The
+    hierarchical logit leaves out one group at a time (at least 3 groups); its
+    fold posteriors all come from ``_hyper_grid`` around the fit ``lap`` (the
+    sampler's start; required), with no draws (S = 0), or raise GridBorderError.
     """
     model.validate_data(data)
     if data.n > LOO_MAX_N:
@@ -364,7 +368,9 @@ def loo_exact(model, data: ObservationSet, seed: int = 0) -> CriterionReport:
     elif isinstance(model, HierLogitModel):
         if model.N < 3:  # a one-group fold: only its hyperprior holds tau2
             raise ValidationError(f"exact LOO needs at least 3 groups, got {model.N}")
-        terms = _loo_terms_hier_logit(model, data, seed)
+        if lap is None:
+            raise ValidationError("exact LOO for the hierarchical logit needs its Laplace fit")
+        terms = _loo_terms_hier_logit(model, data, lap)
         notes = "quadrature fold posteriors"
     else:
         raise UnsupportedModelError("exact LOO implemented for the built-in models only")

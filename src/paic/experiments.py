@@ -42,7 +42,7 @@ from .criteria import (
     pointwise_loglik,
     waic2,
 )
-from .exceptions import ExperimentError, NumericalError, PaicError, ValidationError
+from .exceptions import ExperimentError, NumericalError, ValidationError
 from .infomat import info_matrix_pair, trace_correction
 from .mcmc import Diagnostics, PosteriorDraws, SamplerBudget, _sample_hier_logit_rows
 from .models import (ConjugateNormalModel, HierLogitModel, ObservationSet,
@@ -50,8 +50,6 @@ from .models import (ConjugateNormalModel, HierLogitModel, ObservationSet,
 from .optimize import (LaplaceApprox, ModeResult, find_posterior_mode, laplace_approx,
                        posterior_mode)
 from .rng import substream
-
-TAU02_RULES = ("1e4", "1e4_over_n", "0.25", "flat")
 
 NORMAL_ESTIMATORS = ("paic", "bpic", "waic2", "popt", "cv",
                      "paic_generic", "bpic_generic")
@@ -271,11 +269,8 @@ def _logit_fit(cfg: LogitExperimentConfig, rep: int) -> Optional[_LogitFit]:
     try:
         mode = find_posterior_mode(model, data, seed=cfg.seed)
         lap = laplace_approx(model, data, mode)
-    except PaicError:
-        return None
-    try:
-        loo = loo_exact(model, data, cfg.seed)
-    except NumericalError:  # a posterior the LOO grid cannot hold
+        loo = loo_exact(model, data, lap)
+    except NumericalError:  # an unconverged mode, or a posterior the LOO grid cannot hold
         return None
     return _LogitFit(model, data, beta_true, mode, lap, loo)
 

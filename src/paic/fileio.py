@@ -100,11 +100,11 @@ def read_observations_csv(path: str) -> ObservationSet:
 
 def write_draws_csv(path: str, draws: PosteriorDraws) -> None:
     """Header theta_1..theta_p,chain; one row per retained draw."""
+    header = ",".join([f"theta_{k + 1}" for k in range(draws.p)] + ["chain"])
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow([f"theta_{k + 1}" for k in range(draws.p)] + ["chain"])
-        for row, cid in zip(draws.draws, draws.chain_ids):
-            writer.writerow([fmt(v) for v in row] + [str(int(cid))])
+        np.savetxt(f, np.column_stack([draws.draws, draws.chain_ids]),
+                   fmt=["%.17g"] * draws.p + ["%d"], delimiter=",", newline="\r\n",
+                   header=header, comments="")
 
 
 def read_draws_csv(path: str) -> PosteriorDraws:

@@ -211,12 +211,12 @@ def compute_diagnostics(chains: np.ndarray, accept_rate: np.ndarray,
 
 
 def sample_conjugate_normal(model: ConjugateNormalModel, data: ObservationSet,
-                            S: int, seed: int, rng_path=()) -> PosteriorDraws:
+                            S: int, seed: int) -> PosteriorDraws:
     """Exact iid draws from the analytic normal posterior."""
     if S < 1:
         raise ValidationError("S must be >= 1")
     mu_hat, sigma_hat2 = conjugate_posterior(model, data)
-    gen = substream(seed, *rng_path, "conjugate")
+    gen = substream(seed, "conjugate")
     draws = mu_hat + np.sqrt(sigma_hat2) * gen.standard_normal(S)
     return PosteriorDraws(
         draws=draws.reshape(-1, 1),

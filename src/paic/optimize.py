@@ -199,10 +199,11 @@ def laplace_approx(model, data: ObservationSet, mode: ModeResult) -> LaplaceAppr
     """Gaussian approximation with covariance (n * hess_info)^-1 at the mode.
 
     n * hess_info equals the negative Hessian of the log posterior already
-    carried by the ModeResult, so the covariance is its SPD inverse.
+    carried by the ModeResult, so the covariance is its SPD inverse.  An
+    unconverged mode fails here, for every consumer of the fit.
     """
     if not mode.converged:
-        raise ValidationError("laplace_approx needs a converged mode")
+        raise NumericalError("posterior mode search did not converge")
     A = mode.neg_hessian
     try:
         L = np.linalg.cholesky(A)

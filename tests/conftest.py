@@ -2,8 +2,16 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from paic import HierLogitModel, LogitExperimentConfig, ObservationSet
+from paic import (HierLogitModel, LogitExperimentConfig, ObservationSet, find_posterior_mode,
+                  laplace_approx)
 from paic.rng import substream
+
+
+def laplace_fit(model, data, seed=0):
+    """The Laplace approximation at the mode of ``seed``'s search: the fit that
+    the sampler starts from and the exact-LOO grid is centred on."""
+    return laplace_approx(model, data, find_posterior_mode(model, data, seed=seed))
+
 
 def criterion_4_data(rep):
     """(model, data) of replication ``rep`` of the logit study at its default
@@ -35,6 +43,21 @@ def hier_data(hier_model):
     beta = gen.standard_normal(15)
     y = gen.binomial(hier_model.trial_sizes, expit(beta))
     return ObservationSet(y.astype(float), hier_model.trial_sizes)
+
+
+def count_searches(monkeypatch):
+    """Count calls of optimize.posterior_mode, the search behind every mode
+    fit; returns the list that grows by one per search."""
+    from paic import optimize
+
+    calls, search = [], optimize.posterior_mode
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "posterior_mode", counted)
+    return calls
 
 
 def assert_decomposition(report, rel=1e-9):

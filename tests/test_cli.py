@@ -12,6 +12,8 @@ from paic import ConjugateNormalModel, ObservationSet, sample_conjugate_normal
 from paic.cli import main
 from paic.fileio import write_draws_csv
 
+from conftest import count_searches
+
 FAST_LOGIT_FLAGS = ["--chains", "2", "--samples", "1200", "--warmup", "600"]
 
 
@@ -20,6 +22,11 @@ def write_normal_data(path, n=30, seed=0):
     with open(path, "w") as f:
         f.write("y\n" + "\n".join(repr(float(v)) for v in y) + "\n")
     return y
+
+
+def write_logit_data(path, seed=5):
+    y = np.random.default_rng(seed).binomial(40, 0.5, size=8)
+    path.write_text("y,n_trials\n" + "\n".join(f"{v},40" for v in y) + "\n")
 
 
 def test_compute_normal_with_supplied_draws(tmp_path):
@@ -161,10 +168,8 @@ def test_compute_csv_format(tmp_path):
 
 
 def test_compute_hier_logit_binomial_data(tmp_path):
-    gen = np.random.default_rng(5)
-    y = gen.binomial(40, 0.5, size=8)
     data_path = tmp_path / "counts.csv"
-    data_path.write_text("y,n_trials\n" + "\n".join(f"{v},40" for v in y) + "\n")
+    write_logit_data(data_path)
     out = tmp_path / "r.json"
     code = main([
         "compute", "--model", "hier-logit", "--data", str(data_path),
@@ -253,10 +258,8 @@ def test_compute_hier_logit_one_mode_search(tmp_path, monkeypatch):
 
     monkeypatch.setattr(paic.cli, "find_posterior_mode", counted)
     monkeypatch.setattr(paic.cli, "info_matrix_pair", counted_pair)
-    gen = np.random.default_rng(5)
-    y = gen.binomial(40, 0.5, size=8)
     data_path = tmp_path / "counts.csv"
-    data_path.write_text("y,n_trials\n" + "\n".join(f"{v},40" for v in y) + "\n")
+    write_logit_data(data_path)
     out = tmp_path / "r.json"
     code = main([
         "compute", "--model", "hier-logit", "--data", str(data_path),
@@ -268,6 +271,56 @@ def test_compute_hier_logit_one_mode_search(tmp_path, monkeypatch):
     assert len(pairs) == 1
     payload = json.loads(out.read_text())
     assert all("error" not in r for r in payload["reports"])
+
+
+def test_compute_hier_logit_default_criteria_search_once(tmp_path, monkeypatch):
+    # the sampler's start, the LOO grid and the paic/bpic pair share one fit
+    calls = count_searches(monkeypatch)
+    data_path = tmp_path / "counts.csv"
+    write_logit_data(data_path)
+    out = tmp_path / "r.json"
+    code = main(["compute", "--model", "hier-logit", "--data", str(data_path),
+                 "--seed", "2", "--out", str(out),
+                 "--chains", "2", "--samples", "1500", "--warmup", "700"])
+    assert code == 0
+    assert len(calls) == 1
+    reports = json.loads(out.read_text())["reports"]
+    assert [r["criterion"] for r in reports if "error" not in r] == [
+        "paic", "bpic", "waic2", "loo", "dic"]
+
+
+@pytest.mark.parametrize("supplied", [True, False])
+def test_compute_hier_logit_unconverged_mode(tmp_path, monkeypatch, capsys, supplied):
+    # with supplied draws the criteria that need the fit report the failure
+    # one by one and the others still report; a sampler start exits 3
+    import dataclasses
+
+    import paic.cli
+
+    data_path = tmp_path / "counts.csv"
+    write_logit_data(data_path)
+    model = paic.HierLogitModel(np.full(8, 40))
+    data = paic.fileio.read_observations_csv(str(data_path))
+    draws, _ = paic.sample_hier_logit(model, data, paic.SamplerBudget(2, 600, 300), seed=4,
+                                      check=False)
+    draws_path = tmp_path / "draws.csv"
+    write_draws_csv(str(draws_path), draws)
+    search = paic.cli.find_posterior_mode
+    monkeypatch.setattr(paic.cli, "find_posterior_mode", lambda *args, **kwargs: (
+        dataclasses.replace(search(*args, **kwargs), converged=False)))
+    out = tmp_path / "r.json"
+    args = ["compute", "--model", "hier-logit", "--data", str(data_path),
+            "--seed", "2", "--out", str(out)] + FAST_LOGIT_FLAGS
+    if not supplied:
+        assert main(args) == 3
+        assert "posterior mode search did not converge" in capsys.readouterr().err
+        return
+    assert main(args + ["--draws", str(draws_path)]) == 0
+    entries = {r["criterion"]: r for r in json.loads(out.read_text())["reports"]}
+    for name in ("paic", "bpic", "loo"):
+        assert entries[name]["error"] == "posterior mode search did not converge"
+    for name in ("waic2", "dic"):
+        assert "error" not in entries[name]
 
 
 def test_compute_builds_one_pointwise_matrix(tmp_path, monkeypatch):

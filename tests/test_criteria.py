@@ -42,7 +42,7 @@ from paic.infomat import InfoMatrixPair
 from paic.mcmc import _sample_hier_logit_rows
 from paic.rng import substream
 
-from conftest import assert_decomposition, criterion_4_data
+from conftest import assert_decomposition, criterion_4_data, laplace_fit
 
 
 def draws_from(matrix, seed=0):
@@ -233,7 +233,7 @@ def test_loo_hier_logit_completes(hier_model, hier_data):
     import time
 
     t0 = time.perf_counter()
-    report = loo_exact(hier_model, hier_data, seed=0)
+    report = loo_exact(hier_model, hier_data, laplace_fit(hier_model, hier_data, seed=0))
     elapsed = time.perf_counter() - t0
     assert np.isfinite(report.value)
     assert report.n == 15
@@ -400,10 +400,11 @@ def test_loo_grid_matches_a_fine_reference(rep, monkeypatch):
     # the Monte Carlo noise of a fold term from a 3 x 2000-draw refit.
     # Replication 25 has a group with 50 successes out of 50.
     model, data = criterion_4_data(rep)
-    terms = criteria._loo_terms_hier_logit(model, data, 1234)
+    lap = laplace_fit(model, data, seed=1234)
+    terms = criteria._loo_terms_hier_logit(model, data, lap)
     monkeypatch.setattr(criteria, "LOO_GRID_STEP", 0.1)
     monkeypatch.setattr(criteria, "LOO_SPANS", (12.0,))
-    reference = criteria._loo_terms_hier_logit(model, data, 1234)
+    reference = criteria._loo_terms_hier_logit(model, data, lap)
     np.testing.assert_allclose(terms, reference, rtol=0, atol=1e-3)
 
 
@@ -432,8 +433,9 @@ def test_loo_grid_refuses_mass_on_its_border(count):
     # holds mu, and the widest grid still holds 8.8e-5 on its border
     model = HierLogitModel(np.full(15, 50))
     y = np.zeros(15) if count == "none" else model.trial_sizes.astype(float)
+    data = ObservationSet(y, model.trial_sizes)
     with pytest.raises(GridBorderError) as err:
-        loo_exact(model, ObservationSet(y, model.trial_sizes), seed=0)
+        loo_exact(model, data, laplace_fit(model, data, seed=0))
     assert err.value.border_mass > criteria.LOO_BORDER_MASS
 
 
@@ -457,12 +459,17 @@ def test_batched_sampler_rejects_mixed_problems(hier_model, hier_data, monkeypat
                                     SamplerBudget(1, 20, 10), seed=0)
 
 
+def test_loo_exact_hier_logit_needs_its_fit(hier_model, hier_data):
+    with pytest.raises(ValidationError, match="needs its Laplace fit"):
+        loo_exact(hier_model, hier_data)
+
+
 def test_loo_exact_hier_logit_needs_three_groups(monkeypatch):
     def no_grid(*args, **kwargs):
         raise AssertionError("the LOO grid was built")
 
-    monkeypatch.setattr(criteria, "find_posterior_mode", no_grid)
+    monkeypatch.setattr(criteria, "_hyper_grid", no_grid)
     model = HierLogitModel(np.array([10, 10]))
     data = ObservationSet(np.array([3.0, 7.0]), np.array([10, 10]))
     with pytest.raises(ValidationError, match="needs at least 3 groups, got 2"):
-        loo_exact(model, data, seed=0)
+        loo_exact(model, data, LaplaceApprox(model.default_init(data), np.eye(model.p)))

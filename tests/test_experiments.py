@@ -34,6 +34,8 @@ from paic.experiments import (
 from paic.fileio import provenance, write_experiment_outputs
 from paic.rng import substream
 
+from conftest import count_searches
+
 FAST_LOGIT = dict(budget=SamplerBudget(2, 1200, 600))
 
 
@@ -263,6 +265,15 @@ def test_default_cap_holds_a_worker_batch_in_one_loop(monkeypatch):
     loops.clear()
     assert experiments._logit_batch(cfg, range(6)) == records
     assert [size for size, attempt in loops if attempt == 0] == [1] * 6
+
+
+def test_logit_batch_searches_once_per_replication(monkeypatch):
+    # a replication's sampler start and its LOO grid share one mode search
+    calls = count_searches(monkeypatch)
+    cfg = LogitExperimentConfig(replications=6, seed=7, **FAST_LOGIT)
+    records = experiments._logit_batch(cfg, range(6))
+    assert None not in records
+    assert len(calls) == 6
 
 
 @pytest.mark.parametrize("reps,workers,sizes", [

@@ -181,3 +181,16 @@ def test_config_hash_stable_and_sensitive():
     c = config_hash({"x": 2, "y": [1, 2]})
     assert a == b
     assert a != c
+
+
+def test_draws_file_bytes(tmp_path):
+    # CRLF line ends, 17 significant digits, a signed zero and integer chain ids
+    path = tmp_path / "draws.csv"
+    mat = np.array([[0.1, -0.0], [1 / 3, 2.5e-300], [-7.0, 1e100]])
+    write_draws_csv(str(path), PosteriorDraws(mat, np.array([0, 0, 12]), 0, 0))
+    assert path.read_bytes() == (
+        b"theta_1,theta_2,chain\r\n"
+        b"0.10000000000000001,-0,0\r\n"
+        b"0.33333333333333331,2.5e-300,0\r\n"
+        b"-7,1e+100,12\r\n"
+    )

@@ -19,7 +19,7 @@ from paic.mcmc import NOISE_BLOCKS, REPLAY_CHUNK, _ess_kernel, compute_diagnosti
 from paic.models import _binom_loglik, logpost_unnorm
 from paic.rng import substream
 
-from conftest import criterion_4_data
+from conftest import criterion_4_data, laplace_fit
 
 
 def test_conjugate_sampler_moments():
@@ -337,7 +337,7 @@ def test_hier_sampler_means_match_the_quadrature_oracle(rep):
     # tau2 near 2.2 and a group at 1 of 50, the near-equal counts put tau2
     # against its hyperprior near 0
     model, data = criterion_4_data(rep)
-    mu, tau2, log_w, _ = _hyper_grid(model, data, 1234)
+    mu, tau2, log_w, _ = _hyper_grid(model, data, laplace_fit(model, data, seed=1234))
     draws, diag = sample_hier_logit(model, data, SamplerBudget(3, 20000, 2000), seed=1)
     for k, oracle in ((model.N, np.exp(log_w) @ mu), (model.N + 1, np.exp(log_w) @ tau2)):
         x = draws.draws[:, k]
@@ -362,5 +362,5 @@ def test_hier_sampler_fold_sum_matches_the_quadrature_oracle():
         total += _binom_loglik(n_i, y_i, mu.mean(), mean_sp.mean())
         t = y_i * mu - n_i * mean_sp
         var += t.var(ddof=1) / _ess_kernel(t.reshape(C, D, 1)).sum()
-    grid = float(np.sum(_loo_terms_hier_logit(model, data, 1234)))
+    grid = float(np.sum(_loo_terms_hier_logit(model, data, laplace_fit(model, data, seed=1234))))
     assert abs(total - grid) <= 4.0 * np.sqrt(var)

@@ -90,7 +90,7 @@ def test_flat_direction_never_converges():
     res = posterior_mode(md, data, [0.0, 0.0])
     assert not res.converged  # negative Hessian not positive definite
     assert res.theta_hat[0] == pytest.approx(1.0, abs=1e-6)
-    with pytest.raises(ValidationError):
+    with pytest.raises(NumericalError, match="posterior mode search did not converge"):
         laplace_approx(md, data, res)
 
 
