@@ -58,6 +58,8 @@ LOO_GRID_STEP = 0.6
 LOO_SPANS = (12.0, 18.0, 27.0, 40.0)
 LOO_BORDER_MASS = 1e-5
 LOO_CHUNK_BYTES = 1_000_000
+# waic2's column variances hold at most this many bytes of squared deviations
+VAR_BLOCK_BYTES = 262_144
 
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(32)
 _GH_WEIGHTS = _GH_WEIGHTS / math.sqrt(math.pi)
@@ -87,7 +89,23 @@ class PointwiseLogLik:
         return self.values.mean(axis=0)
 
     def column_vars(self) -> np.ndarray:
-        return self.values.var(axis=0, ddof=1)
+        """``values.var(axis=0, ddof=1)`` to the bit, without its S x n copy.
+
+        The squared deviations go through a buffer of VAR_BLOCK_BYTES whose
+        row 0 carries the running column sums (from 0, which adds exactly).
+        numpy sums axis 0 of a matrix of n >= 2 columns, its rows laid out one
+        after another, row after row, so the sums keep their order."""
+        S, n = self.values.shape
+        mean = self.column_means()
+        rows = max(1, VAR_BLOCK_BYTES // (8 * n))
+        buf = np.zeros((min(rows, S) + 1, n))
+        for lo in range(0, S, rows):
+            block = self.values[lo:lo + rows]
+            dev = buf[1:len(block) + 1]
+            np.subtract(block, mean, out=dev)
+            np.multiply(dev, dev, out=dev)
+            buf[0] = buf[:len(block) + 1].sum(axis=0)
+        return buf[0] / (S - 1)
 
 
 @dataclass(frozen=True)

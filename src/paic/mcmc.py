@@ -269,7 +269,14 @@ def _sample_loop(problems, budget: SamplerBudget, seed: int):
     """One sampler loop: each problem's C chains are rows of one state array
     with their own counts, trial sizes, start, step scales and substreams
     (seed, *rng_path, "chain", c, block).  Every update is elementwise per
-    row, so each problem's draws are those of sampling it alone."""
+    row, so each problem's draws are those of sampling it alone.
+
+    The Metropolis step writes the proposal, its softplus, the log ratio and
+    the acceptances into (R, N) buffers allocated once per loop, and keeps
+    beta and softplus(beta) current with ``np.copyto(..., where=acc)``; the
+    ratio's (beta - mu)^2 term is the Gibbs step's squares from the iteration
+    before.  Each operation has the operands and the order of the expression
+    it replaces, so the draws are those of fresh arrays and ``np.where``."""
     models, datas, inits, paths = zip(*problems)
     model = models[0]
     N, p, C, D = model.N, model.p, budget.chains, budget.draws_per_chain
@@ -294,7 +301,11 @@ def _sample_loop(problems, budget: SamplerBudget, seed: int):
     z_mu = np.empty(z_move.shape[:2])
     chi2 = np.empty_like(z_mu)
 
+    # dev2 is (beta - mu)^2: the Gibbs step's squares, then the next ratio's old-state term
     sp_beta = softplus(beta)
+    prop, sp_prop, dlp, work = (np.empty_like(beta) for _ in range(4))
+    acc = np.empty(beta.shape, dtype=bool)
+    dev2 = np.square(beta - mu[:, None])
     out = np.empty((R, D, p))
     batch_acc = np.zeros((R, N))
     accept_total = np.zeros((R, N))
@@ -314,17 +325,24 @@ def _sample_loop(problems, budget: SamplerBudget, seed: int):
                 mu_gen.standard_normal(out=z_mu[r, :L])
                 chi2[r, :L] = chi_gen.chisquare(df, L)
             np.log(log_u[:, :L], out=log_u[:, :L])
-        prop = beta + scales * z_move[:, j]
-        sp_prop = softplus(prop)
-        dlp = (
-            y * (prop - beta)
-            - t * (sp_prop - sp_beta)
-            - ((prop - mu[:, None]) ** 2 - (beta - mu[:, None]) ** 2)
-            / (2.0 * tau2[:, None])
-        )
-        acc = log_u[:, j] < dlp
-        beta = np.where(acc, prop, beta)
-        sp_beta = np.where(acc, sp_prop, sp_beta)
+        # dlp = y (prop - beta) - t (sp_prop - sp_beta)
+        #       - ((prop - mu)^2 - (beta - mu)^2) / (2 tau2)
+        np.multiply(scales, z_move[:, j], out=prop)
+        prop += beta
+        softplus(prop, out=sp_prop)
+        np.subtract(prop, beta, out=dlp)
+        dlp *= y
+        np.subtract(sp_prop, sp_beta, out=work)
+        work *= t
+        dlp -= work
+        np.subtract(prop, mu[:, None], out=work)
+        np.square(work, out=work)
+        work -= dev2
+        work /= 2.0 * tau2[:, None]
+        dlp -= work
+        np.less(log_u[:, j], dlp, out=acc)
+        np.copyto(beta, prop, where=acc)
+        np.copyto(sp_beta, sp_prop, where=acc)
         if it < warmup:
             batch_acc += acc
             if (it + 1) % ADAPT_BATCH == 0:
@@ -340,8 +358,9 @@ def _sample_loop(problems, budget: SamplerBudget, seed: int):
             accept_total += acc
         v = 1.0 / (inv_mu_var + N / tau2)
         mu = v * (prior_mean_term + beta.sum(axis=1) / tau2) + np.sqrt(v) * z_mu[:, j]
-        sse = ((beta - mu[:, None]) ** 2).sum(axis=1)
-        tau2 = (nu_s2 + sse) / chi2[:, j]
+        np.subtract(beta, mu[:, None], out=dev2)
+        np.square(dev2, out=dev2)
+        tau2 = (nu_s2 + dev2.sum(axis=1)) / chi2[:, j]
         if it >= warmup:
             k = it - warmup
             out[:, k, :N] = beta

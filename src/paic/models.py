@@ -30,9 +30,11 @@ beta and softplus(beta), so their posterior means give the mean log pmf).
 
 The special functions are numpy and the standard library only: ``_expit`` is
 1 / (1 + exp(-x)) (the overflow of exp(-x) below x = -709.78 gives the exact
-limit 0 and is not warned about), ``softplus`` is ``np.logaddexp(0, x)``, and
-``_gammaln`` is ``math.lgamma`` looped over an array, so the log binomial
-coefficient is lgamma(n + 1) - lgamma(y + 1) - lgamma(n - y + 1).
+limit 0 and is not warned about), ``softplus`` is max(x, 0) + log1p(exp(-|x|))
+on numpy's vectorized exp and log1p (the form ``np.logaddexp(0, x)`` evaluates
+with the scalar libm functions, about five times slower), and ``_gammaln`` is
+``math.lgamma`` looped over an array, so the log binomial coefficient is
+lgamma(n + 1) - lgamma(y + 1) - lgamma(n - y + 1).
 """
 
 from __future__ import annotations
@@ -48,11 +50,32 @@ from .calculus import grad_fd, hess_fd
 from .exceptions import NumericalError, UnsupportedModelError, ValidationError
 
 LOG_2PI = math.log(2.0 * math.pi)
+SOFTPLUS_BLOCK = 8192  # elements of softplus's positive part held at once
 
 
-def softplus(x):
-    """log(1 + e^x), overflow-safe for large |x|."""
-    return np.logaddexp(0.0, x)
+def softplus(x, out=None):
+    """log(1 + e^x) = max(x, 0) + log1p(exp(-|x|)), elementwise (Maechler 2012).
+
+    Each step is an elementwise ufunc written into the result (or ``out``,
+    which must have x's shape), so an element gets the same bits wherever it
+    sits in an array; the positive part is added in blocks of at most
+    SOFTPLUS_BLOCK elements, so no temporary the size of x is held.  Within
+    2 eps relative of ``np.logaddexp(0, x)``; +-inf map to inf and 0, nan to
+    nan, and a 0-d input without ``out`` gives a scalar.
+    """
+    x = np.asarray(x)
+    res = np.empty(x.shape) if out is None else out
+    np.copysign(x, -1.0, out=res)
+    np.exp(res, out=res)
+    np.log1p(res, out=res)
+    if res.size <= SOFTPLUS_BLOCK:
+        res += np.maximum(x, 0.0)
+    else:
+        with np.nditer([x, res], ["external_loop", "buffered"], [["readonly"], ["readwrite"]],
+                       buffersize=SOFTPLUS_BLOCK) as blocks:
+            for xb, rb in blocks:
+                rb += np.maximum(xb, 0.0)
+    return res[()] if out is None and res.ndim == 0 else res
 
 
 def _expit(x):

@@ -200,6 +200,35 @@ def test_waic2_single_column_penalty():
     assert report.penalty == pytest.approx(float(col.var(ddof=1)), rel=1e-12)
 
 
+@pytest.mark.parametrize("extra", [-1, 0, 1, "many"])
+@pytest.mark.parametrize("sliced", [False, True])
+def test_column_vars_equal_numpy_var_to_the_bit(extra, sliced):
+    # S rows below, at and one above one block, and over several blocks; a
+    # column slice of a wider matrix is not contiguous
+    n = 15
+    rows = criteria.VAR_BLOCK_BYTES // (8 * n)
+    S = 6 * rows + 17 if extra == "many" else rows + extra
+    wide = substream(6, "column-vars").normal(-40.0, 3.0, (S, 3 * n))
+    values = wide[:, n:2 * n] if sliced else np.ascontiguousarray(wide[:, :n])
+    assert values.flags.c_contiguous != sliced
+    np.testing.assert_array_equal(PointwiseLogLik(values).column_vars(),
+                                  values.var(axis=0, ddof=1))
+
+
+def test_waic2_holds_a_quarter_of_the_matrix_at_most():
+    import tracemalloc
+
+    S, n = 15000, 15
+    pw = PointwiseLogLik(substream(7, "waic-peak").normal(-3.0, 1.0, (S, n)))
+    tracemalloc.start()
+    try:
+        waic2(pw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * S * n * 8
+
+
 def test_loo_exact_conjugate_matches_closed_form(normal_setup):
     m, data, mode, draws = normal_setup
     report = loo_exact(m, data)

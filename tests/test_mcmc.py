@@ -15,8 +15,9 @@ from paic import (
 )
 from paic import mcmc
 from paic.criteria import _gh_mean_softplus, _hyper_grid, _loo_terms_hier_logit
-from paic.mcmc import NOISE_BLOCKS, REPLAY_CHUNK, _ess_kernel, compute_diagnostics
-from paic.models import _binom_loglik, logpost_unnorm
+from paic.mcmc import (ADAPT_BATCH, NOISE_BLOCKS, REPLAY_CHUNK, TARGET_ACCEPT, _ess_kernel,
+                        compute_diagnostics)
+from paic.models import _binom_loglik, logpost_unnorm, softplus
 from paic.rng import substream
 
 from conftest import criterion_4_data, laplace_fit
@@ -325,6 +326,106 @@ def test_hier_draws_do_not_depend_on_the_replay_chunk(hier_model, hier_data, mon
         monkeypatch.setattr(mcmc, "REPLAY_CHUNK", chunk)
         draws, _ = sample_hier_logit(hier_model, hier_data, budget, seed=4, check=False)
         np.testing.assert_array_equal(draws.draws, reference.draws)
+
+
+
+def _reference_loop(problems, budget, seed):
+    """The sampler loop with a fresh array per operation and np.where, as it
+    was first written; returns the (R, D, p) draws, the (R, N) post-warmup
+    acceptance counts and the step scales at the end of warmup and at the end."""
+    models, datas, inits, paths = zip(*problems)
+    model = models[0]
+    N, p, C, D = model.N, model.p, budget.chains, budget.draws_per_chain
+    T = budget.warmup + D
+    R = len(problems) * C
+    y = np.repeat([d.y for d in datas], C, axis=0).astype(float)
+    t = np.repeat([d.trial_sizes for d in datas], C, axis=0).astype(float)
+    starts = [mcmc._initial_states(m, init, C, seed, path)
+              for m, init, path in zip(models, inits, paths)]
+    beta_mu_tau = np.concatenate([s for s, _ in starts])
+    scales = np.concatenate([sc for _, sc in starts])
+    beta = beta_mu_tau[:, :N].copy()
+    mu = beta_mu_tau[:, N].copy()
+    tau2 = np.maximum(beta_mu_tau[:, N + 1], 1e-8)
+    df = model.nu + N
+    streams = [[substream(seed, *path, "chain", c, block) for block in NOISE_BLOCKS]
+               for path in paths for c in range(C)]
+    z_move = np.empty((R, min(REPLAY_CHUNK, T), N))
+    log_u = np.empty_like(z_move)
+    z_mu = np.empty(z_move.shape[:2])
+    chi2 = np.empty_like(z_mu)
+    sp_beta = softplus(beta)
+    out = np.empty((R, D, p))
+    batch_acc = np.zeros((R, N))
+    accept_total = np.zeros((R, N))
+    scales_warm = scales.copy()
+    for it in range(T):
+        j = it % REPLAY_CHUNK
+        if j == 0:
+            L = min(REPLAY_CHUNK, T - it)
+            for r, (z_gen, u_gen, mu_gen, chi_gen) in enumerate(streams):
+                z_gen.standard_normal(out=z_move[r, :L])
+                u_gen.random(out=log_u[r, :L])
+                mu_gen.standard_normal(out=z_mu[r, :L])
+                chi2[r, :L] = chi_gen.chisquare(df, L)
+            np.log(log_u[:, :L], out=log_u[:, :L])
+        prop = beta + scales * z_move[:, j]
+        sp_prop = softplus(prop)
+        dlp = (
+            y * (prop - beta)
+            - t * (sp_prop - sp_beta)
+            - ((prop - mu[:, None]) ** 2 - (beta - mu[:, None]) ** 2)
+            / (2.0 * tau2[:, None])
+        )
+        acc = log_u[:, j] < dlp
+        beta = np.where(acc, prop, beta)
+        sp_beta = np.where(acc, sp_prop, sp_beta)
+        if it < budget.warmup:
+            batch_acc += acc
+            if (it + 1) % ADAPT_BATCH == 0:
+                delta = min(0.25, ((it + 1) // ADAPT_BATCH) ** -0.5)
+                scales = scales * np.exp(
+                    np.where(batch_acc / ADAPT_BATCH > TARGET_ACCEPT, delta, -delta))
+                batch_acc[:] = 0.0
+            if it == budget.warmup - 1:
+                scales_warm = scales.copy()
+        else:
+            accept_total += acc
+        inv_mu_var = 1.0 / model.mu_var
+        v = 1.0 / (inv_mu_var + N / tau2)
+        mu = v * (model.mu_mean * inv_mu_var + beta.sum(axis=1) / tau2) + np.sqrt(v) * z_mu[:, j]
+        sse = ((beta - mu[:, None]) ** 2).sum(axis=1)
+        tau2 = (model.nu * model.s2 + sse) / chi2[:, j]
+        if it >= budget.warmup:
+            k = it - budget.warmup
+            out[:, k, :N] = beta
+            out[:, k, N] = mu
+            out[:, k, N + 1] = tau2
+    return out, accept_total, scales_warm, scales
+
+
+def test_buffered_sampler_step_is_the_reference_chain(hier_model, hier_data):
+    # warmup 130 + 70 draws crosses two adaptation batches, the end of
+    # warmup and three replay refills; three datasets, one with other trial
+    # sizes, share one loop
+    sizes = np.arange(20, 80, 4)
+    problems = [(hier_model, hier_data), criterion_4_data(1)]
+    problems.append((HierLogitModel(sizes),
+                     ObservationSet(np.floor(0.3 * sizes) + np.arange(15) % 3, sizes)))
+    problems = [(m, d, laplace_fit(m, d), ("reference", k))
+                for k, (m, d) in enumerate(problems)]
+    budget = SamplerBudget(2, 70, 130)
+    assert budget.warmup % ADAPT_BATCH and budget.warmup > 2 * REPLAY_CHUNK
+    out, accepted, scales_warm, scales = _reference_loop(problems, budget, seed=21)
+    C, D = budget.chains, budget.draws_per_chain
+    sampled = list(mcmc._sample_hier_logit_rows(problems, budget, seed=21))
+    assert len(sampled) == len(problems)
+    for k, (draws, diag) in enumerate(sampled):
+        rows = slice(k * C, (k + 1) * C)
+        np.testing.assert_array_equal(draws.draws, out[rows].reshape(C * D, -1))
+        np.testing.assert_array_equal(diag.accept_rate, accepted[rows].mean(axis=0) / D)
+        np.testing.assert_array_equal(diag.step_scales_warmup_end, scales_warm[rows])
+        np.testing.assert_array_equal(diag.step_scales_final, scales[rows])
 
 
 # -- the nested-quadrature oracle ------------------------------------------

@@ -16,7 +16,8 @@ from paic import (
     loglik_total,
     logpost_unnorm,
 )
-from paic.models import _binom_loglik, _expit, _safe_logpost, scaled_inv_chi2_logpdf
+from paic.models import (SOFTPLUS_BLOCK, _binom_loglik, _expit, _safe_logpost,
+                         scaled_inv_chi2_logpdf, softplus)
 
 
 def test_observation_set_validation():
@@ -260,7 +261,7 @@ def test_hier_scoring_forms_equal_their_textbook_expressions(stride):
     B, mu, tau2 = draws[:, :N], draws[:, N], draws[:, N + 1]
     np.testing.assert_array_equal(
         m.loglik_matrix(data, draws),
-        _binom_loglik(m.trial_sizes.astype(float), data.y, B, np.logaddexp(0.0, B)))
+        _binom_loglik(m.trial_sizes.astype(float), data.y, B, softplus(B)))
     d = B - mu[:, None]
     lp = -0.5 * N * (math.log(2.0 * math.pi) + np.log(tau2)) - 0.5 * np.sum(d * d, axis=1) / tau2
     lp += -0.5 * (math.log(2.0 * math.pi) + math.log(m.mu_var)) - (mu - m.mu_mean) ** 2 / (
@@ -301,6 +302,64 @@ def test_expit_within_two_ulp_of_scipy():
     ref = scipy_expit(x)
     assert np.all(np.abs(got - ref) <= 2.0 * np.spacing(ref))
     assert _expit(-800.0) == 0.0 and _expit(800.0) == 1.0
+
+
+
+def test_softplus_within_two_ulp_of_logaddexp():
+    # ulp of the reference's magnitude, eps |ref|: just below a power of two
+    # the vector exp's last bit lands in the binade above, so counted in
+    # representable doubles the gap reaches 3 there
+    import warnings
+
+    gen = np.random.default_rng(20)
+    x = np.concatenate([np.linspace(-800.0, 800.0, 16001),
+                        5.0 * gen.standard_normal(10 ** 6)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = softplus(x)
+    ref = np.logaddexp(0.0, x)
+    assert np.all(np.abs(got - ref) <= 2.0 * np.finfo(float).eps * ref)
+
+
+def test_softplus_limits_and_scalars():
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = softplus(np.array([np.inf, -np.inf, np.nan, 800.0, -800.0]))
+        np.testing.assert_array_equal(got, [np.inf, 0.0, np.nan, 800.0, 0.0])
+        assert isinstance(softplus(0.5), np.float64) and softplus(0.0) == math.log(2.0)
+        out = np.empty(())
+        assert softplus(np.array(0.5), out=out) is out and out[()] == softplus(0.5)
+
+
+@pytest.mark.parametrize("offset", range(17))
+def test_softplus_does_not_depend_on_position(offset):
+    # an element gets the same bits alone or anywhere in an array, in any
+    # layout, written to a fresh result or to a contiguous or strided out
+    v = 6.0 * np.random.default_rng(21).standard_normal(16 + 270)
+    single = np.array([softplus(v[i:i + 1])[0] for i in range(v.size)])
+    assert all(softplus(v[i]) == single[i] for i in range(offset, offset + 20))
+    for length in (1, 2, 3, 7, 8, 9, 15, 16, 17, 33, 270):
+        x, want = v[offset:offset + length], single[offset:offset + length]
+        strided = np.zeros(3 * length)
+        strided[::3] = x
+        wide = np.zeros((length, 4))
+        wide[:, 1], wide[:, 2] = x, x[::-1]
+        for arr, expected in ((x.copy(), want), (strided[::3], want),
+                              (wide[:, 1:3], np.stack([want, want[::-1]], axis=1))):
+            np.testing.assert_array_equal(softplus(arr), expected)
+            for out in (np.full(arr.shape, np.nan), np.full(arr.shape + (2,), np.nan)[..., 1]):
+                assert softplus(arr, out=out) is out
+                np.testing.assert_array_equal(out, expected)
+
+
+def test_softplus_blocks_give_the_bits_of_one_pass():
+    # above SOFTPLUS_BLOCK elements the positive part is added block by block
+    draws = 6.0 * np.random.default_rng(22).standard_normal((2000, 17))
+    B = draws[:, :15]
+    assert B.size > SOFTPLUS_BLOCK and not B.flags.c_contiguous
+    np.testing.assert_array_equal(softplus(B), np.array([softplus(row) for row in B]))
 
 
 def test_binom_log_coefficient_matches_gammaln_form():
