@@ -13,11 +13,13 @@ from .calculus import GradientCheckReport, check_gradient, grad_fd, hess_fd
 from .criteria import (
     ClosedFormBias,
     CriterionReport,
+    GridSummary,
     PointwiseLogLik,
     bpic,
     closed_form_bias_estimators,
     closed_form_insample_loglik,
     dic,
+    grid_summary,
     loo_exact,
     mean_insample_loglik,
     paic,

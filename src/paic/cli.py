@@ -119,9 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     # logit scenario flags
     pe.add_argument("--groups", type=int, default=15)
     pe.add_argument("--trials", type=int, default=50)
-    pe.add_argument("--chains", type=int, default=default_budget.chains)
-    pe.add_argument("--samples", type=int, default=default_budget.draws_per_chain)
-    pe.add_argument("--warmup", type=int, default=default_budget.warmup)
     pe.set_defaults(func=cmd_experiment)
     return parser
 
@@ -179,8 +176,8 @@ def cmd_compute(args) -> int:
             if name == "paic":
                 report = crit.paic(get_pointwise(), get_pair(), min_draws=min_draws)
             elif name == "bpic":
-                report = crit.bpic(model, data, draws, get_mode(), get_pair(),
-                                   min_draws=min_draws)
+                e_logprior = float(model.logprior_draws(draws.draws).mean())
+                report = crit.bpic(model, data, get_mode(), get_pair(), e_logprior, draws.S)
             elif name == "waic2":
                 report = crit.waic2(get_pointwise())
             elif name == "dic":
@@ -229,7 +226,6 @@ def cmd_experiment(args) -> int:
         cfg = LogitExperimentConfig(
             N=args.groups, n_i=args.trials,
             replications=args.reps,
-            budget=SamplerBudget(args.chains, args.samples, args.warmup),
             seed=args.seed,
             workers=threads,
         )

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -85,6 +85,10 @@ class PointwiseLogLik:
     def n(self) -> int:
         return self.values.shape[1]
 
+    def require_draws(self, min_draws: int):
+        if self.S < min_draws:
+            raise ValidationError(f"need at least {min_draws} draws, got {self.S}")
+
     def column_means(self) -> np.ndarray:
         return self.values.mean(axis=0)
 
@@ -138,20 +142,16 @@ def pointwise_loglik(model, data: ObservationSet, draws: PosteriorDraws) -> Poin
     return PointwiseLogLik(mat)
 
 
-def mean_insample_loglik(pointwise: PointwiseLogLik) -> float:
+def mean_insample_loglik(pointwise: PointwiseLogLik | GridSummary) -> float:
     """(1/n) sum_i E_draws[log g(y_i | theta)], the in-sample estimate."""
     return float(np.mean(pointwise.column_means()))
 
 
-def _check_draws(S: int, min_draws: int):
-    if S < min_draws:
-        raise ValidationError(f"need at least {min_draws} draws, got {S}")
-
-
-def paic(pointwise: PointwiseLogLik, info_pair: InfoMatrixPair,
+def paic(pointwise: PointwiseLogLik | GridSummary, info_pair: InfoMatrixPair,
          min_draws: int = MIN_DRAWS) -> CriterionReport:
-    """Posterior-averaging criterion: -2 sum_i E[log g] + 2 tr{J^-1 I}."""
-    _check_draws(pointwise.S, min_draws)
+    """Posterior-averaging criterion: -2 sum_i E[log g] + 2 tr{J^-1 I}, over
+    the draws of a PointwiseLogLik or exact from a GridSummary."""
+    pointwise.require_draws(min_draws)
     if info_pair.score_denominator != "n-1":
         raise ValidationError("paic needs the 1/(n-1) score convention")
     penalty = trace_correction(info_pair).value
@@ -159,30 +159,30 @@ def paic(pointwise: PointwiseLogLik, info_pair: InfoMatrixPair,
     return _report("paic", fit, penalty, pointwise.n, pointwise.S)
 
 
-def bpic(model, data: ObservationSet, draws: PosteriorDraws, mode: ModeResult,
-         info_pair: InfoMatrixPair, min_draws: int = MIN_DRAWS) -> CriterionReport:
+def bpic(model, data: ObservationSet, mode: ModeResult, info_pair: InfoMatrixPair,
+         e_logprior: float, S: int) -> CriterionReport:
     """Plug-in criterion: -2 log{pi L}(theta_hat) + 2 [E log pi + tr + p/2].
 
     ``info_pair`` is the pair paic takes; tr is its trace times (n-1)/n, the
     trace with the score sum divided by n.  The fit term is the mode's
-    ``logpost``.  The prior expectation is a draw average, so this refuses
-    improper priors (their log density is only defined up to a constant).
+    ``logpost``.  ``e_logprior`` is the caller's posterior expectation of the
+    log prior (over S draws, or exact with S = 0), so this refuses improper
+    priors (their log density is only defined up to a constant).
     """
     if not model.prior_proper:
         raise ImproperPriorError("BPIC undefined under degenerate prior")
-    _check_draws(draws.S, min_draws)
     if info_pair.score_denominator != "n-1":
         raise ValidationError("bpic needs the 1/(n-1) pair that paic takes")
     tr = trace_correction(info_pair).value * (data.n - 1) / data.n
-    e_logprior = float(np.mean(model.logprior_draws(draws.draws)))
     fit = mode.logpost
     penalty = e_logprior + tr + 0.5 * model.p
-    return _report("bpic", fit, penalty, data.n, draws.S)
+    return _report("bpic", fit, penalty, data.n, S)
 
 
-def waic2(pointwise: PointwiseLogLik) -> CriterionReport:
-    """Posterior-variance penalty: p = sum_i Var_draws[log g(y_i | theta)]."""
-    _check_draws(pointwise.S, 2)
+def waic2(pointwise: PointwiseLogLik | GridSummary) -> CriterionReport:
+    """Posterior-variance penalty: p = sum_i Var[log g(y_i | theta)], over the
+    draws of a PointwiseLogLik or exact from a GridSummary."""
+    pointwise.require_draws(2)
     fit = float(np.sum(pointwise.column_means()))
     penalty = float(np.sum(pointwise.column_vars()))
     return _report("waic2", fit, penalty, pointwise.n, pointwise.S)
@@ -192,7 +192,7 @@ def dic(model, data: ObservationSet, draws: PosteriorDraws, pointwise: Pointwise
         min_draws: int = MIN_DRAWS) -> CriterionReport:
     """Deviance criterion at the posterior mean (reference only); ``pointwise``
     is the draws' matrix from ``pointwise_loglik``."""
-    _check_draws(draws.S, min_draws)
+    pointwise.require_draws(min_draws)
     theta_bar = draws.draws.mean(axis=0)
     if not model.in_support(theta_bar):
         raise NumericalError(
@@ -308,35 +308,68 @@ def _conditional_modes(y, n, mu, tau2):
     raise NumericalError("group conditional-mode search did not converge")
 
 
-def _group_log_integrand(y, n, b, mu, tau2):
-    """y b - n softplus(b) - (b - mu)^2 / (2 tau2): log Bin x N less log C - log tau."""
-    return y * b - n * softplus(b) - (b - mu) ** 2 / (2.0 * tau2)
+def _group_log_integrand(y, n, b, sp, dev2, tau2):
+    """y b - n softplus(b) - (b - mu)^2 / (2 tau2) from sp = softplus(b) and
+    dev2 = (b - mu)^2: log Bin x N less log C - log tau."""
+    return y * b - n * sp - dev2 / (2.0 * tau2)
 
 
-def _group_log_marginals(data: ObservationSet, mu: np.ndarray, tau2: np.ndarray) -> np.ndarray:
-    """(N, G) log m_i = log int Bin(y_i | n_i, expit(b)) N(b | mu, tau2) db by
-    Gauss-Hermite at each integrand's mode and Laplace sd (Liu & Pierce 1994),
-    over chunks of groups with (groups, G, nodes) blocks under LOO_CHUNK_BYTES."""
+def _group_integrals(data: ObservationSet, mu: np.ndarray, tau2: np.ndarray,
+                     moments: bool = False):
+    """(log_m, cond): the (N, G) log m_i = log int Bin(y_i | n_i, expit(b))
+    N(b | mu, tau2) db by Gauss-Hermite at each integrand's mode and Laplace sd
+    (Liu & Pierce 1994), over chunks of groups with (groups, G, nodes) blocks
+    under LOO_CHUNK_BYTES.  With ``moments``, cond holds, from the same nodes,
+    five (N, G) moments of b under each group's conditional posterior (its
+    integrand over m_i): E[b], E[softplus(b)], E[(b - mu)^2], and the mean and
+    centred variance of l_i = log Bin(y_i | n_i, expit(b)); else None."""
     y, n = data.y[:, None], data.trial_sizes[:, None].astype(float)
-    out = _binom_loglik(n, y, 0.0, 0.0) - 0.5 * np.log(tau2)  # log C - log tau
+    log_c = _binom_loglik(n, y, 0.0, 0.0)
+    log_m = log_c - 0.5 * np.log(tau2)  # log C - log tau
+    cond = np.empty((5,) + log_m.shape) if moments else None
     chunk = max(1, LOO_CHUNK_BYTES // (mu.size * _GH_NODES.size * 8))
     for rows in (slice(lo, lo + chunk) for lo in range(0, data.n, chunk)):
-        b, sd = _conditional_modes(y[rows], n[rows], mu, tau2)
-        f_mode = _group_log_integrand(y[rows], n[rows], b, mu, tau2)
+        yr, nr = y[rows], n[rows]
+        b, sd = _conditional_modes(yr, nr, mu, tau2)
+        f_mode = _group_log_integrand(yr, nr, b, softplus(b), (b - mu) ** 2, tau2)
         nodes = b[..., None] + math.sqrt(2.0) * sd[..., None] * _GH_NODES
-        f = _group_log_integrand(y[rows, :, None], n[rows, :, None], nodes,
-                                 mu[:, None], tau2[:, None])
+        sp, dev2 = softplus(nodes), (nodes - mu[:, None]) ** 2
+        f = _group_log_integrand(yr[..., None], nr[..., None], nodes, sp, dev2, tau2[:, None])
         f += _GH_NODES ** 2 - f_mode[..., None]
-        out[rows] += f_mode + np.log(sd) + np.log(np.exp(f) @ _GH_WEIGHTS)
-    return out
+        e = np.exp(f)
+        z = e @ _GH_WEIGHTS
+        log_m[rows] += f_mode + np.log(sd) + np.log(z)
+        if moments:
+            e *= _GH_WEIGHTS
+            e /= z[..., None]  # the nodes' conditional posterior weights
+
+            def mean(x):
+                return np.einsum("...k,...k->...", e, x)
+
+            lik = yr[..., None] * nodes - nr[..., None] * sp  # l_i less log C
+            e_lik = mean(lik)
+            cond[:, rows] = (mean(nodes), mean(sp), mean(dev2), e_lik + log_c[rows],
+                             mean((lik - e_lik[..., None]) ** 2))
+    return log_m, cond
 
 
-def _hyper_grid(model: HierLogitModel, data: ObservationSet, lap: LaplaceApprox):
-    """(mu, tau2, log_w, log_fold_w): G points over (mu, log tau2) in Laplace sd
-    around the mode of the fit ``lap``, and the normalized log weights of the
-    posterior (G,) and of each leave-one-group-out posterior (N, G).  Given
-    (mu, tau2) the groups are independent: the posterior is the hyperprior times
-    the marginals m_i, fold i divides m_i out (Rue, Martino & Chopin 2009)."""
+class _Grid(NamedTuple):
+    mu: np.ndarray  # (G,)
+    tau2: np.ndarray  # (G,)
+    log_w: np.ndarray  # (G,) normalized log weights of the posterior
+    log_fold_w: np.ndarray  # (N, G) those of each leave-one-group-out posterior
+    cond: Optional[np.ndarray]  # (5, N, G) conditional moments of _group_integrals
+    border_mass: float
+
+
+def _hyper_grid(model: HierLogitModel, data: ObservationSet, lap: LaplaceApprox,
+                moments: bool = False) -> _Grid:
+    """G points over (mu, log tau2) in Laplace sd around the mode of the fit
+    ``lap``, with the normalized log weights of the posterior and of each
+    leave-one-group-out posterior.  Given (mu, tau2) the groups are independent:
+    the posterior is the hyperprior times the marginals m_i, fold i divides m_i
+    out (Rue, Martino & Chopin 2009).  ``moments`` keeps the group integrals'
+    conditional moments."""
     mu_hat, tau2_hat = lap.mean[-2:]
     sd_mu, sd_tau2 = lap.marginal_sd()[-2:]
     for span in LOO_SPANS:
@@ -347,7 +380,7 @@ def _hyper_grid(model: HierLogitModel, data: ObservationSet, lap: LaplaceApprox)
         log_scale = 0.5 * (softplus(lam - math.log(tau2_hat)) - math.log(2.0))
         mu = mu_hat + sd_mu * LOO_GRID_STEP * k_mu * np.exp(log_scale)
         tau2 = np.exp(lam)
-        log_m = _group_log_marginals(data, mu, tau2)
+        log_m, cond = _group_integrals(data, mu, tau2, moments)
         log_w = (_normal_loglik(mu, model.mu_mean, model.mu_var) + lam + log_scale
                  + scaled_inv_chi2_logpdf(tau2, model.nu, model.s2) + log_m.sum(axis=0))
         log_w -= np.logaddexp.reduce(log_w)
@@ -356,17 +389,36 @@ def _hyper_grid(model: HierLogitModel, data: ObservationSet, lap: LaplaceApprox)
         ring = np.maximum(np.abs(k_mu), np.abs(k_lam)) == half
         border = max(np.exp(log_w[ring]).sum(), np.exp(log_fold_w[:, ring]).sum(axis=1).max())
         if border <= LOO_BORDER_MASS:
-            return mu, tau2, log_w, log_fold_w
+            return _Grid(mu, tau2, log_w, log_fold_w, cond, float(border))
     raise GridBorderError(f"posterior mass {border:.2g} on the LOO grid border", border_mass=border)
 
 
-def _loo_terms_hier_logit(model: HierLogitModel, data: ObservationSet, lap: LaplaceApprox):
+def _loo_terms_hier_logit(data: ObservationSet, grid: _Grid) -> np.ndarray:
     """log C + y_i E[mu] - n_i E[E(softplus(b) | mu, tau2)], b ~ N(mu, tau2),
-    under each fold posterior of ``_hyper_grid`` around ``lap``."""
-    mu, tau2, _, log_fold_w = _hyper_grid(model, data, lap)
-    fold_w = np.exp(log_fold_w)
-    mean_sp = _gh_mean_softplus(mu, np.sqrt(tau2))
-    return _binom_loglik(data.trial_sizes.astype(float), data.y, fold_w @ mu, fold_w @ mean_sp)
+    under each fold posterior of ``grid``."""
+    fold_w = np.exp(grid.log_fold_w)
+    mean_sp = _gh_mean_softplus(grid.mu, np.sqrt(grid.tau2))
+    return _binom_loglik(data.trial_sizes.astype(float), data.y, fold_w @ grid.mu,
+                         fold_w @ mean_sp)
+
+
+_GRID_NOTES = "quadrature fold posteriors"
+
+
+def _loo_report(data: ObservationSet, terms: np.ndarray, notes: str) -> CriterionReport:
+    return _report("loo", float(np.sum(terms)), 0.0, data.n, 0, notes=notes)
+
+
+def _check_loo(model, data: ObservationSet, lap: Optional[LaplaceApprox]):
+    """The checks of an exact-LOO request, made before any grid is built."""
+    model.validate_data(data)
+    if data.n > LOO_MAX_N:
+        raise ValidationError(f"exact LOO guarded at n <= {LOO_MAX_N}")
+    if isinstance(model, HierLogitModel):
+        if model.N < 3:  # a one-group fold: only its hyperprior holds tau2
+            raise ValidationError(f"exact LOO needs at least 3 groups, got {model.N}")
+        if lap is None:
+            raise ValidationError("exact LOO for the hierarchical logit needs its Laplace fit")
 
 
 def loo_exact(model, data: ObservationSet, lap: Optional[LaplaceApprox] = None) -> CriterionReport:
@@ -377,19 +429,74 @@ def loo_exact(model, data: ObservationSet, lap: Optional[LaplaceApprox] = None) 
     fold posteriors all come from ``_hyper_grid`` around the fit ``lap`` (the
     sampler's start; required), with no draws (S = 0), or raise GridBorderError.
     """
-    model.validate_data(data)
-    if data.n > LOO_MAX_N:
-        raise ValidationError(f"exact LOO guarded at n <= {LOO_MAX_N}")
+    _check_loo(model, data, lap)
     if isinstance(model, ConjugateNormalModel):
-        terms = _loo_terms_normal(model, data)
-        notes = "analytic fold posteriors"
-    elif isinstance(model, HierLogitModel):
-        if model.N < 3:  # a one-group fold: only its hyperprior holds tau2
-            raise ValidationError(f"exact LOO needs at least 3 groups, got {model.N}")
-        if lap is None:
-            raise ValidationError("exact LOO for the hierarchical logit needs its Laplace fit")
-        terms = _loo_terms_hier_logit(model, data, lap)
-        notes = "quadrature fold posteriors"
-    else:
-        raise UnsupportedModelError("exact LOO implemented for the built-in models only")
-    return _report("loo", float(np.sum(terms)), 0.0, data.n, 0, notes=notes)
+        return _loo_report(data, _loo_terms_normal(model, data), "analytic fold posteriors")
+    if isinstance(model, HierLogitModel):
+        return _loo_report(data, _loo_terms_hier_logit(data, _hyper_grid(model, data, lap)),
+                           _GRID_NOTES)
+    raise UnsupportedModelError("exact LOO implemented for the built-in models only")
+
+
+# -- exact posterior expectations for the hierarchical logit --------------
+
+
+@dataclass(frozen=True)
+class GridSummary:
+    """``grid_summary``'s exact posterior expectations, exact LOO and grid size
+    and border mass.  paic and waic2 read it as they read a PointwiseLogLik;
+    it holds no draws (S = 0)."""
+
+    loglik_means: np.ndarray
+    loglik_vars: np.ndarray
+    beta_means: np.ndarray
+    softplus_means: np.ndarray
+    e_logprior: float
+    loo: CriterionReport
+    grid_points: int
+    border_mass: float
+    S = 0
+
+    @property
+    def n(self) -> int:
+        return self.loglik_means.size
+
+    def require_draws(self, min_draws: int):
+        """Exact expectations: there are no draws to count."""
+
+    def column_means(self) -> np.ndarray:
+        return self.loglik_means
+
+    def column_vars(self) -> np.ndarray:
+        return self.loglik_vars
+
+
+def grid_summary(model: HierLogitModel, data: ObservationSet, lap: LaplaceApprox) -> GridSummary:
+    """Exact posterior expectations of a hierarchical-logit dataset, and its
+    exact LOO, from one evaluation of ``_hyper_grid`` around the fit ``lap``:
+    per group the mean and variance of l_i = log g(y_i | beta_i), E[beta_i]
+    and E[softplus(beta_i)], and E[log pi].
+
+    Each grid point's conditional moments are averaged over the posterior
+    weights; a variance adds the spread of the conditional means about their
+    average (the law of total variance, centred).  log pi is linear in
+    sum_i (beta_i - mu)^2 given (mu, tau2), so its expectation takes that sum's.
+    Refuses what ``loo_exact`` refuses, and raises GridBorderError as it does.
+    """
+    _check_loo(model, data, lap)
+    if not isinstance(model, HierLogitModel):
+        raise UnsupportedModelError("the grid summary is built for the hierarchical logit only")
+    grid = _hyper_grid(model, data, lap, moments=True)
+    w = np.exp(grid.log_w)
+    e_b, e_sp, e_dev2, e_l, var_l = grid.cond
+    means = e_l @ w
+    return GridSummary(
+        loglik_means=means,
+        loglik_vars=var_l @ w + (e_l - means[:, None]) ** 2 @ w,
+        beta_means=e_b @ w,
+        softplus_means=e_sp @ w,
+        e_logprior=float(model.logprior_hyper(grid.mu, grid.tau2, e_dev2.sum(axis=0)) @ w),
+        loo=_loo_report(data, _loo_terms_hier_logit(data, grid), _GRID_NOTES),
+        grid_points=grid.mu.size,
+        border_mass=grid.border_mass,
+    )

@@ -6,19 +6,20 @@ per-observation bias estimates -- plus the generic info-matrix penalties as a
 cross-check -- against the known true bias sigma_T2 * sigma_hat2 / sigma_A2^2.
 
 The logit study simulates group logits from N(mu_true, tau_true^2), counts
-from the matching binomials, fits the hierarchical model by MCMC, and scores
-the criteria that ``paic compute`` ships (paic, bpic, waic2 and exact LOO)
+from the matching binomials, fits the hierarchical model once and scores the
+criteria that ``paic compute`` ships (paic, bpic, waic2 and exact LOO)
 against the true out-of-sample value: each bias estimate is the in-sample
 average log likelihood minus the report's fit term per group, plus its
-penalty per group.  The out-of-sample average log likelihood is computed
-exactly by summing over each group's finite support.
+penalty per group.  Every posterior expectation these need is exact, a sum
+over the exact-LOO grid (``criteria.grid_summary``), so the study scores
+each estimator's value in the limit of infinitely many draws, and no
+sampler runs.  The out-of-sample average log likelihood is computed exactly
+by summing over each group's finite support.
 
-The logit replications run in one batch per worker.  A batch fits each
-replication's mode and exact LOO (by quadrature), then passes all its main
-chains to the sampler in one call and scores each replication as the sampler
-yields its chains; the sampler sizes its own loops.  Everything is driven by
-Philox substreams keyed on (seed, cell, replication), so results are
-bit-identical for a given (config, seed) however many workers run the
+The logit replications run in one contiguous batch per worker.  Everything
+is driven by Philox substreams keyed on (seed, cell, replication), and a
+replication's numbers do not depend on the others in its batch, so results
+are bit-identical for a given (config, seed) however many workers run the
 batches.
 """
 
@@ -33,22 +34,18 @@ from typing import Optional
 import numpy as np
 
 from .criteria import (
-    CriterionReport,
     bpic,
     closed_form_bias_estimators,
-    loo_exact,
+    grid_summary,
     mean_insample_loglik,
     paic,
-    pointwise_loglik,
     waic2,
 )
 from .exceptions import ExperimentError, NumericalError, ValidationError
 from .infomat import info_matrix_pair, trace_correction
-from .mcmc import Diagnostics, PosteriorDraws, SamplerBudget, _sample_hier_logit_rows
 from .models import (ConjugateNormalModel, HierLogitModel, ObservationSet,
                      _binom_loglik, _expit, softplus)
-from .optimize import (LaplaceApprox, ModeResult, find_posterior_mode, laplace_approx,
-                       posterior_mode)
+from .optimize import find_posterior_mode, laplace_approx, posterior_mode
 from .rng import substream
 
 NORMAL_ESTIMATORS = ("paic", "bpic", "waic2", "popt", "cv",
@@ -92,7 +89,6 @@ class LogitExperimentConfig:
     mu_true: float = 0.0
     tau_true: float = 1.0
     replications: int = 100
-    budget: SamplerBudget = SamplerBudget()
     seed: int = 0
     max_fail_frac: float = 0.05
     workers: int = 1
@@ -215,25 +211,23 @@ def run_normal_bias_experiment(cfg: NormalExperimentConfig) -> ExperimentResult:
 # -- logit study -----------------------------------------------------------
 
 
-def true_predictive_loglik_exact(draws: PosteriorDraws, beta_true: np.ndarray,
-                                 trial_sizes: np.ndarray) -> float:
-    """(1/N) sum_i E_z[mean_draws log g(z | beta_i)] with z ~ Bin(n_i, true).
+def true_predictive_loglik_exact(beta_means: np.ndarray, softplus_means: np.ndarray,
+                                 beta_true: np.ndarray, trial_sizes: np.ndarray) -> float:
+    """(1/N) sum_i E_z[E_post log g(z | beta_i)] with z ~ Bin(n_i, true).
 
     The expectation over z is an exact finite sum over {0, ..., n_i}.  The
     binomial log pmf is linear in z given beta, so the per-group posterior
-    means of beta and softplus(beta) give the draw average for every z.
+    means of beta and softplus(beta) give the posterior mean for every z.
     """
     beta_true = np.asarray(beta_true, dtype=float)
     trial_sizes = np.asarray(trial_sizes)
     N = beta_true.size
-    B = draws.draws[:, :N]
-    beta_bar, sp_bar = B.mean(axis=0), softplus(B).mean(axis=0)
     total = 0.0
     for i in range(N):
         n_i = float(trial_sizes[i])
         z = np.arange(int(n_i) + 1, dtype=float)
         pmf_true = np.exp(_binom_loglik(n_i, z, beta_true[i], softplus(beta_true[i])))
-        total += float(pmf_true @ _binom_loglik(n_i, z, beta_bar[i], sp_bar[i]))
+        total += float(pmf_true @ _binom_loglik(n_i, z, beta_means[i], softplus_means[i]))
     return total / N
 
 
@@ -241,25 +235,18 @@ _LOGIT_RECORD_FIELDS = (
     "replication", "eta_hat", "eta_true",
     "b_paic", "b_bpic", "b_waic2", "b_cv",
     "err_paic", "err_bpic", "err_waic2", "err_cv",
-    "max_rhat", "min_ess", "attempts",
+    "grid_points", "border_mass",
 )
 
 
-@dataclass(frozen=True)
-class _LogitFit:
-    """One replication's data and everything fitted to it before its main chains."""
+def _logit_replication(cfg: LogitExperimentConfig, rep: int) -> Optional[dict]:
+    """Simulate replication ``rep``, fit it once and score it on the exact
+    posterior summary of its LOO grid; None when the mode search, the Laplace
+    step or the grid fails.
 
-    model: HierLogitModel
-    data: ObservationSet
-    beta_true: np.ndarray
-    mode: ModeResult
-    lap: LaplaceApprox
-    loo: CriterionReport
-
-
-def _logit_fit(cfg: LogitExperimentConfig, rep: int) -> Optional[_LogitFit]:
-    """Simulate replication ``rep``, find its mode and Laplace start and run
-    its exact LOO; None when any of the three fails."""
+    perfbench's tracer wraps this function and reads ``rep`` (argument 1)
+    as the id of the replication its spans belong to.
+    """
     trial_sizes = np.full(cfg.N, cfg.n_i)
     model = HierLogitModel(trial_sizes)
     gen = substream(cfg.seed, "logit", rep, "truth")
@@ -268,75 +255,31 @@ def _logit_fit(cfg: LogitExperimentConfig, rep: int) -> Optional[_LogitFit]:
     data = ObservationSet(y.astype(float), trial_sizes)
     try:
         mode = find_posterior_mode(model, data, seed=cfg.seed)
-        lap = laplace_approx(model, data, mode)
-        loo = loo_exact(model, data, lap)
+        summary = grid_summary(model, data, laplace_approx(model, data, mode))
     except NumericalError:  # an unconverged mode, or a posterior the LOO grid cannot hold
         return None
-    return _LogitFit(model, data, beta_true, mode, lap, loo)
-
-
-def _logit_replication(cfg: LogitExperimentConfig, rep: int, fit: _LogitFit,
-                       draws: PosteriorDraws, diag: Diagnostics, attempts: int) -> dict:
-    """Score replication ``rep`` from its fit and its main-chain draws.
-
-    perfbench's tracer wraps this function and reads ``rep`` (argument 1)
-    as the id of the replication its spans belong to.
-    """
-    model, data = fit.model, fit.data
-    pw = pointwise_loglik(model, data, draws)
-    eta_hat = mean_insample_loglik(pw)
-    pair = info_matrix_pair(model, data, fit.mode.theta_hat)
-    paic_report, waic2_report = paic(pw, pair, min_draws=draws.S), waic2(pw)
-    # the S x N matrix is not held through bpic's and the oracle's (S, N)
-    # temporaries, while the sampler loop still holds the batch's draws
-    del pw
+    pair = info_matrix_pair(model, data, mode.theta_hat)
     reports = {
-        "paic": paic_report,
-        "bpic": bpic(model, data, draws, fit.mode, pair, min_draws=draws.S),
-        "waic2": waic2_report,
-        "cv": fit.loo,
+        "paic": paic(summary, pair),
+        "bpic": bpic(model, data, mode, pair, summary.e_logprior, summary.S),
+        "waic2": waic2(summary),
+        "cv": summary.loo,
     }
-    eta_true = true_predictive_loglik_exact(draws, fit.beta_true, model.trial_sizes)
-    record = {"replication": rep, "eta_hat": eta_hat, "eta_true": eta_true}
+    eta_hat = mean_insample_loglik(summary)
+    eta_true = true_predictive_loglik_exact(summary.beta_means, summary.softplus_means,
+                                            beta_true, trial_sizes)
+    record = {"replication": rep, "eta_hat": eta_hat, "eta_true": eta_true,
+              "grid_points": summary.grid_points, "border_mass": summary.border_mass}
     for est, r in reports.items():
         b = (eta_hat - r.fit_term / cfg.N) + r.penalty / cfg.N
         record[f"b_{est}"] = b
         record[f"err_{est}"] = (eta_hat - eta_true) - b
-    record.update(max_rhat=diag.max_rhat, min_ess=diag.min_ess, attempts=float(attempts))
     return record
 
 
 def _logit_batch(cfg: LogitExperimentConfig, reps: range) -> list:
-    """Records of replications ``reps``, None for an excluded one (mode,
-    Laplace or LOO-grid failure, or two gate failures).
-
-    Every replication is fitted first.  Attempt 0 then passes all fitted
-    replications to the sampler in one call; each one that passes the
-    convergence gate is scored as the sampler yields its chains, and the
-    failed ones are rerun together once with a doubled budget.  Each row's
-    substream is keyed by (replication, attempt), so a replication's chains
-    do not depend on which others share its loop.
-    """
-    fits = {rep: _logit_fit(cfg, rep) for rep in reps}
-    records = dict.fromkeys(reps)
-    pending = [rep for rep in reps if fits[rep] is not None]
-    for attempt, budget in enumerate((cfg.budget, cfg.budget.scaled(2.0))):
-        sampled = _sample_hier_logit_rows(
-            [(fits[rep].model, fits[rep].data, fits[rep].lap, ("logit", rep, "main", attempt))
-             for rep in pending], budget, cfg.seed)
-        failed = []
-        for rep in pending:
-            draws, diag = next(sampled)
-            if diag.ok():
-                records[rep] = _logit_replication(cfg, rep, fits[rep], draws, diag,
-                                                  attempt + 1)
-            else:
-                failed.append(rep)
-            # explicit release: no draws of this loop stay held while the
-            # sampler runs its next one
-            del draws
-        pending = failed
-    return list(records.values())
+    """Records of replications ``reps``, None for an excluded one."""
+    return [_logit_replication(cfg, rep) for rep in reps]
 
 
 def _logit_batches(cfg: LogitExperimentConfig) -> list:
@@ -366,9 +309,8 @@ def aggregate_logit_cell(records: dict) -> dict:
 def run_logit_experiment(cfg: LogitExperimentConfig) -> ExperimentResult:
     """Replicated study of the four bias estimators for the logit model.
 
-    Replications whose mode search, Laplace step or LOO grid fails, or whose
-    sampler fails the convergence gate even after one doubled-budget retry,
-    are excluded; more than ``max_fail_frac`` of them aborts the study.
+    Replications whose mode search, Laplace step or LOO grid fails are
+    excluded; more than ``max_fail_frac`` of them aborts the study.
     """
     run_batch = functools.partial(_logit_batch, cfg)
     ranges = _logit_batches(cfg)
@@ -383,7 +325,7 @@ def run_logit_experiment(cfg: LogitExperimentConfig) -> ExperimentResult:
     excluded = cfg.replications - len(kept)
     if excluded > cfg.max_fail_frac * cfg.replications:
         raise ExperimentError(
-            f"{excluded}/{cfg.replications} replications excluded (mode, grid or gate)"
+            f"{excluded}/{cfg.replications} replications excluded (mode or grid)"
         )
     if not kept:
         raise ExperimentError("no replications survived")

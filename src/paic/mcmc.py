@@ -6,21 +6,18 @@ each group logit gets an adaptive random-walk Metropolis update (the group
 conditionals are independent given the hyperparameters, so all groups move
 in one vectorized step), while mu and tau2 have exact conjugate Gibbs
 updates.  Step sizes adapt toward a 0.44 acceptance rate during warmup only;
-the post-warmup kernel is frozen.
+the post-warmup kernel is frozen.  It serves ``paic compute``; the logit
+study takes its posterior expectations from the exact-LOO grid instead
+(``criteria.grid_summary``), and the tests check the sampler against them.
 
-One loop runs the chains of several problems at once as rows of one state
-array; rows may belong to different datasets (the main chains of several
-logit-study replications).  Callers pass all their problems, and the sampler
-splits them into as few loops as keep each loop's retained draws under
-LOOP_DRAW_BYTES, with sizes that differ by at most one (8 problems that fit
-7 to a loop run as 4 + 4, not 7 + 1).  Each of a row's four noise blocks
-(proposal normals, acceptance uniforms, and the mu normals and tau2
-chi-squares of the Gibbs steps) has its own Philox substream, keyed by
-(seed, *path, "chain", c, block), and is drawn from it in chunks of
-REPLAY_CHUNK iterations.  Consecutive chunks continue one stream, so a row's
-trajectory does not depend on the chunk size, the other rows or how the
-surrounding code schedules work, and the noise held at once does not grow
-with the chain length.
+The sampler runs a dataset's chains as rows of one state array.  Each of a
+row's four noise blocks (proposal normals, acceptance uniforms, and the mu
+normals and tau2 chi-squares of the Gibbs steps) has its own Philox
+substream, keyed by (seed, *rng_path, "chain", c, block), and is drawn from
+it in chunks of REPLAY_CHUNK iterations.  Consecutive chunks continue one
+stream, so a chain's trajectory does not depend on the chunk size or the
+other chains, and the noise held at once does not grow with the chain
+length.
 
 ESS (Geyer's initial monotone sequence, per chain) and split R-hat (BDA3)
 are array kernels over the sampler's (chains, draws, p) layout; the public
@@ -29,7 +26,6 @@ single-series ``ess`` and ``rhat`` reshape their input into it.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -48,11 +44,6 @@ ESS_MIN = 400.0
 ESS_MIN_SERIES = 10  # shortest series the ESS kernel accepts
 REPLAY_CHUNK = 64  # sampler iterations of each row's noise held per refill
 NOISE_BLOCKS = ("z_move", "log_u", "z_mu", "chi2")  # one substream each, per row
-# cap on the retained draws of one sampler loop, summed over its rows: 7
-# default-budget main chains (2.04 MB each), so a logit-study worker's 6
-# replications share one loop, whose T Python-level iterations cost about the
-# same for any row count; a pool worker's peak RSS grows with the cap
-LOOP_DRAW_BYTES = 16_000_000
 
 
 @dataclass(frozen=True)
@@ -66,13 +57,6 @@ class SamplerBudget:
             value = getattr(self, name)
             if value < low:
                 raise ValidationError(f"sampler budget {name} must be >= {low}, got {value}")
-
-    def scaled(self, factor: float) -> "SamplerBudget":
-        return SamplerBudget(
-            self.chains,
-            int(np.ceil(self.draws_per_chain * factor)),
-            int(np.ceil(self.warmup * factor)),
-        )
 
 
 @dataclass(frozen=True)
@@ -240,63 +224,46 @@ def _initial_states(model: HierLogitModel, lap: LaplaceApprox,
     return states, scales
 
 
-def _sample_hier_logit_rows(problems, budget: SamplerBudget, seed: int):
-    """Metropolis-within-Gibbs for any number of hierarchical logit problems.
+def sample_hier_logit(model: HierLogitModel, data: ObservationSet,
+                      budget: SamplerBudget = SamplerBudget(),
+                      seed: int = 0, rng_path=(),
+                      init: Optional[LaplaceApprox] = None,
+                      check: bool = True):
+    """Adaptive Metropolis-within-Gibbs for the hierarchical logit posterior.
 
-    A problem is (model, data, init LaplaceApprox, rng_path).  All must share
-    N and the hyperpriors; that and every problem's data are checked before
-    any loop runs.  Returns an iterator over one (PosteriorDraws, Diagnostics)
-    pair per problem, in order, from the fewest balanced loops under
-    LOOP_DRAW_BYTES.
+    Returns (PosteriorDraws, Diagnostics); with ``check=True`` raises
+    NonConvergenceError (carrying the diagnostics) when any coordinate has
+    rhat above RHAT_MAX or ESS below ESS_MIN -- callers may retry
+    with a larger budget.
+
+    The C chains are rows of one state array, each with its own start, step
+    scales and substreams (seed, *rng_path, "chain", c, block); every update
+    is elementwise per row.  The Metropolis step writes the proposal, its
+    softplus, the log ratio and the acceptances into (C, N) buffers allocated
+    once, and keeps beta and softplus(beta) current with
+    ``np.copyto(..., where=acc)``; the ratio's (beta - mu)^2 term is the Gibbs
+    step's squares from the iteration before.  Each operation has the
+    operands and the order of the expression it replaces, so the draws are
+    those of fresh arrays and ``np.where``.
     """
-    problems = list(problems)
-    if not problems:
-        return iter(())
-    model = problems[0][0]
-    for m, d, _, _ in problems:
-        if (m.N, m.mu_mean, m.mu_var, m.nu, m.s2) != (
-                model.N, model.mu_mean, model.mu_var, model.nu, model.s2):
-            raise ValidationError("batched problems must share N and the hyperpriors")
-        m.validate_data(d)
-    per_loop = max(1, LOOP_DRAW_BYTES // (budget.chains * budget.draws_per_chain * model.p * 8))
-    loops = -(-len(problems) // per_loop)
-    bounds = [k * len(problems) // loops for k in range(loops + 1)]
-    return itertools.chain.from_iterable(
-        _sample_loop(problems[lo:hi], budget, seed) for lo, hi in zip(bounds, bounds[1:]))
-
-
-def _sample_loop(problems, budget: SamplerBudget, seed: int):
-    """One sampler loop: each problem's C chains are rows of one state array
-    with their own counts, trial sizes, start, step scales and substreams
-    (seed, *rng_path, "chain", c, block).  Every update is elementwise per
-    row, so each problem's draws are those of sampling it alone.
-
-    The Metropolis step writes the proposal, its softplus, the log ratio and
-    the acceptances into (R, N) buffers allocated once per loop, and keeps
-    beta and softplus(beta) current with ``np.copyto(..., where=acc)``; the
-    ratio's (beta - mu)^2 term is the Gibbs step's squares from the iteration
-    before.  Each operation has the operands and the order of the expression
-    it replaces, so the draws are those of fresh arrays and ``np.where``."""
-    models, datas, inits, paths = zip(*problems)
-    model = models[0]
+    model.validate_data(data)
+    if init is None:
+        mode = find_posterior_mode(model, data, seed=seed)
+        init = laplace_approx(model, data, mode)
     N, p, C, D = model.N, model.p, budget.chains, budget.draws_per_chain
     T = budget.warmup + D
-    R = len(problems) * C
-    y = np.repeat([d.y for d in datas], C, axis=0).astype(float)
-    t = np.repeat([d.trial_sizes for d in datas], C, axis=0).astype(float)
+    y = np.tile(data.y.astype(float), (C, 1))
+    t = np.tile(data.trial_sizes.astype(float), (C, 1))
 
-    starts = [_initial_states(m, init, C, seed, path)
-              for m, init, path in zip(models, inits, paths)]
-    beta_mu_tau = np.concatenate([s for s, _ in starts])
-    scales = np.concatenate([sc for _, sc in starts])
+    beta_mu_tau, scales = _initial_states(model, init, C, seed, rng_path)
     beta = beta_mu_tau[:, :N].copy()
     mu = beta_mu_tau[:, N].copy()
     tau2 = np.maximum(beta_mu_tau[:, N + 1], 1e-8)
 
     df = model.nu + N
-    streams = [[substream(seed, *path, "chain", c, block) for block in NOISE_BLOCKS]
-               for path in paths for c in range(C)]
-    z_move = np.empty((R, min(REPLAY_CHUNK, T), N))
+    streams = [[substream(seed, *rng_path, "chain", c, block) for block in NOISE_BLOCKS]
+               for c in range(C)]
+    z_move = np.empty((C, min(REPLAY_CHUNK, T), N))
     log_u = np.empty_like(z_move)
     z_mu = np.empty(z_move.shape[:2])
     chi2 = np.empty_like(z_mu)
@@ -306,9 +273,9 @@ def _sample_loop(problems, budget: SamplerBudget, seed: int):
     prop, sp_prop, dlp, work = (np.empty_like(beta) for _ in range(4))
     acc = np.empty(beta.shape, dtype=bool)
     dev2 = np.square(beta - mu[:, None])
-    out = np.empty((R, D, p))
-    batch_acc = np.zeros((R, N))
-    accept_total = np.zeros((R, N))
+    out = np.empty((C, D, p))
+    batch_acc = np.zeros((C, N))
+    accept_total = np.zeros((C, N))
     scales_warm = scales.copy()
     warmup = budget.warmup
     nu_s2 = model.nu * model.s2
@@ -367,35 +334,13 @@ def _sample_loop(problems, budget: SamplerBudget, seed: int):
             out[:, k, N] = mu
             out[:, k, N + 1] = tau2
 
-    for first in range(0, R, C):
-        rows = slice(first, first + C)
-        draws = PosteriorDraws(
-            draws=out[rows].reshape(C * D, p),
-            chain_ids=np.repeat(np.arange(C), D),
-            warmup_discarded=warmup,
-            seed=seed,
-        )
-        yield draws, compute_diagnostics(
-            out[rows], accept_total[rows].mean(axis=0) / D, scales_warm[rows], scales[rows])
-
-
-def sample_hier_logit(model: HierLogitModel, data: ObservationSet,
-                      budget: SamplerBudget = SamplerBudget(),
-                      seed: int = 0, rng_path=(),
-                      init: Optional[LaplaceApprox] = None,
-                      check: bool = True):
-    """Adaptive Metropolis-within-Gibbs for the hierarchical logit posterior.
-
-    Returns (PosteriorDraws, Diagnostics); with ``check=True`` raises
-    NonConvergenceError (carrying the diagnostics) when any coordinate has
-    rhat above RHAT_MAX or ESS below ESS_MIN -- callers may retry
-    with a larger budget.
-    """
-    model.validate_data(data)
-    if init is None:
-        mode = find_posterior_mode(model, data, seed=seed)
-        init = laplace_approx(model, data, mode)
-    [(draws, diag)] = _sample_hier_logit_rows([(model, data, init, rng_path)], budget, seed)
+    draws = PosteriorDraws(
+        draws=out.reshape(C * D, p),
+        chain_ids=np.repeat(np.arange(C), D),
+        warmup_discarded=warmup,
+        seed=seed,
+    )
+    diag = compute_diagnostics(out, accept_total.mean(axis=0) / D, scales_warm, scales)
     if check and not diag.ok():
         raise NonConvergenceError(
             f"sampler did not converge: max rhat {diag.max_rhat:.4f}, "

@@ -388,7 +388,13 @@ class HierLogitModel(_ModelBase):
             return lp
         d = B - mu[:, None]
         d *= d
-        lp = -0.5 * self.N * (LOG_2PI + np.log(tau2)) - 0.5 * np.sum(d, axis=1) / tau2
+        return self.logprior_hyper(mu, tau2, np.sum(d, axis=1))
+
+    def logprior_hyper(self, mu, tau2, sq_dev):
+        """log pi(theta) from (mu, tau2) and sq_dev = sum_i (beta_i - mu)^2,
+        elementwise; linear in sq_dev, so its conditional expectation given
+        (mu, tau2) gives that of log pi."""
+        lp = -0.5 * self.N * (LOG_2PI + np.log(tau2)) - 0.5 * sq_dev / tau2
         lp += _normal_loglik(mu, self.mu_mean, self.mu_var)
         lp += scaled_inv_chi2_logpdf(tau2, self.nu, self.s2)
         return lp

@@ -354,7 +354,7 @@ def test_compute_builds_one_pointwise_matrix(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("criteria", ["loo", "popt", "loo,popt"])
 def test_compute_without_draw_criteria_does_not_sample(tmp_path, monkeypatch, criteria):
-    import paic.mcmc
+    import paic.cli
 
     # 15 groups of 0 out of 50: a sampler run would not converge (exit 3)
     data_path = tmp_path / "counts.csv"
@@ -371,7 +371,7 @@ def test_compute_without_draw_criteria_does_not_sample(tmp_path, monkeypatch, cr
     def no_sampling(*args, **kwargs):
         raise AssertionError("the sampler ran for criteria that need no draws")
 
-    monkeypatch.setattr(paic.mcmc, "_sample_loop", no_sampling)
+    monkeypatch.setattr(paic.cli, "sample_hier_logit", no_sampling)
     out = tmp_path / "sampled.json"
     assert main(base + ["--out", str(out)]) == supplied_code == 0
     assert (json.loads(out.read_text())["reports"]
@@ -433,27 +433,26 @@ def test_experiment_logit_count_beyond_int64_exit_2(tmp_path, capsys, flag):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags,field", [
-    pytest.param(["--samples", "5"], "draws_per_chain", id="samples-5"),
-    pytest.param(["--chains", "0"], "chains", id="chains-0"),
-    pytest.param(["--warmup", "-1"], "warmup", id="warmup-negative"),
-    pytest.param(["--groups", "2"], "N", id="groups-2"),
-    pytest.param(["--threads", "0"], "workers", id="threads-0"),
+@pytest.mark.parametrize("flags,message", [
+    # the study samples nothing: the budget flags are compute's alone
+    pytest.param(["--samples", "5"], "unrecognized arguments: --samples 5", id="samples-5"),
+    pytest.param(["--chains", "0"], "unrecognized arguments: --chains 0", id="chains-0"),
+    pytest.param(["--warmup", "-1"], "unrecognized arguments: --warmup -1",
+                 id="warmup-negative"),
+    pytest.param(["--groups", "2"], "N must be >= 3, got 2", id="groups-2"),
+    pytest.param(["--threads", "0"], "workers must be >= 1, got 0", id="threads-0"),
 ])
-def test_experiment_logit_invalid_config_exit_2(tmp_path, capsys, flags, field):
+def test_experiment_logit_invalid_config_exit_2(tmp_path, capsys, flags, message):
     out = tmp_path / "exp"
     code = main(["experiment", "logit", "--reps", "2", "--seed", "1",
                  "--out", str(out)] + flags)
     assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert f"{field} must be" in err and f"got {flags[1]}" in err
+    assert f"error: {message}\n" in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_experiment_logit_deterministic_bytes(tmp_path):
-    args = ["experiment", "logit", "--reps", "2", "--seed", "11",
-            *FAST_LOGIT_FLAGS]
+    args = ["experiment", "logit", "--reps", "2", "--seed", "11"]
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(args + ["--out", str(out1), "--threads", "1"]) == 0
     assert main(args + ["--out", str(out2), "--threads", "2"]) == 0
@@ -463,8 +462,7 @@ def test_experiment_logit_deterministic_bytes(tmp_path):
 
 def test_experiment_logit_aggregates_schema(tmp_path):
     out = tmp_path / "exp"
-    code = main(["experiment", "logit", "--reps", "2", "--seed", "3",
-                 *FAST_LOGIT_FLAGS, "--out", str(out)])
+    code = main(["experiment", "logit", "--reps", "2", "--seed", "3", "--out", str(out)])
     assert code == 0
     agg = json.loads((out / "aggregates.json").read_text())
     cell = agg["cells"][0]
@@ -475,14 +473,16 @@ def test_experiment_logit_aggregates_schema(tmp_path):
                               "sq_err_mean", "sq_err_sd"}
 
 
-def test_experiment_logit_hopeless_budget_exit_3(tmp_path, capsys):
+def test_experiment_logit_grid_failure_exit_3(tmp_path, capsys, monkeypatch):
+    # every replication's grid holds too much mass on its border
+    monkeypatch.setattr(paic.criteria, "LOO_SPANS", (2.4,))
     code = main([
-        "experiment", "logit", "--reps", "2", "--seed", "7",
-        "--chains", "2", "--samples", "60", "--warmup", "30",
+        "experiment", "logit", "--reps", "2", "--seed", "7", "--threads", "1",
         "--out", str(tmp_path / "x"),
     ])
     assert code == 3
-    assert "numerical failure" in capsys.readouterr().err
+    assert "numerical failure: 2/2 replications excluded" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_threads_env_fallback(monkeypatch):

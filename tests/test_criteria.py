@@ -36,10 +36,9 @@ from paic import (
     trace_correction,
     waic2,
 )
-from paic import criteria, mcmc
+from paic import criteria
 from paic.criteria import MIN_DRAWS
 from paic.infomat import InfoMatrixPair
-from paic.mcmc import _sample_hier_logit_rows
 from paic.rng import substream
 
 from conftest import assert_decomposition, criterion_4_data, laplace_fit
@@ -48,6 +47,12 @@ from conftest import assert_decomposition, criterion_4_data, laplace_fit
 def draws_from(matrix, seed=0):
     matrix = np.asarray(matrix, dtype=float)
     return PosteriorDraws(matrix, np.zeros(matrix.shape[0], dtype=int), 0, seed)
+
+
+def bpic_of_draws(model, data, draws, mode, pair):
+    """bpic with the draw average of log pi, as paic compute takes it."""
+    e_logprior = float(np.mean(model.logprior_draws(draws.draws)))
+    return bpic(model, data, mode, pair, e_logprior, draws.S)
 
 
 @pytest.fixture(scope="module")
@@ -117,13 +122,13 @@ def test_degenerate_prior_contract():
     report = paic(pw, pair)
     assert np.isfinite(report.value)
     with pytest.raises(ImproperPriorError, match="degenerate prior"):
-        bpic(m, data, draws, mode, pair)
+        bpic_of_draws(m, data, draws, mode, pair)
 
 
 def test_bpic_closed_form_and_ratio(normal_setup):
     m, data, mode, draws = normal_setup
     pair = info_matrix_pair(m, data, mode.theta_hat)
-    report = bpic(m, data, draws, mode, pair)
+    report = bpic_of_draws(m, data, draws, mode, pair)
     assert_decomposition(report)
     cf = closed_form_bias_estimators(m, data)
     # deterministic trace part equals the closed-form value exactly
@@ -149,7 +154,7 @@ def test_bpic_takes_the_paic_pair(case, normal_setup, hier_model, hier_data):
         mode = find_posterior_mode(m, data, seed=0)
         draws = draws_from(mode.theta_hat * np.linspace(0.9, 1.1, 1000)[:, None])
     pair = info_matrix_pair(m, data, mode.theta_hat)
-    report = bpic(m, data, draws, mode, pair)
+    report = bpic_of_draws(m, data, draws, mode, pair)
     tr = trace_correction(pair).value
     e_logprior = float(np.mean(m.logprior_draws(draws.draws)))
     assert report.penalty == pytest.approx(
@@ -165,7 +170,7 @@ def test_paic_and_bpic_reject_the_bpic_view(normal_setup):
     with pytest.raises(ValidationError, match=r"1/\(n-1\)"):
         paic(PointwiseLogLik(np.zeros((MIN_DRAWS, data.n))), view)
     with pytest.raises(ValidationError, match=r"1/\(n-1\)"):
-        bpic(m, data, draws, mode, view)
+        bpic_of_draws(m, data, draws, mode, view)
 
 
 def test_waic2_identical_draws_zero_penalty(normal_setup):
@@ -430,30 +435,49 @@ def test_loo_grid_matches_a_fine_reference(rep, monkeypatch):
     # Replication 25 has a group with 50 successes out of 50.
     model, data = criterion_4_data(rep)
     lap = laplace_fit(model, data, seed=1234)
-    terms = criteria._loo_terms_hier_logit(model, data, lap)
+    terms = criteria._loo_terms_hier_logit(data, criteria._hyper_grid(model, data, lap))
     monkeypatch.setattr(criteria, "LOO_GRID_STEP", 0.1)
     monkeypatch.setattr(criteria, "LOO_SPANS", (12.0,))
-    reference = criteria._loo_terms_hier_logit(model, data, lap)
+    reference = criteria._loo_terms_hier_logit(data, criteria._hyper_grid(model, data, lap))
     np.testing.assert_allclose(terms, reference, rtol=0, atol=1e-3)
 
 
 def test_group_log_marginals_match_brute_force_integrals():
     # log of int Bin(y | n, expit(b)) N(b | mu, tau2) db against a trapezoid
-    # rule with 1e-3 spacing, for counts at and near the ends of their range
+    # rule with 1e-3 spacing, for counts at and near the ends of their range;
+    # with them, the five conditional moments of b from the same nodes
     from scipy.stats import binom
     from scipy.special import expit
 
     data = ObservationSet(np.array([0.0, 3.0, 25.0, 49.0, 50.0]), np.array([50, 10, 50, 50, 50]))
     mu, tau2 = (g.ravel() for g in np.meshgrid([-6.0, 0.0, 0.5, 4.0], [1e-3, 0.05, 1.0, 4.0]))
-    got = criteria._group_log_marginals(data, mu, tau2)
+    got, cond = criteria._group_integrals(data, mu, tau2, moments=True)
+    np.testing.assert_array_equal(criteria._group_integrals(data, mu, tau2)[0], got)
     b = np.linspace(-40.0, 40.0, 80_001)
     for i in range(data.n):
         log_lik = binom.logpmf(data.y[i], data.trial_sizes[i], expit(b))
         for j in range(mu.size):
             log_f = log_lik + norm.logpdf(b, mu[j], math.sqrt(tau2[j]))
             top = log_f.max()
-            assert got[i, j] == pytest.approx(top + math.log(np.trapezoid(np.exp(log_f - top), b)),
-                                              abs=1e-5)
+            f = np.exp(log_f - top)
+            mass = np.trapezoid(f, b)
+            assert got[i, j] == pytest.approx(top + math.log(mass), abs=1e-5)
+
+            def mean(x):
+                return np.trapezoid(f * x, b) / mass
+
+            # log_lik is -inf where expit(b) rounds to 0 or 1; l_i is finite there
+            lik = (data.y[i] * b - data.trial_sizes[i] * np.logaddexp(0.0, b)
+                   + binom.logpmf(data.y[i], data.trial_sizes[i], 0.5)
+                   + data.trial_sizes[i] * math.log(2.0))
+            e_lik = mean(lik)
+            expected = (mean(b), mean(np.logaddexp(0.0, b)), mean((b - mu[j]) ** 2), e_lik,
+                        mean((lik - e_lik) ** 2))
+            # tau2 = 4 holds the one-sided integrands (counts at 0 or n_i far
+            # from mu) where 32 nodes lose digits: measured 8e-4 at 0 of 50
+            # and mu = -6 (ROADMAP item 3); at most 2.5e-8 where tau2 <= 1
+            rtol = 1e-6 if tau2[j] <= 1.0 else 2e-3
+            np.testing.assert_allclose(cond[:, i, j], expected, rtol=rtol, atol=1e-8)
 
 
 @pytest.mark.parametrize("count", ["none", "all"])
@@ -468,24 +492,45 @@ def test_loo_grid_refuses_mass_on_its_border(count):
     assert err.value.border_mass > criteria.LOO_BORDER_MASS
 
 
-@pytest.mark.parametrize("other", [
-    HierLogitModel(np.full(14, 50)),
-    HierLogitModel(np.full(15, 50), nu=0.2),
-    HierLogitModel(np.full(15, 50), mu_var=4.0),
-])
-def test_batched_sampler_rejects_mixed_problems(hier_model, hier_data, monkeypatch, other):
-    def problem(model, c):
-        data = ObservationSet(hier_data.y[:model.N], hier_data.trial_sizes[:model.N])
-        lap = LaplaceApprox(model.default_init(data), np.eye(model.p))
-        return model, data, lap, ("mixed", c)
+@pytest.mark.parametrize("rep", [5, 25, "near-equal"])
+def test_grid_summary_matches_a_fine_reference(rep, monkeypatch):
+    # every expectation of the summary against a 121 x 121 grid (0.2 Laplace
+    # sd apart, +-12 sd); its LOO report is loo_exact's, to the bit
+    model, data = criterion_4_data(rep)
+    lap = laplace_fit(model, data, seed=1234)
+    summary = criteria.grid_summary(model, data, lap)
+    assert summary.loo == loo_exact(model, data, lap)
+    assert summary.S == 0 and summary.n == data.n
+    assert summary.grid_points == (2 * round(12.0 / criteria.LOO_GRID_STEP) + 1) ** 2
+    assert summary.border_mass <= criteria.LOO_BORDER_MASS
+    monkeypatch.setattr(criteria, "LOO_GRID_STEP", 0.2)
+    monkeypatch.setattr(criteria, "LOO_SPANS", (12.0,))
+    fine = criteria.grid_summary(model, data, lap)
+    for name in ("loglik_means", "loglik_vars", "beta_means", "softplus_means", "e_logprior"):
+        np.testing.assert_allclose(getattr(summary, name), getattr(fine, name),
+                                   rtol=1e-6, atol=1e-6, err_msg=name)
 
-    # under the second cap each loop holds one problem, so the mismatched one
-    # would be sampled only in the second loop, yet the call itself raises
-    for cap in (mcmc.LOOP_DRAW_BYTES, 20 * hier_model.p * 8):
-        monkeypatch.setattr(mcmc, "LOOP_DRAW_BYTES", cap)
-        with pytest.raises(ValidationError, match="share N and the hyperpriors"):
-            _sample_hier_logit_rows([problem(hier_model, 0), problem(other, 1)],
-                                    SamplerBudget(1, 20, 10), seed=0)
+
+def test_criteria_read_the_grid_summary_as_draws(hier_model, hier_data):
+    # paic and waic2 read the exact summary through the members they read of a
+    # PointwiseLogLik, with no draw count to check; bpic takes its E[log pi]
+    lap = laplace_fit(hier_model, hier_data)
+    summary = criteria.grid_summary(hier_model, hier_data, lap)
+    pair = info_matrix_pair(hier_model, hier_data, lap.mean)
+    mode = find_posterior_mode(hier_model, hier_data, seed=0)
+    reports = [paic(summary, pair), waic2(summary),
+               bpic(hier_model, hier_data, mode, pair, summary.e_logprior, summary.S)]
+    fit = float(np.sum(summary.loglik_means))
+    assert [r.S for r in reports] == [0, 0, 0]
+    assert reports[0].fit_term == reports[1].fit_term == fit
+    assert reports[0].penalty == trace_correction(pair).value
+    assert reports[1].penalty == float(np.sum(summary.loglik_vars))
+    tr = trace_correction(pair).value * (hier_data.n - 1) / hier_data.n
+    assert reports[2].penalty == summary.e_logprior + tr + 0.5 * hier_model.p
+    for r in reports:
+        assert_decomposition(r)
+    with pytest.raises(UnsupportedModelError):
+        criteria.grid_summary(ConjugateNormalModel(1.0), ObservationSet(hier_data.y), lap)
 
 
 def test_loo_exact_hier_logit_needs_its_fit(hier_model, hier_data):

@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import weakref
 
 import numpy as np
 import pytest
@@ -9,21 +8,17 @@ from scipy.stats import binom
 
 from paic import (
     ExperimentError,
-    HierLogitModel,
     LogitExperimentConfig,
     NormalExperimentConfig,
-    ObservationSet,
-    PosteriorDraws,
-    SamplerBudget,
     ValidationError,
-    pointwise_loglik,
+    loo_exact,
     run_logit_experiment,
     run_normal_bias_experiment,
     trace_correction,
     true_bias_normal,
     true_predictive_loglik_exact,
 )
-from paic import experiments, mcmc
+from paic import criteria, experiments
 from paic.experiments import (
     LOGIT_ESTIMATORS,
     NORMAL_ESTIMATORS,
@@ -32,11 +27,10 @@ from paic.experiments import (
     resolve_tau02,
 )
 from paic.fileio import provenance, write_experiment_outputs
+from paic.models import softplus
 from paic.rng import substream
 
 from conftest import count_searches
-
-FAST_LOGIT = dict(budget=SamplerBudget(2, 1200, 600))
 
 
 def test_true_bias_flat_is_one_over_n():
@@ -129,9 +123,9 @@ def test_eta_exact_with_point_mass_draws():
     N = 6
     beta_true = gen.standard_normal(N)
     trials = np.full(N, 30)
-    theta = np.concatenate([beta_true, [0.0, 1.0]])
-    draws = PosteriorDraws(np.tile(theta, (500, 1)), np.zeros(500, dtype=int), 0, 0)
-    eta = true_predictive_loglik_exact(draws, beta_true, trials)
+    B = np.tile(beta_true, (500, 1))
+    eta = true_predictive_loglik_exact(B.mean(axis=0), softplus(B).mean(axis=0),
+                                       beta_true, trials)
     expected = 0.0
     for i in range(N):
         z = np.arange(31)
@@ -149,19 +143,20 @@ def test_eta_exact_matches_brute_force_over_spread_draws():
     mat = np.concatenate([gen.standard_normal((S, N)) * 1.5 + 0.3,
                           gen.standard_normal((S, 1)),
                           np.abs(gen.standard_normal((S, 1))) + 0.5], axis=1)
-    draws = PosteriorDraws(mat, np.zeros(S, dtype=int), 0, 0)
     expected = 0.0
     for i in range(N):
         z = np.arange(trials[i] + 1)
         logpmf = binom.logpmf(z[None, :], trials[i], expit(mat[:, i])[:, None])
         expected += float(binom.pmf(z, trials[i], expit(beta_true[i]))
                           @ logpmf.mean(axis=0))
-    eta = true_predictive_loglik_exact(draws, beta_true, trials)
+    B = mat[:, :N]
+    eta = true_predictive_loglik_exact(B.mean(axis=0), softplus(B).mean(axis=0),
+                                       beta_true, trials)
     assert eta == pytest.approx(expected / N, rel=1e-12)
 
 
 def test_logit_experiment_smoke_two_replications():
-    cfg = LogitExperimentConfig(replications=2, seed=3, **FAST_LOGIT)
+    cfg = LogitExperimentConfig(replications=2, seed=3)
     result = run_logit_experiment(cfg)
     cell = result.cells[0]
     assert cell.records["replication"].size == 2
@@ -169,6 +164,11 @@ def test_logit_experiment_smoke_two_replications():
         assert np.isfinite(cell.records[f"b_{est}"]).all()
         assert np.isfinite(cell.records[f"err_{est}"]).all()
     assert cell.excluded == 0
+    # the diagnostics are the grid's: its point count and its border mass
+    assert set(cell.records) == set(experiments._LOGIT_RECORD_FIELDS)
+    assert np.all(cell.records["grid_points"] >= (2 * 20 + 1) ** 2)
+    assert np.all(cell.records["border_mass"] <= criteria.LOO_BORDER_MASS)
+    assert "budget" not in result.config
     # the conjugate-model identity b_bpic = (n-1)/n * b_paic does not carry
     # over to this model: only error orderings are comparable across studies
     ratio = cell.records["b_bpic"] / cell.records["b_paic"]
@@ -176,8 +176,8 @@ def test_logit_experiment_smoke_two_replications():
 
 
 def test_logit_experiment_deterministic_and_worker_invariant():
-    cfg1 = LogitExperimentConfig(replications=2, seed=3, workers=1, **FAST_LOGIT)
-    cfg2 = LogitExperimentConfig(replications=2, seed=3, workers=2, **FAST_LOGIT)
+    cfg1 = LogitExperimentConfig(replications=2, seed=3, workers=1)
+    cfg2 = LogitExperimentConfig(replications=2, seed=3, workers=2)
     a = run_logit_experiment(cfg1)
     b = run_logit_experiment(cfg1)
     c = run_logit_experiment(cfg2)
@@ -191,89 +191,33 @@ def test_logit_experiment_deterministic_and_worker_invariant():
 def _logit_output_digests(cfg, outdir):
     result = run_logit_experiment(cfg)
     write_experiment_outputs(str(outdir), result, provenance(result.config, cfg.seed))
-    digests = {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
-               for name in ("replications.csv", "aggregates.json")}
-    return digests, result.cells[0].records["attempts"]
+    return {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+            for name in ("replications.csv", "aggregates.json")}
 
 
-def test_logit_outputs_do_not_depend_on_batch_size_or_workers(tmp_path, monkeypatch):
-    # at this budget one of the four replications takes the doubled-budget retry
-    cfg = LogitExperimentConfig(replications=4, seed=5, **FAST_LOGIT)
-    b = cfg.budget
-    one_replication = b.chains * b.draws_per_chain * (cfg.N + 2) * 8
-    runs = {}
-    for cap in (one_replication, mcmc.LOOP_DRAW_BYTES, 4 * one_replication):
-        monkeypatch.setattr(mcmc, "LOOP_DRAW_BYTES", cap)
-        for workers in (1, 2):
-            run_cfg = dataclasses.replace(cfg, workers=workers)
-            runs[cap, workers] = _logit_output_digests(run_cfg, tmp_path / f"{cap}-{workers}")
-    (digests, attempts), *others = runs.values()
-    assert 2.0 in attempts
-    for other, _ in others:
-        assert other == digests
-
-    # one batch of all four replications under a one-replication cap: four
-    # attempt-0 loops, each replication scored before the next loop starts,
-    # and no loop's draws still held when the next one begins
-    events, last_draws = [], []
-    sample_loop, score = mcmc._sample_loop, experiments._logit_replication
-
-    def traced_loop(problems, budget, seed):
-        assert all(ref() is None for ref in last_draws)
-        if problems[0][3][2] == "main":
-            events.append(("loop", [p[3][1] for p in problems], problems[0][3][3]))
-        for draws, diag in sample_loop(problems, budget, seed):
-            last_draws[:] = [weakref.ref(draws.draws)]
-            yield draws, diag
-
-    def traced_score(cfg, rep, *args):
-        events.append(("score", rep))
-        return score(cfg, rep, *args)
-
-    monkeypatch.setattr(mcmc, "LOOP_DRAW_BYTES", one_replication)
-    monkeypatch.setattr(mcmc, "_sample_loop", traced_loop)
-    monkeypatch.setattr(experiments, "_logit_replication", traced_score)
-    assert _logit_output_digests(cfg, tmp_path / "traced")[0] == digests
-    loops = [len(e[1]) for e in events if e[0] == "loop" and e[2] == 0]
-    assert loops == [1, 1, 1, 1]
-    retried = [rep for rep in range(4) if attempts[rep] == 2.0]
-    expected = []
-    for rep in range(4):
-        expected += [("loop", [rep], 0)] + ([] if rep in retried else [("score", rep)])
-    for rep in retried:
-        expected += [("loop", [rep], 1), ("score", rep)]
-    assert events == expected
-
-
-def test_default_cap_holds_a_worker_batch_in_one_loop(monkeypatch):
-    # the benchmark's logit workload gives each worker 6 default-budget
-    # replications: the default cap runs their main chains as one loop, with
-    # the records of one loop per replication
-    cfg = LogitExperimentConfig(replications=6, seed=7)
-    b = cfg.budget
-    loops, sample_loop = [], mcmc._sample_loop
-
-    def traced_loop(problems, budget, seed):
-        loops.append((len(problems), problems[0][3][3]))
-        return sample_loop(problems, budget, seed)
-
-    monkeypatch.setattr(mcmc, "_sample_loop", traced_loop)
-    records = experiments._logit_batch(cfg, range(6))
-    assert None not in records
-    assert [size for size, attempt in loops if attempt == 0] == [6]
-    monkeypatch.setattr(mcmc, "LOOP_DRAW_BYTES", b.chains * b.draws_per_chain * (cfg.N + 2) * 8)
-    loops.clear()
-    assert experiments._logit_batch(cfg, range(6)) == records
-    assert [size for size, attempt in loops if attempt == 0] == [1] * 6
+def test_logit_outputs_do_not_depend_on_batch_size_or_workers(tmp_path):
+    # four replications as one batch of 4, batches of 2 + 2, and of 1 + 1 + 2
+    cfg = LogitExperimentConfig(replications=4, seed=5)
+    digests = [_logit_output_digests(dataclasses.replace(cfg, workers=workers),
+                                     tmp_path / str(workers)) for workers in (1, 2, 3)]
+    assert digests[1] == digests[0] and digests[2] == digests[0]
 
 
 def test_logit_batch_searches_once_per_replication(monkeypatch):
-    # a replication's sampler start and its LOO grid share one mode search
-    calls = count_searches(monkeypatch)
-    cfg = LogitExperimentConfig(replications=6, seed=7, **FAST_LOGIT)
+    # a replication's LOO, posterior summary and paic/bpic pair share one
+    # mode search, and its LOO and summary one grid
+    calls, grids, hyper_grid = count_searches(monkeypatch), [], criteria._hyper_grid
+
+    def counted(*args, **kwargs):
+        grids.append(1)
+        return hyper_grid(*args, **kwargs)
+
+    monkeypatch.setattr(criteria, "_hyper_grid", counted)
+    cfg = LogitExperimentConfig(replications=6, seed=7)
     records = experiments._logit_batch(cfg, range(6))
     assert None not in records
     assert len(calls) == 6
+    assert len(grids) == 6
 
 
 @pytest.mark.parametrize("reps,workers,sizes", [
@@ -284,8 +228,8 @@ def test_logit_batch_searches_once_per_replication(monkeypatch):
     (7, 3, [2, 2, 3]),
 ])
 def test_logit_batches_fewest_under_the_cap(reps, workers, sizes):
-    # one batch per worker, whatever the budget and the sampler's draw cap;
-    # with fewer replications than workers each replication is its own batch
+    # one batch per worker; with fewer replications than workers each
+    # replication is its own batch
     batches = experiments._logit_batches(
         LogitExperimentConfig(replications=reps, workers=workers))
     assert [len(b) for b in batches] == sizes
@@ -293,7 +237,7 @@ def test_logit_batches_fewest_under_the_cap(reps, workers, sizes):
 
 
 def test_logit_aggregates_self_consistent():
-    cfg = LogitExperimentConfig(replications=3, seed=5, **FAST_LOGIT)
+    cfg = LogitExperimentConfig(replications=3, seed=5)
     result = run_logit_experiment(cfg)
     cell = result.cells[0]
     assert aggregate_logit_cell(cell.records) == cell.aggregates
@@ -306,35 +250,41 @@ def test_logit_replication_scores_the_shipped_criteria(monkeypatch):
         shipped = getattr(experiments, name)
 
         def call(*args, **kwargs):
-            report = shipped(*args, **kwargs)
-            captured[name] = (args, report)
-            return report
+            result = shipped(*args, **kwargs)
+            captured[name] = (args, result)
+            return result
         return call
 
-    for name in ("paic", "bpic", "waic2", "loo_exact"):
+    for name in ("paic", "bpic", "waic2", "grid_summary"):
         monkeypatch.setattr(experiments, name, recording(name))
-    cfg = LogitExperimentConfig(replications=1, seed=3, **FAST_LOGIT)
+    cfg = LogitExperimentConfig(replications=1, seed=3)
     [rec] = experiments._logit_batch(cfg, range(1))
 
+    (model, data, lap), summary = captured["grid_summary"]
+    # the study's cv is the report that paic compute ships, to the bit
+    assert summary.loo == loo_exact(model, data, lap)
     eta_hat, N = rec["eta_hat"], cfg.N
-    for est, name in (("paic", "paic"), ("bpic", "bpic"), ("waic2", "waic2"),
-                      ("cv", "loo_exact")):
-        r = captured[name][1]
+    for est, r in (("paic", captured["paic"][1]), ("bpic", captured["bpic"][1]),
+                   ("waic2", captured["waic2"][1]), ("cv", summary.loo)):
+        assert r.S == 0
         assert rec[f"b_{est}"] == (eta_hat - r.fit_term / N) + r.penalty / N
         assert rec[f"err_{est}"] == (eta_hat - rec["eta_true"]) - rec[f"b_{est}"]
 
-    # the study's former hand-written bpic bias, from the captured arguments
-    model, data, draws, mode, pair = captured["bpic"][0]
-    loglik = pointwise_loglik(model, data, draws).values.sum(axis=1)
-    logpost = loglik + model.logprior_draws(draws.draws)
-    parent = (float(np.mean(logpost)) - mode.logpost
-              + trace_correction(pair).value * (N - 1) / N + 0.5 * model.p) / N
-    assert rec["b_bpic"] == pytest.approx(parent, rel=1e-12)
+    # bpic's prior term is the summary's exact E[log pi]
+    model, data, mode, pair, e_logprior, S = captured["bpic"][0]
+    assert (e_logprior, S) == (summary.e_logprior, 0)
+    assert rec["b_bpic"] == pytest.approx(
+        (e_logprior - mode.logpost + float(np.sum(summary.loglik_means))
+         + trace_correction(pair).value * (N - 1) / N + 0.5 * model.p) / N, rel=1e-12)
 
 
-def test_logit_experiment_aborts_when_budget_hopeless():
-    cfg = LogitExperimentConfig(replications=2, seed=7, budget=SamplerBudget(2, 60, 30))
-    with pytest.raises(ExperimentError):
+def test_logit_experiment_aborts_when_the_grids_fail(monkeypatch):
+    # a grid of +-2.4 Laplace sd holds far more than LOO_BORDER_MASS on its
+    # border: every replication is excluded
+    monkeypatch.setattr(criteria, "LOO_SPANS", (2.4,))
+    cfg = LogitExperimentConfig(replications=2, seed=7)
+    assert experiments._logit_batch(cfg, range(2)) == [None, None]
+    with pytest.raises(ExperimentError, match="2/2 replications excluded"):
         run_logit_experiment(cfg)
 
 

@@ -13,8 +13,9 @@ from paic import (
     sample_conjugate_normal,
     sample_hier_logit,
 )
-from paic import mcmc
-from paic.criteria import _gh_mean_softplus, _hyper_grid, _loo_terms_hier_logit
+from paic import info_matrix_pair, mcmc
+from paic.criteria import (_gh_mean_softplus, _hyper_grid, _loo_terms_hier_logit,
+                           grid_summary, paic, pointwise_loglik, waic2)
 from paic.mcmc import (ADAPT_BATCH, NOISE_BLOCKS, REPLAY_CHUNK, TARGET_ACCEPT, _ess_kernel,
                         compute_diagnostics)
 from paic.models import _binom_loglik, logpost_unnorm, softplus
@@ -329,35 +330,29 @@ def test_hier_draws_do_not_depend_on_the_replay_chunk(hier_model, hier_data, mon
 
 
 
-def _reference_loop(problems, budget, seed):
+def _reference_loop(model, data, init, rng_path, budget, seed):
     """The sampler loop with a fresh array per operation and np.where, as it
-    was first written; returns the (R, D, p) draws, the (R, N) post-warmup
+    was first written; returns the (C, D, p) draws, the (C, N) post-warmup
     acceptance counts and the step scales at the end of warmup and at the end."""
-    models, datas, inits, paths = zip(*problems)
-    model = models[0]
     N, p, C, D = model.N, model.p, budget.chains, budget.draws_per_chain
     T = budget.warmup + D
-    R = len(problems) * C
-    y = np.repeat([d.y for d in datas], C, axis=0).astype(float)
-    t = np.repeat([d.trial_sizes for d in datas], C, axis=0).astype(float)
-    starts = [mcmc._initial_states(m, init, C, seed, path)
-              for m, init, path in zip(models, inits, paths)]
-    beta_mu_tau = np.concatenate([s for s, _ in starts])
-    scales = np.concatenate([sc for _, sc in starts])
+    y = np.tile(data.y, (C, 1)).astype(float)
+    t = np.tile(data.trial_sizes, (C, 1)).astype(float)
+    beta_mu_tau, scales = mcmc._initial_states(model, init, C, seed, rng_path)
     beta = beta_mu_tau[:, :N].copy()
     mu = beta_mu_tau[:, N].copy()
     tau2 = np.maximum(beta_mu_tau[:, N + 1], 1e-8)
     df = model.nu + N
-    streams = [[substream(seed, *path, "chain", c, block) for block in NOISE_BLOCKS]
-               for path in paths for c in range(C)]
-    z_move = np.empty((R, min(REPLAY_CHUNK, T), N))
+    streams = [[substream(seed, *rng_path, "chain", c, block) for block in NOISE_BLOCKS]
+               for c in range(C)]
+    z_move = np.empty((C, min(REPLAY_CHUNK, T), N))
     log_u = np.empty_like(z_move)
     z_mu = np.empty(z_move.shape[:2])
     chi2 = np.empty_like(z_mu)
     sp_beta = softplus(beta)
-    out = np.empty((R, D, p))
-    batch_acc = np.zeros((R, N))
-    accept_total = np.zeros((R, N))
+    out = np.empty((C, D, p))
+    batch_acc = np.zeros((C, N))
+    accept_total = np.zeros((C, N))
     scales_warm = scales.copy()
     for it in range(T):
         j = it % REPLAY_CHUNK
@@ -407,28 +402,34 @@ def _reference_loop(problems, budget, seed):
 def test_buffered_sampler_step_is_the_reference_chain(hier_model, hier_data):
     # warmup 130 + 70 draws crosses two adaptation batches, the end of
     # warmup and three replay refills; three datasets, one with other trial
-    # sizes, share one loop
+    # sizes
     sizes = np.arange(20, 80, 4)
     problems = [(hier_model, hier_data), criterion_4_data(1)]
     problems.append((HierLogitModel(sizes),
                      ObservationSet(np.floor(0.3 * sizes) + np.arange(15) % 3, sizes)))
-    problems = [(m, d, laplace_fit(m, d), ("reference", k))
-                for k, (m, d) in enumerate(problems)]
     budget = SamplerBudget(2, 70, 130)
     assert budget.warmup % ADAPT_BATCH and budget.warmup > 2 * REPLAY_CHUNK
-    out, accepted, scales_warm, scales = _reference_loop(problems, budget, seed=21)
     C, D = budget.chains, budget.draws_per_chain
-    sampled = list(mcmc._sample_hier_logit_rows(problems, budget, seed=21))
-    assert len(sampled) == len(problems)
-    for k, (draws, diag) in enumerate(sampled):
-        rows = slice(k * C, (k + 1) * C)
-        np.testing.assert_array_equal(draws.draws, out[rows].reshape(C * D, -1))
-        np.testing.assert_array_equal(diag.accept_rate, accepted[rows].mean(axis=0) / D)
-        np.testing.assert_array_equal(diag.step_scales_warmup_end, scales_warm[rows])
-        np.testing.assert_array_equal(diag.step_scales_final, scales[rows])
+    for k, (model, data) in enumerate(problems):
+        lap = laplace_fit(model, data)
+        out, accepted, scales_warm, scales = _reference_loop(
+            model, data, lap, ("reference", k), budget, seed=21)
+        draws, diag = sample_hier_logit(model, data, budget, seed=21, rng_path=("reference", k),
+                                        init=lap, check=False)
+        np.testing.assert_array_equal(draws.draws, out.reshape(C * D, -1))
+        np.testing.assert_array_equal(diag.accept_rate, accepted.mean(axis=0) / D)
+        np.testing.assert_array_equal(diag.step_scales_warmup_end, scales_warm)
+        np.testing.assert_array_equal(diag.step_scales_final, scales)
 
 
 # -- the nested-quadrature oracle ------------------------------------------
+
+
+def _mc_se(series, chains):
+    """Monte Carlo standard error of the mean of a draw series, from the ESS
+    summed over its chains."""
+    ess = _ess_kernel(series.reshape(chains, -1, 1)).sum()
+    return series.std(ddof=1) / np.sqrt(ess)
 
 
 @pytest.mark.parametrize("rep", [1, 3, 5, "near-equal"])
@@ -436,13 +437,29 @@ def test_hier_sampler_means_match_the_quadrature_oracle(rep):
     # posterior means of mu and tau2 from 3 x 20000 draws lie within 4 Monte
     # Carlo standard errors (ESS-based) of the grid's; replication 5 has
     # tau2 near 2.2 and a group at 1 of 50, the near-equal counts put tau2
-    # against its hyperprior near 0
+    # against its hyperprior near 0.  So do the numbers paic compute takes
+    # from these draws and the study from the grid summary: paic's fit,
+    # waic2's penalty and bpic's E[log pi]
     model, data = criterion_4_data(rep)
-    mu, tau2, log_w, _ = _hyper_grid(model, data, laplace_fit(model, data, seed=1234))
-    draws, diag = sample_hier_logit(model, data, SamplerBudget(3, 20000, 2000), seed=1)
-    for k, oracle in ((model.N, np.exp(log_w) @ mu), (model.N + 1, np.exp(log_w) @ tau2)):
+    lap = laplace_fit(model, data, seed=1234)
+    grid = _hyper_grid(model, data, lap)
+    C = 3
+    draws, diag = sample_hier_logit(model, data, SamplerBudget(C, 20000, 2000), seed=1)
+    w = np.exp(grid.log_w)
+    for k, oracle in ((model.N, w @ grid.mu), (model.N + 1, w @ grid.tau2)):
         x = draws.draws[:, k]
         assert abs(x.mean() - oracle) <= 4.0 * x.std(ddof=1) / np.sqrt(diag.ess[k])
+
+    summary = grid_summary(model, data, lap)
+    pair = info_matrix_pair(model, data, lap.mean)
+    pw = pointwise_loglik(model, data, draws)
+    logprior = model.logprior_draws(draws.draws)
+    sampled = (paic(pw, pair).fit_term, waic2(pw).penalty, float(np.mean(logprior)))
+    exact = (paic(summary, pair).fit_term, waic2(summary).penalty, summary.e_logprior)
+    # waic2's penalty is the mean of sum_i (l_i - mean_i)^2 times S / (S - 1)
+    series = (pw.values.sum(axis=1), ((pw.values - pw.column_means()) ** 2).sum(axis=1), logprior)
+    for got, want, x in zip(sampled, exact, series):
+        assert abs(got - want) <= 4.0 * _mc_se(x, C)
 
 
 def test_hier_sampler_fold_sum_matches_the_quadrature_oracle():
@@ -463,5 +480,6 @@ def test_hier_sampler_fold_sum_matches_the_quadrature_oracle():
         total += _binom_loglik(n_i, y_i, mu.mean(), mean_sp.mean())
         t = y_i * mu - n_i * mean_sp
         var += t.var(ddof=1) / _ess_kernel(t.reshape(C, D, 1)).sum()
-    grid = float(np.sum(_loo_terms_hier_logit(model, data, laplace_fit(model, data, seed=1234))))
+    lap = laplace_fit(model, data, seed=1234)
+    grid = float(np.sum(_loo_terms_hier_logit(data, _hyper_grid(model, data, lap))))
     assert abs(total - grid) <= 4.0 * np.sqrt(var)
