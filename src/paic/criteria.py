@@ -53,11 +53,12 @@ MIN_DRAWS = 1000
 LOO_MAX_N = 1000
 # hierarchical-logit LOO grid: LOO_GRID_STEP Laplace sd apart, half-width LOO_SPANS[0]
 # sd, widened while a (fold) posterior holds more than LOO_BORDER_MASS on its outer
-# ring; its group integrals run in blocks of at most LOO_CHUNK_BYTES
+# ring; its group integrals run in node buffers of at most LOO_CHUNK_BYTES (one
+# count pair of the first 41 x 41 grid, 430 KB: blocks of 2 or more ran slower)
 LOO_GRID_STEP = 0.6
 LOO_SPANS = (12.0, 18.0, 27.0, 40.0)
 LOO_BORDER_MASS = 1e-5
-LOO_CHUNK_BYTES = 1_000_000
+LOO_CHUNK_BYTES = 500_000
 # waic2's column variances hold at most this many bytes of squared deviations
 VAR_BLOCK_BYTES = 262_144
 
@@ -283,15 +284,22 @@ def _loo_terms_normal(model: ConjugateNormalModel, data: ObservationSet) -> np.n
 
 
 def _conditional_modes(y, n, mu, tau2):
-    """Mode and Laplace sd of y b - n softplus(b) - (b - mu)^2 / (2 tau2) per group
-    (rows of y, n) and grid point: Newton in a bracket shrinking from [mu, mu +
-    tau2 f'(mu)], bisecting where a step leaves it or stalls (Numerical Recipes' rtsafe)."""
+    """Mode and Laplace sd of y b - n softplus(b) - (b - mu)^2 / (2 tau2) for each
+    element of the broadcast of y, n, mu and tau2: Newton in a bracket shrinking
+    from [mu, mu + tau2 f'(mu)], bisecting where a step leaves it or stalls
+    (Numerical Recipes' rtsafe).  Each element stops at its first iteration
+    without a live step and leaves the search, so its result is the one it gets
+    searched alone, whatever else shares the call."""
+    shape = np.broadcast_shapes(np.shape(y), np.shape(n), np.shape(mu), np.shape(tau2))
+    y, n, mu, tau2 = (np.broadcast_to(a, shape).ravel() for a in (y, n, mu, tau2))
+    mode, sd = np.empty(y.size), np.empty(y.size)
+    idx = np.arange(y.size)
     end = mu + tau2 * (y * _expit(-mu) - (n - y) * _expit(mu))
     lo, hi = np.minimum(mu, end), np.maximum(mu, end)
     ph = (y + 0.5) / (n + 1.0)  # start between mu and the empirical logit
     w = n * ph * (1.0 - ph)
     b = np.clip((mu / tau2 + w * np.log(ph / (1.0 - ph))) / (1.0 / tau2 + w), lo, hi)
-    dx = dx_old = np.inf
+    dx = dx_old = np.full(y.size, np.inf)
     for _ in range(100):  # 3 to 5 iterations on the criterion-4 grids
         s, sc = _expit(b), _expit(-b)  # both, for precision where expit saturates
         grad = y * sc - (n - y) * s - (b - mu) / tau2
@@ -299,46 +307,63 @@ def _conditional_modes(y, n, mu, tau2):
         curv = n * s * sc + 1.0 / tau2
         step = grad / curv
         live = np.minimum(np.abs(step), hi - lo) > 1e-10 * (1.0 + np.abs(b))
-        if not live.any():
-            return np.clip(b + step, lo, hi), 1.0 / np.sqrt(curv)
+        if not live.all():
+            done = ~live
+            mode[idx[done]] = np.clip(b[done] + step[done], lo[done], hi[done])
+            sd[idx[done]] = 1.0 / np.sqrt(curv[done])
+            if not live.any():
+                return mode.reshape(shape), sd.reshape(shape)
+            idx, y, n, mu, tau2, b, lo, hi, step, dx, dx_old = (
+                a[live] for a in (idx, y, n, mu, tau2, b, lo, hi, step, dx, dx_old))
         new = b + step
-        bisect = live & ((new < lo) | (new > hi) | (2.0 * np.abs(step) > dx_old))
+        bisect = (new < lo) | (new > hi) | (2.0 * np.abs(step) > dx_old)
         new = np.where(bisect, 0.5 * (lo + hi), new)
         dx_old, dx, b = dx, np.abs(new - b), new
     raise NumericalError("group conditional-mode search did not converge")
-
-
-def _group_log_integrand(y, n, b, sp, dev2, tau2):
-    """y b - n softplus(b) - (b - mu)^2 / (2 tau2) from sp = softplus(b) and
-    dev2 = (b - mu)^2: log Bin x N less log C - log tau."""
-    return y * b - n * sp - dev2 / (2.0 * tau2)
 
 
 def _group_integrals(data: ObservationSet, mu: np.ndarray, tau2: np.ndarray,
                      moments: bool = False):
     """(log_m, cond): the (N, G) log m_i = log int Bin(y_i | n_i, expit(b))
     N(b | mu, tau2) db by Gauss-Hermite at each integrand's mode and Laplace sd
-    (Liu & Pierce 1994), over chunks of groups with (groups, G, nodes) blocks
-    under LOO_CHUNK_BYTES.  With ``moments``, cond holds, from the same nodes,
+    (Liu & Pierce 1994).  With ``moments``, cond holds, from the same nodes,
     five (N, G) moments of b under each group's conditional posterior (its
     integrand over m_i): E[b], E[softplus(b)], E[(b - mu)^2], and the mean and
-    centred variance of l_i = log Bin(y_i | n_i, expit(b)); else None."""
-    y, n = data.y[:, None], data.trial_sizes[:, None].astype(float)
+    centred variance of l_i = log Bin(y_i | n_i, expit(b)); else None.
+
+    Each integral is a function of its own counts (y_i, n_i) and grid point
+    only, so it is evaluated once per distinct (y_i, n_i) and given to every
+    group with those counts.  The nodes run over chunks of distinct counts in
+    (counts, G, nodes) buffers of at most LOO_CHUNK_BYTES each, made once per
+    call."""
+    counts, group = np.unique(np.column_stack([data.y, data.trial_sizes.astype(float)]),
+                              axis=0, return_inverse=True)
+    y, n = counts[:, :1], counts[:, 1:]
     log_c = _binom_loglik(n, y, 0.0, 0.0)
+    b, sd = _conditional_modes(y, n, mu, tau2)
+    # the log integrand y b - n softplus(b) - (b - mu)^2 / (2 tau2), less log C - log tau
+    f_mode = y * b - n * softplus(b) - (b - mu) ** 2 / (2.0 * tau2)
     log_m = log_c - 0.5 * np.log(tau2)  # log C - log tau
     cond = np.empty((5,) + log_m.shape) if moments else None
-    chunk = max(1, LOO_CHUNK_BYTES // (mu.size * _GH_NODES.size * 8))
-    for rows in (slice(lo, lo + chunk) for lo in range(0, data.n, chunk)):
-        yr, nr = y[rows], n[rows]
-        b, sd = _conditional_modes(yr, nr, mu, tau2)
-        f_mode = _group_log_integrand(yr, nr, b, softplus(b), (b - mu) ** 2, tau2)
-        nodes = b[..., None] + math.sqrt(2.0) * sd[..., None] * _GH_NODES
-        sp, dev2 = softplus(nodes), (nodes - mu[:, None]) ** 2
-        f = _group_log_integrand(yr[..., None], nr[..., None], nodes, sp, dev2, tau2[:, None])
-        f += _GH_NODES ** 2 - f_mode[..., None]
-        e = np.exp(f)
+    chunk = min(len(counts), max(1, LOO_CHUNK_BYTES // (mu.size * _GH_NODES.size * 8)))
+    buf = np.empty((6, chunk, mu.size, _GH_NODES.size))
+    for lo in range(0, len(counts), chunk):
+        rows = slice(lo, lo + chunk)
+        yr, nr = y[rows, :, None], n[rows, :, None]
+        nodes, sp, dev2, lik, f, tmp = buf[:, :len(yr)]
+        np.multiply(math.sqrt(2.0) * sd[rows, :, None], _GH_NODES, out=nodes)
+        nodes += b[rows, :, None]
+        softplus(nodes, out=sp)
+        np.subtract(nodes, mu[:, None], out=dev2)
+        np.square(dev2, out=dev2)
+        np.multiply(yr, nodes, out=lik)  # l_i less log C
+        lik -= np.multiply(nr, sp, out=tmp)
+        # f_mode's log integrand, at the nodes
+        np.subtract(lik, np.divide(dev2, 2.0 * tau2[:, None], out=f), out=f)
+        f += np.subtract(_GH_NODES ** 2, f_mode[rows, :, None], out=tmp)
+        e = np.exp(f, out=f)
         z = e @ _GH_WEIGHTS
-        log_m[rows] += f_mode + np.log(sd) + np.log(z)
+        log_m[rows] += f_mode[rows] + np.log(sd[rows]) + np.log(z)
         if moments:
             e *= _GH_WEIGHTS
             e /= z[..., None]  # the nodes' conditional posterior weights
@@ -346,11 +371,10 @@ def _group_integrals(data: ObservationSet, mu: np.ndarray, tau2: np.ndarray,
             def mean(x):
                 return np.einsum("...k,...k->...", e, x)
 
-            lik = yr[..., None] * nodes - nr[..., None] * sp  # l_i less log C
             e_lik = mean(lik)
-            cond[:, rows] = (mean(nodes), mean(sp), mean(dev2), e_lik + log_c[rows],
-                             mean((lik - e_lik[..., None]) ** 2))
-    return log_m, cond
+            cond[:4, rows] = mean(nodes), mean(sp), mean(dev2), e_lik + log_c[rows]
+            cond[4, rows] = mean(np.square(np.subtract(lik, e_lik[..., None], out=tmp), out=tmp))
+    return log_m[group], None if cond is None else cond[:, group]
 
 
 class _Grid(NamedTuple):

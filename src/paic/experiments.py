@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -221,14 +220,18 @@ def true_predictive_loglik_exact(beta_means: np.ndarray, softplus_means: np.ndar
     """
     beta_true = np.asarray(beta_true, dtype=float)
     trial_sizes = np.asarray(trial_sizes)
-    N = beta_true.size
-    total = 0.0
-    for i in range(N):
-        n_i = float(trial_sizes[i])
+    terms = np.empty(beta_true.size)
+    for n_i in np.unique(trial_sizes):  # log C(n_i, z) once per distinct n_i
+        rows = np.flatnonzero(trial_sizes == n_i)
         z = np.arange(int(n_i) + 1, dtype=float)
-        pmf_true = np.exp(_binom_loglik(n_i, z, beta_true[i], softplus(beta_true[i])))
-        total += float(pmf_true @ _binom_loglik(n_i, z, beta_means[i], softplus_means[i]))
-    return total / N
+        b_true = beta_true[rows, None]
+        pmf_true = np.exp(_binom_loglik(float(n_i), z, b_true, softplus(b_true)))
+        loglik = _binom_loglik(float(n_i), z, beta_means[rows, None], softplus_means[rows, None])
+        terms[rows] = [p @ ll for p, ll in zip(pmf_true, loglik)]
+    total = 0.0
+    for term in terms:  # one running sum in group order
+        total += float(term)
+    return total / beta_true.size
 
 
 _LOGIT_RECORD_FIELDS = (
@@ -315,6 +318,9 @@ def run_logit_experiment(cfg: LogitExperimentConfig) -> ExperimentResult:
     run_batch = functools.partial(_logit_batch, cfg)
     ranges = _logit_batches(cfg)
     if len(ranges) > 1:
+        # imported here: `paic compute` never loads the process pool
+        from concurrent.futures import ProcessPoolExecutor
+
         # a forked pool starts all its processes at once: one per batch
         with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
             batches = list(pool.map(run_batch, ranges))

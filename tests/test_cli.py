@@ -537,3 +537,12 @@ def test_cli_import_loads_no_scipy():
                          env=_env_with_src(), timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_process_pool():
+    # only the logit study's worker pool needs it, and `paic compute` never runs one
+    code = "import sys, paic.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=_env_with_src(), timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

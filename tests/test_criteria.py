@@ -480,6 +480,69 @@ def test_group_log_marginals_match_brute_force_integrals():
             np.testing.assert_allclose(cond[:, i, j], expected, rtol=rtol, atol=1e-8)
 
 
+# counts at and near the ends of their range, mu from -6 to 4 and tau2 up to
+# 1000: the one-sided integrands whose searches bisect
+_EDGE_Y = np.array([0.0, 3.0, 25.0, 49.0, 50.0])
+_EDGE_N = np.array([50, 10, 50, 50, 50])
+_EDGE_MU, _EDGE_TAU2 = (g.ravel() for g in np.meshgrid(np.linspace(-6.0, 4.0, 21),
+                                                       np.geomspace(1e-3, 1e3, 41)))
+
+
+def test_conditional_modes_each_as_if_searched_alone():
+    y, n = _EDGE_Y[:, None], _EDGE_N[:, None].astype(float)
+    b, sd = criteria._conditional_modes(y, n, _EDGE_MU, _EDGE_TAU2)
+    assert b.shape == sd.shape == (_EDGE_Y.size, _EDGE_MU.size)
+    for i in range(_EDGE_Y.size):
+        for j in range(_EDGE_MU.size):
+            alone = criteria._conditional_modes(y[i], n[i], _EDGE_MU[j], _EDGE_TAU2[j])
+            assert (alone[0][0], alone[1][0]) == (b[i, j], sd[i, j])
+    # a batch that starts with the slowest searches settles each element the same
+    order = np.argsort(-np.abs(b - _EDGE_MU), axis=None)
+    flat = (np.broadcast_to(a, b.shape).ravel()[order] for a in (y, n, _EDGE_MU, _EDGE_TAU2))
+    shuffled = criteria._conditional_modes(*flat)
+    np.testing.assert_array_equal(shuffled[0], b.ravel()[order])
+    np.testing.assert_array_equal(shuffled[1], sd.ravel()[order])
+
+
+def test_conditional_modes_cases_reach_the_bisection(monkeypatch):
+    counts = []
+    where = np.where
+
+    def counting_where(cond, x, y):
+        counts.append(np.count_nonzero(cond))
+        return where(cond, x, y)
+
+    monkeypatch.setattr(criteria.np, "where", counting_where)
+    criteria._conditional_modes(_EDGE_Y[:, None], _EDGE_N[:, None].astype(float),
+                                _EDGE_MU, _EDGE_TAU2)
+    # per iteration: the bracket's two updates, then the bisection's choice
+    assert sum(counts[2::3]) > 0
+
+
+def test_group_integrals_once_per_distinct_count_pair(monkeypatch):
+    # each row is a function of its own counts and grid point only: permuted
+    # and duplicated groups, a group alone and any chunk size give its bits
+    data = ObservationSet(_EDGE_Y, _EDGE_N)
+    log_m, cond = criteria._group_integrals(data, _EDGE_MU, _EDGE_TAU2, moments=True)
+    order = np.array([4, 0, 2, 0, 1, 3, 4, 2, 3, 3])
+    got = criteria._group_integrals(ObservationSet(_EDGE_Y[order], _EDGE_N[order]),
+                                    _EDGE_MU, _EDGE_TAU2, moments=True)
+    np.testing.assert_array_equal(got[0], log_m[order])
+    np.testing.assert_array_equal(got[1], cond[:, order])
+    for i in range(data.n):
+        twice = ObservationSet(_EDGE_Y[[i, i]], _EDGE_N[[i, i]])
+        got = criteria._group_integrals(twice, _EDGE_MU, _EDGE_TAU2, moments=True)
+        np.testing.assert_array_equal(got[0], log_m[[i, i]])
+        np.testing.assert_array_equal(got[1], cond[:, [i, i]])
+    row_bytes = _EDGE_MU.size * criteria._GH_NODES.size * 8
+    assert 1 < criteria.LOO_CHUNK_BYTES // row_bytes < data.n  # the default splits the rows
+    for chunk_bytes in (row_bytes, data.n * row_bytes):
+        monkeypatch.setattr(criteria, "LOO_CHUNK_BYTES", chunk_bytes)
+        got = criteria._group_integrals(data, _EDGE_MU, _EDGE_TAU2, moments=True)
+        np.testing.assert_array_equal(got[0], log_m)
+        np.testing.assert_array_equal(got[1], cond)
+
+
 @pytest.mark.parametrize("count", ["none", "all"])
 def test_loo_grid_refuses_mass_on_its_border(count):
     # with every count 0 (or every count n_i) only the N(0, 1000^2) prior

@@ -27,7 +27,7 @@ from paic.experiments import (
     resolve_tau02,
 )
 from paic.fileio import provenance, write_experiment_outputs
-from paic.models import softplus
+from paic.models import _binom_loglik, softplus
 from paic.rng import substream
 
 from conftest import count_searches
@@ -153,6 +153,25 @@ def test_eta_exact_matches_brute_force_over_spread_draws():
     eta = true_predictive_loglik_exact(B.mean(axis=0), softplus(B).mean(axis=0),
                                        beta_true, trials)
     assert eta == pytest.approx(expected / N, rel=1e-12)
+
+
+def test_eta_exact_equals_its_per_group_loop():
+    # log C(n_i, z) is taken once per distinct n_i; the value keeps the bits
+    # of one log pmf per group summed in group order
+    gen = substream(12, "eta-loop")
+    for N, sizes in ((15, (50,)), (17, (1, 7, 50, 200)), (2, (3,))):
+        beta_true = 2.0 * gen.standard_normal(N)
+        beta_means = 2.0 * gen.standard_normal(N)
+        softplus_means = softplus(beta_means) + 0.1 * gen.random(N)
+        trials = gen.choice(sizes, N)
+        total = 0.0
+        for i in range(N):
+            z = np.arange(trials[i] + 1, dtype=float)
+            pmf = np.exp(_binom_loglik(float(trials[i]), z, beta_true[i], softplus(beta_true[i])))
+            total += float(pmf @ _binom_loglik(float(trials[i]), z, beta_means[i],
+                                               softplus_means[i]))
+        assert true_predictive_loglik_exact(beta_means, softplus_means, beta_true,
+                                            trials) == total / N
 
 
 def test_logit_experiment_smoke_two_replications():
