@@ -53,8 +53,9 @@ MIN_DRAWS = 1000
 LOO_MAX_N = 1000
 # hierarchical-logit LOO grid: LOO_GRID_STEP Laplace sd apart, half-width LOO_SPANS[0]
 # sd, widened while a (fold) posterior holds more than LOO_BORDER_MASS on its outer
-# ring; its group integrals run in node buffers of at most LOO_CHUNK_BYTES (one
-# count pair of the first 41 x 41 grid, 430 KB: blocks of 2 or more ran slower)
+# ring; its group integrals search their modes in (counts, G) arrays and run their
+# nodes in (counts, G, nodes) buffers of at most LOO_CHUNK_BYTES each (one count
+# pair of the first 41 x 41 grid per node buffer, 430 KB: 2 or more ran slower)
 LOO_GRID_STEP = 0.6
 LOO_SPANS = (12.0, 18.0, 27.0, 40.0)
 LOO_BORDER_MASS = 1e-5
@@ -332,49 +333,64 @@ def _group_integrals(data: ObservationSet, mu: np.ndarray, tau2: np.ndarray,
     centred variance of l_i = log Bin(y_i | n_i, expit(b)); else None.
 
     Each integral is a function of its own counts (y_i, n_i) and grid point
-    only, so it is evaluated once per distinct (y_i, n_i) and given to every
-    group with those counts.  The nodes run over chunks of distinct counts in
-    (counts, G, nodes) buffers of at most LOO_CHUNK_BYTES each, made once per
-    call."""
+    only, so it is evaluated once per distinct (y_i, n_i) and written to every
+    group with those counts.  The distinct counts run in blocks whose (counts,
+    G) mode-search arrays hold at most LOO_CHUNK_BYTES each, their nodes in
+    (counts, G, nodes) buffers of at most LOO_CHUNK_BYTES made once per block."""
     counts, group = np.unique(np.column_stack([data.y, data.trial_sizes.astype(float)]),
                               axis=0, return_inverse=True)
+    group = group.ravel()
+    members = np.argsort(group, kind="stable")  # the groups of each count pair, in turn
+    first = np.searchsorted(group[members], np.arange(len(counts) + 1))
     y, n = counts[:, :1], counts[:, 1:]
-    log_c = _binom_loglik(n, y, 0.0, 0.0)
-    b, sd = _conditional_modes(y, n, mu, tau2)
-    # the log integrand y b - n softplus(b) - (b - mu)^2 / (2 tau2), less log C - log tau
-    f_mode = y * b - n * softplus(b) - (b - mu) ** 2 / (2.0 * tau2)
-    log_m = log_c - 0.5 * np.log(tau2)  # log C - log tau
+    log_c, log_tau = _binom_loglik(n, y, 0.0, 0.0), 0.5 * np.log(tau2)
+    log_m = np.empty((data.n, mu.size))
     cond = np.empty((5,) + log_m.shape) if moments else None
-    chunk = min(len(counts), max(1, LOO_CHUNK_BYTES // (mu.size * _GH_NODES.size * 8)))
-    buf = np.empty((6, chunk, mu.size, _GH_NODES.size))
-    for lo in range(0, len(counts), chunk):
-        rows = slice(lo, lo + chunk)
-        yr, nr = y[rows, :, None], n[rows, :, None]
-        nodes, sp, dev2, lik, f, tmp = buf[:, :len(yr)]
-        np.multiply(math.sqrt(2.0) * sd[rows, :, None], _GH_NODES, out=nodes)
-        nodes += b[rows, :, None]
-        softplus(nodes, out=sp)
-        np.subtract(nodes, mu[:, None], out=dev2)
-        np.square(dev2, out=dev2)
-        np.multiply(yr, nodes, out=lik)  # l_i less log C
-        lik -= np.multiply(nr, sp, out=tmp)
-        # f_mode's log integrand, at the nodes
-        np.subtract(lik, np.divide(dev2, 2.0 * tau2[:, None], out=f), out=f)
-        f += np.subtract(_GH_NODES ** 2, f_mode[rows, :, None], out=tmp)
-        e = np.exp(f, out=f)
-        z = e @ _GH_WEIGHTS
-        log_m[rows] += f_mode[rows] + np.log(sd[rows]) + np.log(z)
-        if moments:
-            e *= _GH_WEIGHTS
-            e /= z[..., None]  # the nodes' conditional posterior weights
+    chunk = max(1, LOO_CHUNK_BYTES // (mu.size * _GH_NODES.size * 8))
+    block = max(1, LOO_CHUNK_BYTES // (mu.size * 8) // chunk) * chunk
+    for start in range(0, len(counts), block):
+        yb, nb = y[start:start + block], n[start:start + block]
+        b, sd = _conditional_modes(yb, nb, mu, tau2)
+        # the log integrand y b - n softplus(b) - (b - mu)^2 / (2 tau2), less log C - log tau
+        f_mode = yb * b - nb * softplus(b) - (b - mu) ** 2 / (2.0 * tau2)
+        # made after the search, whose temporaries are freed by then
+        buf = np.empty((6, min(chunk, len(b)), mu.size, _GH_NODES.size))
+        out = np.empty((6,) + buf.shape[1:3])  # a chunk's log m_i, then its moments
+        for lo in range(0, len(b), chunk):
+            rows, span = slice(lo, lo + chunk), slice(start + lo, start + lo + chunk)
+            yr, nr = yb[rows, :, None], nb[rows, :, None]
+            nodes, sp, dev2, lik, f, tmp = buf[:, :len(yr)]
+            np.multiply(math.sqrt(2.0) * sd[rows, :, None], _GH_NODES, out=nodes)
+            nodes += b[rows, :, None]
+            softplus(nodes, out=sp)
+            np.subtract(nodes, mu[:, None], out=dev2)
+            np.square(dev2, out=dev2)
+            np.multiply(yr, nodes, out=lik)  # l_i less log C
+            lik -= np.multiply(nr, sp, out=tmp)
+            # f_mode's log integrand, at the nodes
+            np.subtract(lik, np.divide(dev2, 2.0 * tau2[:, None], out=f), out=f)
+            f += np.subtract(_GH_NODES ** 2, f_mode[rows, :, None], out=tmp)
+            e = np.exp(f, out=f)
+            z = e @ _GH_WEIGHTS
+            part = out[:, :len(yr)]
+            np.add(log_c[span] - log_tau, f_mode[rows] + np.log(sd[rows]) + np.log(z),
+                   out=part[0])
+            if moments:
+                e *= _GH_WEIGHTS
+                e /= z[..., None]  # the nodes' conditional posterior weights
 
-            def mean(x):
-                return np.einsum("...k,...k->...", e, x)
+                def mean(x):
+                    return np.einsum("...k,...k->...", e, x)
 
-            e_lik = mean(lik)
-            cond[:4, rows] = mean(nodes), mean(sp), mean(dev2), e_lik + log_c[rows]
-            cond[4, rows] = mean(np.square(np.subtract(lik, e_lik[..., None], out=tmp), out=tmp))
-    return log_m[group], None if cond is None else cond[:, group]
+                e_lik = mean(lik)
+                part[1:5] = mean(nodes), mean(sp), mean(dev2), e_lik + log_c[span]
+                part[5] = mean(np.square(np.subtract(lik, e_lik[..., None], out=tmp), out=tmp))
+            groups = members[first[span.start]:first[min(span.stop, len(counts))]]
+            at = group[groups] - span.start
+            log_m[groups] = part[0, at]
+            if moments:
+                cond[:, groups] = part[1:, at]
+    return log_m, cond
 
 
 class _Grid(NamedTuple):

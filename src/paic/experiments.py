@@ -228,10 +228,7 @@ def true_predictive_loglik_exact(beta_means: np.ndarray, softplus_means: np.ndar
         pmf_true = np.exp(_binom_loglik(float(n_i), z, b_true, softplus(b_true)))
         loglik = _binom_loglik(float(n_i), z, beta_means[rows, None], softplus_means[rows, None])
         terms[rows] = [p @ ll for p, ll in zip(pmf_true, loglik)]
-    total = 0.0
-    for term in terms:  # one running sum in group order
-        total += float(term)
-    return total / beta_true.size
+    return float(np.add.accumulate(terms)[-1]) / beta_true.size  # summed in group order
 
 
 _LOGIT_RECORD_FIELDS = (

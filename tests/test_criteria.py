@@ -1,4 +1,6 @@
+import linecache
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -505,18 +507,22 @@ def test_conditional_modes_each_as_if_searched_alone():
 
 
 def test_conditional_modes_cases_reach_the_bisection(monkeypatch):
-    counts = []
+    # count the elements that the search's `np.where(bisect, ...)` line sends
+    # to the bracket's midpoint, whatever other np.where calls there are
+    bisected = []
     where = np.where
 
-    def counting_where(cond, x, y):
-        counts.append(np.count_nonzero(cond))
-        return where(cond, x, y)
+    def counting_where(cond, *args):
+        caller = sys._getframe(1)
+        if (caller.f_code is criteria._conditional_modes.__code__ and "bisect" in
+                linecache.getline(caller.f_code.co_filename, caller.f_lineno)):
+            bisected.append(np.count_nonzero(cond))
+        return where(cond, *args)
 
     monkeypatch.setattr(criteria.np, "where", counting_where)
     criteria._conditional_modes(_EDGE_Y[:, None], _EDGE_N[:, None].astype(float),
                                 _EDGE_MU, _EDGE_TAU2)
-    # per iteration: the bracket's two updates, then the bisection's choice
-    assert sum(counts[2::3]) > 0
+    assert bisected and sum(bisected) > 0
 
 
 def test_group_integrals_once_per_distinct_count_pair(monkeypatch):
@@ -536,11 +542,33 @@ def test_group_integrals_once_per_distinct_count_pair(monkeypatch):
         np.testing.assert_array_equal(got[1], cond[:, [i, i]])
     row_bytes = _EDGE_MU.size * criteria._GH_NODES.size * 8
     assert 1 < criteria.LOO_CHUNK_BYTES // row_bytes < data.n  # the default splits the rows
-    for chunk_bytes in (row_bytes, data.n * row_bytes):
+    # mode searches in blocks of 2 count pairs, then nodes of 1 pair and of all
+    for chunk_bytes in (2 * _EDGE_MU.size * 8, row_bytes, data.n * row_bytes):
         monkeypatch.setattr(criteria, "LOO_CHUNK_BYTES", chunk_bytes)
         got = criteria._group_integrals(data, _EDGE_MU, _EDGE_TAU2, moments=True)
         np.testing.assert_array_equal(got[0], log_m)
         np.testing.assert_array_equal(got[1], cond)
+
+
+def test_group_integrals_hold_a_few_blocks_beyond_their_output():
+    # 300 distinct count pairs on the 41 x 41 grid: the mode searches and the
+    # nodes run in blocks, so beyond log_m the call holds a bounded number of
+    # LOO_CHUNK_BYTES (measured: 34), not a multiple of the (N, G) output
+    import tracemalloc
+
+    rng = substream(9, "gi-peak")
+    n = rng.permutation(np.arange(20, 320))
+    data = ObservationSet(rng.binomial(n, 0.3).astype(float), n)
+    k_mu, k_lam = np.indices((41, 41)).reshape(2, -1) - 20
+    mu, tau2 = -0.8 + 0.06 * k_mu, np.exp(0.1 * k_lam)
+    tracemalloc.start()
+    try:
+        log_m, _ = criteria._group_integrals(data, mu, tau2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert log_m.shape == (300, mu.size)
+    assert peak <= log_m.nbytes + 50 * criteria.LOO_CHUNK_BYTES
 
 
 @pytest.mark.parametrize("count", ["none", "all"])
