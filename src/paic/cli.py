@@ -21,6 +21,8 @@ import functools
 import os
 import sys
 
+import numpy as np
+
 from . import criteria as crit
 from ._version import __version__
 from .exceptions import PaicError, ValidationError
@@ -31,6 +33,7 @@ from .experiments import (
     run_normal_bias_experiment,
 )
 from .fileio import (
+    data_row_line,
     provenance,
     read_draws_csv,
     read_observations_csv,
@@ -141,6 +144,14 @@ def _obtain_draws(args, model, data, get_lap, budget):
             raise ValidationError(
                 f"draw file has dimension {draws.p}, model needs {model.p}"
             )
+        lo, hi = np.array(model.support()).T
+        outside = (draws.draws <= lo) | (draws.draws >= hi)
+        if outside.any():
+            s, j = np.argwhere(outside)[0]
+            raise ValidationError(
+                f"{args.draws}:{data_row_line(args.draws, s)}: theta_{j + 1} = "
+                f"{draws.draws[s, j]:.17g} lies outside the model's support"
+            )
         return draws
     if isinstance(model, ConjugateNormalModel):
         return sample_conjugate_normal(model, data, args.draw_count, args.seed)
@@ -151,9 +162,11 @@ def cmd_compute(args) -> int:
     budget = SamplerBudget(args.chains, args.samples, args.warmup)  # checked before any work
     if not args.criteria:
         raise ValidationError("--criteria names no criterion")
-    for name in args.criteria:
+    for k, name in enumerate(args.criteria):
         if name not in KNOWN_CRITERIA:
             raise ValidationError(f"unknown criterion {name!r}")
+        if name in args.criteria[:k]:
+            raise ValidationError(f"criterion {name!r} named twice")
     data = read_observations_csv(args.data)
     model = _build_model(args, data)
     model.validate_data(data)

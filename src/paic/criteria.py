@@ -53,15 +53,13 @@ MIN_DRAWS = 1000
 LOO_MAX_N = 1000
 # hierarchical-logit LOO grid: LOO_GRID_STEP Laplace sd apart, half-width LOO_SPANS[0]
 # sd, widened while a (fold) posterior holds more than LOO_BORDER_MASS on its outer
-# ring; its group integrals search their modes in (counts, G) arrays and run their
-# nodes in (counts, G, nodes) buffers of at most LOO_CHUNK_BYTES each (one count
-# pair of the first 41 x 41 grid per node buffer, 430 KB: 2 or more ran slower)
+# ring; its group integrals search their modes in blocks of distinct counts whose
+# (counts, G) arrays hold at most LOO_CHUNK_BYTES each, then run the nodes one
+# count pair at a time in a (G, nodes) buffer (430 KB on the first 41 x 41 grid)
 LOO_GRID_STEP = 0.6
 LOO_SPANS = (12.0, 18.0, 27.0, 40.0)
 LOO_BORDER_MASS = 1e-5
 LOO_CHUNK_BYTES = 500_000
-# waic2's column variances hold at most this many bytes of squared deviations
-VAR_BLOCK_BYTES = 262_144
 
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(32)
 _GH_WEIGHTS = _GH_WEIGHTS / math.sqrt(math.pi)
@@ -95,23 +93,7 @@ class PointwiseLogLik:
         return self.values.mean(axis=0)
 
     def column_vars(self) -> np.ndarray:
-        """``values.var(axis=0, ddof=1)`` to the bit, without its S x n copy.
-
-        The squared deviations go through a buffer of VAR_BLOCK_BYTES whose
-        row 0 carries the running column sums (from 0, which adds exactly).
-        numpy sums axis 0 of a matrix of n >= 2 columns, its rows laid out one
-        after another, row after row, so the sums keep their order."""
-        S, n = self.values.shape
-        mean = self.column_means()
-        rows = max(1, VAR_BLOCK_BYTES // (8 * n))
-        buf = np.zeros((min(rows, S) + 1, n))
-        for lo in range(0, S, rows):
-            block = self.values[lo:lo + rows]
-            dev = buf[1:len(block) + 1]
-            np.subtract(block, mean, out=dev)
-            np.multiply(dev, dev, out=dev)
-            buf[0] = buf[:len(block) + 1].sum(axis=0)
-        return buf[0] / (S - 1)
+        return self.values.var(axis=0, ddof=1)
 
 
 @dataclass(frozen=True)
@@ -334,62 +316,50 @@ def _group_integrals(data: ObservationSet, mu: np.ndarray, tau2: np.ndarray,
 
     Each integral is a function of its own counts (y_i, n_i) and grid point
     only, so it is evaluated once per distinct (y_i, n_i) and written to every
-    group with those counts.  The distinct counts run in blocks whose (counts,
-    G) mode-search arrays hold at most LOO_CHUNK_BYTES each, their nodes in
-    (counts, G, nodes) buffers of at most LOO_CHUNK_BYTES made once per block."""
+    group with those counts.  The mode searches run in blocks of distinct
+    counts whose (counts, G) arrays hold at most LOO_CHUNK_BYTES each; the
+    nodes then run one count pair at a time in a (G, nodes) buffer."""
     counts, group = np.unique(np.column_stack([data.y, data.trial_sizes.astype(float)]),
                               axis=0, return_inverse=True)
     group = group.ravel()
-    members = np.argsort(group, kind="stable")  # the groups of each count pair, in turn
-    first = np.searchsorted(group[members], np.arange(len(counts) + 1))
     y, n = counts[:, :1], counts[:, 1:]
     log_c, log_tau = _binom_loglik(n, y, 0.0, 0.0), 0.5 * np.log(tau2)
     log_m = np.empty((data.n, mu.size))
     cond = np.empty((5,) + log_m.shape) if moments else None
-    chunk = max(1, LOO_CHUNK_BYTES // (mu.size * _GH_NODES.size * 8))
-    block = max(1, LOO_CHUNK_BYTES // (mu.size * 8) // chunk) * chunk
+    block = max(1, LOO_CHUNK_BYTES // (mu.size * 8))
     for start in range(0, len(counts), block):
         yb, nb = y[start:start + block], n[start:start + block]
         b, sd = _conditional_modes(yb, nb, mu, tau2)
         # the log integrand y b - n softplus(b) - (b - mu)^2 / (2 tau2), less log C - log tau
         f_mode = yb * b - nb * softplus(b) - (b - mu) ** 2 / (2.0 * tau2)
         # made after the search, whose temporaries are freed by then
-        buf = np.empty((6, min(chunk, len(b)), mu.size, _GH_NODES.size))
-        out = np.empty((6,) + buf.shape[1:3])  # a chunk's log m_i, then its moments
-        for lo in range(0, len(b), chunk):
-            rows, span = slice(lo, lo + chunk), slice(start + lo, start + lo + chunk)
-            yr, nr = yb[rows, :, None], nb[rows, :, None]
-            nodes, sp, dev2, lik, f, tmp = buf[:, :len(yr)]
-            np.multiply(math.sqrt(2.0) * sd[rows, :, None], _GH_NODES, out=nodes)
-            nodes += b[rows, :, None]
+        nodes, sp, dev2, lik, f, tmp = np.empty((6, mu.size, _GH_NODES.size))
+        for k in range(len(b)):
+            np.multiply(math.sqrt(2.0) * sd[k, :, None], _GH_NODES, out=nodes)
+            nodes += b[k, :, None]
             softplus(nodes, out=sp)
             np.subtract(nodes, mu[:, None], out=dev2)
             np.square(dev2, out=dev2)
-            np.multiply(yr, nodes, out=lik)  # l_i less log C
-            lik -= np.multiply(nr, sp, out=tmp)
+            np.multiply(yb[k], nodes, out=lik)  # l_i less log C
+            lik -= np.multiply(nb[k], sp, out=tmp)
             # f_mode's log integrand, at the nodes
             np.subtract(lik, np.divide(dev2, 2.0 * tau2[:, None], out=f), out=f)
-            f += np.subtract(_GH_NODES ** 2, f_mode[rows, :, None], out=tmp)
+            f += np.subtract(_GH_NODES ** 2, f_mode[k, :, None], out=tmp)
             e = np.exp(f, out=f)
             z = e @ _GH_WEIGHTS
-            part = out[:, :len(yr)]
-            np.add(log_c[span] - log_tau, f_mode[rows] + np.log(sd[rows]) + np.log(z),
-                   out=part[0])
+            rows = group == start + k
+            log_m[rows] = log_c[start + k] - log_tau + (f_mode[k] + np.log(sd[k]) + np.log(z))
             if moments:
                 e *= _GH_WEIGHTS
-                e /= z[..., None]  # the nodes' conditional posterior weights
+                e /= z[:, None]  # the nodes' conditional posterior weights
 
                 def mean(x):
                     return np.einsum("...k,...k->...", e, x)
 
                 e_lik = mean(lik)
-                part[1:5] = mean(nodes), mean(sp), mean(dev2), e_lik + log_c[span]
-                part[5] = mean(np.square(np.subtract(lik, e_lik[..., None], out=tmp), out=tmp))
-            groups = members[first[span.start]:first[min(span.stop, len(counts))]]
-            at = group[groups] - span.start
-            log_m[groups] = part[0, at]
-            if moments:
-                cond[:, groups] = part[1:, at]
+                cond[:, rows] = np.stack([
+                    mean(nodes), mean(sp), mean(dev2), e_lik + log_c[start + k],
+                    mean(np.square(np.subtract(lik, e_lik[:, None], out=tmp), out=tmp))])[:, None]
     return log_m, cond
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -69,6 +70,14 @@ def _csv_rows(path: str):
             if len(row) != len(header):
                 raise ValidationError(f"{path}:{lineno}: expected {len(header)} fields")
             yield lineno, row
+
+
+def data_row_line(path: str, index: int) -> int:
+    """Line number of the CSV file's row ``index`` (from 0) below its header,
+    blank rows skipped as the readers skip them."""
+    with closing(_csv_rows(path)) as lines:
+        next(lines)
+        return next(itertools.islice(lines, index, None))[0]
 
 
 def read_observations_csv(path: str) -> ObservationSet:

@@ -120,6 +120,25 @@ def test_compute_draw_dimension_mismatch_exit_2(tmp_path):
     assert code == 2
 
 
+def test_compute_draw_outside_support_exit_2(tmp_path, capsys):
+    # one draw of tau2 = -0.5 (theta_10 of 8 groups), after a blank line:
+    # refused with its line in the file, before any criterion is computed
+    data_path = tmp_path / "counts.csv"
+    write_logit_data(data_path)
+    row = ",".join(["0.1"] * 9)
+    draws_path = tmp_path / "draws.csv"
+    draws_path.write_text(f"{','.join(f'theta_{k}' for k in range(1, 11))},chain\n"
+                          f"{row},0.4,0\n\n{row},-0.5,0\n{row},0.4,0\n")
+    out = tmp_path / "r.json"
+    code = main(["compute", "--model", "hier-logit", "--data", str(data_path),
+                 "--draws", str(draws_path), "--criteria", "paic,bpic,waic2,dic",
+                 "--seed", "1", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: {draws_path}:4: theta_10 = -0.5 lies outside" in err
+    assert not out.exists()
+
+
 def test_compute_sampler_gate_failure_exit_3(tmp_path, capsys):
     gen = np.random.default_rng(6)
     y = gen.binomial(40, 0.5, size=8)
@@ -214,6 +233,8 @@ COUNTS_CSV = "y,n_trials\n3,10\n7,10\n5,10\n"
     pytest.param(COUNTS_CSV, ["--model", "hier-logit", "--nu", "nan"], id="nu-nan"),
     pytest.param(COUNTS_CSV, ["--model", "hier-logit", "--s2", "inf"], id="s2-inf"),
     pytest.param(None, ["--model", "normal", "--criteria", ","], id="no-criteria"),
+    pytest.param(None, ["--model", "normal", "--criteria", "paic,paic,loo"],
+                 id="repeated-criterion"),
     pytest.param("y,n_trials\n3,10\n7,1e300\n", ["--model", "hier-logit"],
                  id="n-trials-overflow"),
     pytest.param(COUNTS_CSV, ["--model", "hier-logit", "--samples", "5"], id="samples-5"),

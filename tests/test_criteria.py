@@ -210,30 +210,17 @@ def test_waic2_single_column_penalty():
 @pytest.mark.parametrize("extra", [-1, 0, 1, "many"])
 @pytest.mark.parametrize("sliced", [False, True])
 def test_column_vars_equal_numpy_var_to_the_bit(extra, sliced):
-    # S rows below, at and one above one block, and over several blocks; a
-    # column slice of a wider matrix is not contiguous
+    # waic2's penalty is the sum of numpy's column variances, bit for bit, at
+    # draw counts about MIN_DRAWS and at 15000; a column slice of a wider
+    # matrix is not contiguous
     n = 15
-    rows = criteria.VAR_BLOCK_BYTES // (8 * n)
-    S = 6 * rows + 17 if extra == "many" else rows + extra
+    S = 15000 if extra == "many" else criteria.MIN_DRAWS + extra
     wide = substream(6, "column-vars").normal(-40.0, 3.0, (S, 3 * n))
     values = wide[:, n:2 * n] if sliced else np.ascontiguousarray(wide[:, :n])
     assert values.flags.c_contiguous != sliced
-    np.testing.assert_array_equal(PointwiseLogLik(values).column_vars(),
-                                  values.var(axis=0, ddof=1))
-
-
-def test_waic2_holds_a_quarter_of_the_matrix_at_most():
-    import tracemalloc
-
-    S, n = 15000, 15
-    pw = PointwiseLogLik(substream(7, "waic-peak").normal(-3.0, 1.0, (S, n)))
-    tracemalloc.start()
-    try:
-        waic2(pw)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 0.25 * S * n * 8
+    var = values.var(axis=0, ddof=1)
+    np.testing.assert_array_equal(PointwiseLogLik(values).column_vars(), var)
+    assert waic2(PointwiseLogLik(values)).penalty == float(np.sum(var))
 
 
 def test_loo_exact_conjugate_matches_closed_form(normal_setup):
@@ -527,7 +514,7 @@ def test_conditional_modes_cases_reach_the_bisection(monkeypatch):
 
 def test_group_integrals_once_per_distinct_count_pair(monkeypatch):
     # each row is a function of its own counts and grid point only: permuted
-    # and duplicated groups, a group alone and any chunk size give its bits
+    # and duplicated groups, a group alone and any block size give its bits
     data = ObservationSet(_EDGE_Y, _EDGE_N)
     log_m, cond = criteria._group_integrals(data, _EDGE_MU, _EDGE_TAU2, moments=True)
     order = np.array([4, 0, 2, 0, 1, 3, 4, 2, 3, 3])
@@ -540,11 +527,9 @@ def test_group_integrals_once_per_distinct_count_pair(monkeypatch):
         got = criteria._group_integrals(twice, _EDGE_MU, _EDGE_TAU2, moments=True)
         np.testing.assert_array_equal(got[0], log_m[[i, i]])
         np.testing.assert_array_equal(got[1], cond[:, [i, i]])
-    row_bytes = _EDGE_MU.size * criteria._GH_NODES.size * 8
-    assert 1 < criteria.LOO_CHUNK_BYTES // row_bytes < data.n  # the default splits the rows
-    # mode searches in blocks of 2 count pairs, then nodes of 1 pair and of all
-    for chunk_bytes in (2 * _EDGE_MU.size * 8, row_bytes, data.n * row_bytes):
-        monkeypatch.setattr(criteria, "LOO_CHUNK_BYTES", chunk_bytes)
+    # mode searches in blocks of 1, 2 and all count pairs
+    for pairs in (1, 2, data.n):
+        monkeypatch.setattr(criteria, "LOO_CHUNK_BYTES", pairs * _EDGE_MU.size * 8)
         got = criteria._group_integrals(data, _EDGE_MU, _EDGE_TAU2, moments=True)
         np.testing.assert_array_equal(got[0], log_m)
         np.testing.assert_array_equal(got[1], cond)
