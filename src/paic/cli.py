@@ -252,6 +252,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.seed < 0:  # Philox streams take a nonnegative seed
+            parser.error(f"argument --seed: must be >= 0, got {args.seed}")
     except SystemExit as exc:
         # argparse uses exit code 2 for bad flags, matching the validation code
         return int(exc.code) if exc.code else 0

@@ -16,11 +16,11 @@ each estimator's value in the limit of infinitely many draws, and no
 sampler runs.  The out-of-sample average log likelihood is computed exactly
 by summing over each group's finite support.
 
-The logit replications run in one contiguous batch per worker.  Everything
+The logit replications run in one contiguous chunk per worker.  Everything
 is driven by Philox substreams keyed on (seed, cell, replication), and a
-replication's numbers do not depend on the others in its batch, so results
+replication's numbers do not depend on the others in its chunk, so results
 are bit-identical for a given (config, seed) however many workers run the
-batches.
+chunks.
 """
 
 from __future__ import annotations
@@ -124,12 +124,8 @@ class ExperimentResult:
 
 def resolve_tau02(rule: str, n: int) -> Optional[float]:
     """Prior-variance rule -> numeric value (None means the flat prior)."""
-    if rule == "1e4":
-        return 1e4
     if rule == "1e4_over_n":
         return 1e4 / n
-    if rule == "0.25":
-        return 0.25
     if rule == "flat":
         return None
     try:
@@ -277,20 +273,6 @@ def _logit_replication(cfg: LogitExperimentConfig, rep: int) -> Optional[dict]:
     return record
 
 
-def _logit_batch(cfg: LogitExperimentConfig, reps: range) -> list:
-    """Records of replications ``reps``, None for an excluded one."""
-    return [_logit_replication(cfg, rep) for rep in reps]
-
-
-def _logit_batches(cfg: LogitExperimentConfig) -> list:
-    """One contiguous range of replications per worker, or one per
-    replication when there are fewer; sizes differ by at most one."""
-    R = cfg.replications
-    n = min(R, cfg.workers)
-    bounds = [b * R // n for b in range(n + 1)]
-    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-
-
 def aggregate_logit_cell(records: dict) -> dict:
     out = {}
     for est in LOGIT_ESTIMATORS:
@@ -312,24 +294,24 @@ def run_logit_experiment(cfg: LogitExperimentConfig) -> ExperimentResult:
     Replications whose mode search, Laplace step or LOO grid fails are
     excluded; more than ``max_fail_frac`` of them aborts the study.
     """
-    run_batch = functools.partial(_logit_batch, cfg)
-    ranges = _logit_batches(cfg)
-    if len(ranges) > 1:
+    R = cfg.replications
+    workers = min(R, cfg.workers)
+    run = functools.partial(_logit_replication, cfg)
+    if workers > 1:
         # imported here: `paic compute` never loads the process pool
         from concurrent.futures import ProcessPoolExecutor
 
-        # a forked pool starts all its processes at once: one per batch
-        with ProcessPoolExecutor(max_workers=len(ranges)) as pool:
-            batches = list(pool.map(run_batch, ranges))
+        # a forked pool starts all its processes at once: one per chunk
+        chunk = -(-R // workers)
+        with ProcessPoolExecutor(max_workers=-(-R // chunk)) as pool:
+            results = list(pool.map(run, range(R), chunksize=chunk))
     else:
-        batches = [run_batch(reps) for reps in ranges]
+        results = [run(rep) for rep in range(R)]
 
-    kept = [r for batch in batches for r in batch if r is not None]
-    excluded = cfg.replications - len(kept)
-    if excluded > cfg.max_fail_frac * cfg.replications:
-        raise ExperimentError(
-            f"{excluded}/{cfg.replications} replications excluded (mode or grid)"
-        )
+    kept = [r for r in results if r is not None]
+    excluded = R - len(kept)
+    if excluded > cfg.max_fail_frac * R:
+        raise ExperimentError(f"{excluded}/{R} replications excluded (mode or grid)")
     if not kept:
         raise ExperimentError("no replications survived")
     records = {

@@ -55,21 +55,23 @@ def _parse_float(text: str, path: str, lineno: int, column: str) -> float:
 
 
 def _csv_rows(path: str):
-    """Yield the stripped header of a CSV file, then (line number, fields) for
-    each non-blank row below it, checked to have as many fields as the header."""
-    with open(path, newline="") as f:
+    """Yield the stripped header of a UTF-8 CSV file, then (line number, fields)
+    for each non-blank row below it, checked to have as many fields as the header."""
+    with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         try:
             header = [h.strip() for h in next(reader)]
-        except StopIteration:
+            yield header
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not c.strip() for c in row):
+                    continue
+                if len(row) != len(header):
+                    raise ValidationError(f"{path}:{lineno}: expected {len(header)} fields")
+                yield lineno, row
+        except StopIteration:  # from next(reader): no header line
             raise ValidationError(f"{path}: empty file")
-        yield header
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise ValidationError(f"{path}:{lineno}: expected {len(header)} fields")
-            yield lineno, row
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})")
 
 
 def data_row_line(path: str, index: int) -> int:
@@ -133,7 +135,8 @@ def read_draws_csv(path: str) -> PosteriorDraws:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 body = np.loadtxt(path, dtype=[("theta", float, (p,)), ("chain", int)],
-                                  delimiter=",", comments=None, skiprows=1, ndmin=1)
+                                  delimiter=",", comments=None, skiprows=1, ndmin=1,
+                                  encoding="utf-8")
         except (ValueError, Warning):
             body = None
         if body is None or not np.all(np.isfinite(body["theta"])):

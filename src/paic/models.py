@@ -127,6 +127,16 @@ def _binom_loglik(trials, y, beta, softplus_beta):
     return _log_choose(trials, y) + y * beta - trials * softplus_beta
 
 
+def _trial_sizes(values) -> np.ndarray:
+    """Binomial trial sizes as ints; refuses NaN, fractions and sizes outside [1, 2**63)."""
+    t = np.asarray(values)
+    if t.dtype.kind not in "iu":
+        t = t.astype(float)
+    if not (np.all(t >= 1) and np.all(t < 2 ** 63) and np.all(t == np.round(t))):
+        raise ValidationError("trial_sizes must be integers in [1, 2**63)")
+    return t.astype(int)
+
+
 @dataclass(frozen=True)
 class ObservationSet:
     """Observed data: a vector y and, for binomial data, per-unit trial counts.
@@ -148,12 +158,10 @@ class ObservationSet:
         if not np.all(np.isfinite(y)):
             raise ValidationError("y contains non-finite values")
         if self.trial_sizes is not None:
-            t = np.asarray(self.trial_sizes, dtype=int)
+            t = _trial_sizes(self.trial_sizes)
             object.__setattr__(self, "trial_sizes", t)
             if t.shape != y.shape:
                 raise ValidationError("trial_sizes length must match y")
-            if np.any(t < 1):
-                raise ValidationError("trial_sizes must be positive")
             if np.any(y != np.round(y)) or np.any(y < 0) or np.any(y > t):
                 raise ValidationError("binomial y must be integers in [0, n_i]")
 
@@ -316,8 +324,8 @@ class HierLogitModel(_ModelBase):
         nu: float = 0.1,
         s2: float = 10.0,
     ):
-        t = np.asarray(trial_sizes, dtype=int)
-        if t.ndim != 1 or t.size < 2 or np.any(t < 1):
+        t = _trial_sizes(trial_sizes)
+        if t.ndim != 1 or t.size < 2:
             raise ValidationError("trial_sizes must be a vector of >=2 positive counts")
         if not math.isfinite(mu_mean):
             raise ValidationError("mu_mean must be finite")

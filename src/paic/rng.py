@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .exceptions import ValidationError
+
 
 def _encode(part) -> int:
     if isinstance(part, (int, np.integer)):
@@ -27,6 +29,8 @@ def _encode(part) -> int:
 
 def substream(seed: int, *path) -> np.random.Generator:
     """Generator for the (seed, *path) stream; same arguments, same draws."""
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     key = tuple(_encode(p) for p in path)
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))

@@ -567,3 +567,34 @@ def test_cli_import_loads_no_process_pool():
                          env=_env_with_src(), timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["compute", "--model", "normal", "--data", "y.csv", "--seed", "-1",
+                  "--out", "out"], id="compute-negative-seed"),
+    pytest.param(["compute", "--model", "normal", "--data", "y.csv",
+                  "--criteria", "loo,popt", "--seed", "-1", "--out", "out"],
+                 id="compute-negative-seed-no-stream"),
+    pytest.param(["experiment", "normal", "--reps", "2", "--seed", "-1", "--out", "out"],
+                 id="experiment-normal-negative-seed"),
+    pytest.param(["experiment", "logit", "--reps", "2", "--seed", "-1", "--threads", "1",
+                  "--out", "out"], id="experiment-logit-negative-seed"),
+    pytest.param(["compute", "--model", "normal", "--data", "latin1.csv", "--out", "out"],
+                 id="data-not-utf8"),
+    pytest.param(["compute", "--model", "normal", "--data", "y.csv",
+                  "--draws", "latin1_draws.csv", "--criteria", "waic2", "--out", "out"],
+                 id="draws-not-utf8"),
+])
+def test_refusals_exit_2_without_traceback(tmp_path, argv):
+    # run as a process: an uncaught exception exits 1 with a traceback, which
+    # an in-process main() call does not show
+    write_normal_data(tmp_path / "y.csv")
+    (tmp_path / "latin1.csv").write_bytes(b"y\n0.5\n1.5\xa0\n2.5\n")
+    (tmp_path / "latin1_draws.csv").write_bytes(
+        b"theta_1,chain\n" + b"0.5,1\n" * 40 + b"1.5\xa0,1\n")
+    out = subprocess.run([sys.executable, "-m", "paic.cli", *argv], cwd=tmp_path,
+                         capture_output=True, text=True, env=_env_with_src(), timeout=60)
+    assert out.returncode == 2, out.stderr
+    assert "error:" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert not (tmp_path / "out").exists()

@@ -215,11 +215,13 @@ def _logit_output_digests(cfg, outdir):
 
 
 def test_logit_outputs_do_not_depend_on_batch_size_or_workers(tmp_path):
-    # four replications as one batch of 4, batches of 2 + 2, and of 1 + 1 + 2
+    # four replications in process (1 worker), in chunks of 2 + 2 (2 workers,
+    # and 3, which do not divide 4), and in chunks of 1 (5 workers, more
+    # than replications)
     cfg = LogitExperimentConfig(replications=4, seed=5)
     digests = [_logit_output_digests(dataclasses.replace(cfg, workers=workers),
-                                     tmp_path / str(workers)) for workers in (1, 2, 3)]
-    assert digests[1] == digests[0] and digests[2] == digests[0]
+                                     tmp_path / str(workers)) for workers in (1, 2, 3, 5)]
+    assert all(d == digests[0] for d in digests[1:])
 
 
 def test_logit_batch_searches_once_per_replication(monkeypatch):
@@ -233,26 +235,10 @@ def test_logit_batch_searches_once_per_replication(monkeypatch):
 
     monkeypatch.setattr(criteria, "_hyper_grid", counted)
     cfg = LogitExperimentConfig(replications=6, seed=7)
-    records = experiments._logit_batch(cfg, range(6))
+    records = [experiments._logit_replication(cfg, rep) for rep in range(6)]
     assert None not in records
     assert len(calls) == 6
     assert len(grids) == 6
-
-
-@pytest.mark.parametrize("reps,workers,sizes", [
-    (12, 2, [6, 6]),
-    (100, 2, [50, 50]),
-    (7, 1, [7]),
-    (3, 4, [1, 1, 1]),
-    (7, 3, [2, 2, 3]),
-])
-def test_logit_batches_fewest_under_the_cap(reps, workers, sizes):
-    # one batch per worker; with fewer replications than workers each
-    # replication is its own batch
-    batches = experiments._logit_batches(
-        LogitExperimentConfig(replications=reps, workers=workers))
-    assert [len(b) for b in batches] == sizes
-    assert [rep for b in batches for rep in b] == list(range(reps))
 
 
 def test_logit_aggregates_self_consistent():
@@ -277,7 +263,7 @@ def test_logit_replication_scores_the_shipped_criteria(monkeypatch):
     for name in ("paic", "bpic", "waic2", "grid_summary"):
         monkeypatch.setattr(experiments, name, recording(name))
     cfg = LogitExperimentConfig(replications=1, seed=3)
-    [rec] = experiments._logit_batch(cfg, range(1))
+    [rec] = [experiments._logit_replication(cfg, rep) for rep in range(1)]
 
     (model, data, lap), summary = captured["grid_summary"]
     # the study's cv is the report that paic compute ships, to the bit
@@ -302,7 +288,7 @@ def test_logit_experiment_aborts_when_the_grids_fail(monkeypatch):
     # border: every replication is excluded
     monkeypatch.setattr(criteria, "LOO_SPANS", (2.4,))
     cfg = LogitExperimentConfig(replications=2, seed=7)
-    assert experiments._logit_batch(cfg, range(2)) == [None, None]
+    assert [experiments._logit_replication(cfg, rep) for rep in range(2)] == [None, None]
     with pytest.raises(ExperimentError, match="2/2 replications excluded"):
         run_logit_experiment(cfg)
 

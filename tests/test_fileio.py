@@ -6,6 +6,7 @@ import pytest
 from paic import CriterionReport, PosteriorDraws, ValidationError
 from paic.fileio import (
     config_hash,
+    data_row_line,
     fmt,
     provenance,
     read_draws_csv,
@@ -124,6 +125,23 @@ def test_draws_accept_what_the_row_parser_accepts(tmp_path, body):
     back = read_draws_csv(str(path))
     np.testing.assert_array_equal(back.draws, [[0.5, 1.5], [-2.0, 3e-5]])
     np.testing.assert_array_equal(back.chain_ids, [0, 1])
+
+
+@pytest.mark.parametrize("reader,text", [
+    (read_observations_csv, "y\n0.5\n"),
+    (read_draws_csv, DRAW_HEADER + "0.5,1.5,0\n"),
+    (data_row_line, "y\n0.5\n"),
+], ids=["observations", "draws", "data-row-line"])
+@pytest.mark.parametrize("rows", [1, 5000])  # inside the first read buffer, and past it
+def test_non_utf8_file_names_the_file(tmp_path, reader, text, rows):
+    # the last row holds a Latin-1 byte
+    header, row = text.split("\n", 1)
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(f"{header}\n{row * rows}".encode() + b"2\xe9\n")
+    args = (rows,) if reader is data_row_line else ()
+    with pytest.raises(ValidationError, match="not UTF-8 text") as err:
+        reader(str(path), *args)
+    assert str(err.value).startswith(f"{path}: ")
 
 
 def _reports():

@@ -7,6 +7,7 @@ from paic import (
     NonConvergenceError,
     ObservationSet,
     SamplerBudget,
+    ValidationError,
     conjugate_posterior,
     ess,
     rhat,
@@ -87,6 +88,11 @@ def test_hier_sampler_gate_raises(hier_model, hier_data):
     with pytest.raises(NonConvergenceError) as exc:
         sample_hier_logit(hier_model, hier_data, SamplerBudget(2, 60, 30), seed=0)
     assert exc.value.diagnostics is not None
+
+
+def test_substream_refuses_a_negative_seed():
+    with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+        substream(-1, "logit", 0)
 
 
 def test_ess_iid():

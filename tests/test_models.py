@@ -33,6 +33,21 @@ def test_observation_set_validation():
     assert data.n == 2
 
 
+@pytest.mark.parametrize("bad", [2.5, np.nan, np.inf, 1e30, 0, -3, 2 ** 63, 2.0 ** 63])
+@pytest.mark.parametrize("build", [
+    lambda t: ObservationSet(np.ones(3), t),
+    lambda t: HierLogitModel(t),
+], ids=["observation-set", "hier-logit-model"])
+def test_trial_sizes_must_be_integers_in_range(build, bad):
+    # a fraction is refused rather than cut to an integer
+    with pytest.raises(ValidationError, match=r"integers in \[1, 2\*\*63\)"):
+        build([2, 3, bad])
+    for good in ([2, 3, 4], np.array([2, 3, 4], dtype=np.uint8), [2.0, 3.0, 4.0],
+                 [2, 3, 2 ** 63 - 1]):
+        t = build(good).trial_sizes
+        assert t.dtype == np.int64 and t.tolist() == [int(v) for v in good]
+
+
 def test_normal_loglik_standard_point():
     # standard normal density at 0 for one term
     m = ConjugateNormalModel(1.0, tau02=None)
