@@ -179,7 +179,8 @@ def cmd_compute(args) -> int:
     # nor reads a draw file
     if not set(args.criteria).isdisjoint(DRAW_CRITERIA):
         draws = _obtain_draws(args, model, data, get_lap, budget)
-        min_draws = min(crit.MIN_DRAWS, draws.S)  # supplied draw files may be small
+        # a supplied draw file may be small; sampled draws are held to MIN_DRAWS
+        min_draws = crit.MIN_DRAWS if args.draws is None else min(crit.MIN_DRAWS, draws.S)
     get_pointwise = functools.cache(lambda: crit.pointwise_loglik(model, data, draws))
 
     reports = []

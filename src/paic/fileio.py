@@ -55,9 +55,10 @@ def _parse_float(text: str, path: str, lineno: int, column: str) -> float:
 
 
 def _csv_rows(path: str):
-    """Yield the stripped header of a UTF-8 CSV file, then (line number, fields)
-    for each non-blank row below it, checked to have as many fields as the header."""
-    with open(path, newline="", encoding="utf-8") as f:
+    """Yield the stripped header of a UTF-8 CSV file (a leading byte-order mark
+    is dropped), then (line number, fields) for each non-blank row below it,
+    checked to have as many fields as the header."""
+    with open(path, newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(f)
         try:
             header = [h.strip() for h in next(reader)]

@@ -13,11 +13,11 @@ study takes its posterior expectations from the exact-LOO grid instead
 The sampler runs a dataset's chains as rows of one state array.  Each of a
 row's four noise blocks (proposal normals, acceptance uniforms, and the mu
 normals and tau2 chi-squares of the Gibbs steps) has its own Philox
-substream, keyed by (seed, *rng_path, "chain", c, block), and is drawn from
+substream, keyed by (seed, "chain", c, block), and is drawn from
 it in chunks of REPLAY_CHUNK iterations.  Consecutive chunks continue one
 stream, so a chain's trajectory does not depend on the chunk size or the
 other chains, and the noise held at once does not grow with the chain
-length.
+length.  The chains start around the dataset's one fit, which the caller passes.
 
 ESS (Geyer's initial monotone sequence, per chain) and split R-hat (BDA3)
 are array kernels over the sampler's (chains, draws, p) layout; the public
@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .exceptions import NonConvergenceError, ValidationError
 from .models import ConjugateNormalModel, HierLogitModel, ObservationSet, conjugate_posterior, softplus
-from .optimize import LaplaceApprox, find_posterior_mode, laplace_approx
+from .optimize import LaplaceApprox
 from .rng import substream
 
 TARGET_ACCEPT = 0.44
@@ -211,13 +211,13 @@ def sample_conjugate_normal(model: ConjugateNormalModel, data: ObservationSet,
 
 
 def _initial_states(model: HierLogitModel, lap: LaplaceApprox,
-                    chains: int, seed: int, rng_path) -> Tuple[np.ndarray, np.ndarray]:
+                    chains: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
     """Overdispersed chain starts around the Laplace mean; tau2 stays positive."""
     N, p = model.N, model.p
     sd = lap.marginal_sd()
     states = np.empty((chains, p))
     for c in range(chains):
-        z = substream(seed, *rng_path, "init", c).standard_normal(p)
+        z = substream(seed, "init", c).standard_normal(p)
         states[c, : N + 1] = lap.mean[: N + 1] + 2.0 * sd[: N + 1] * z[: N + 1]
         states[c, N + 1] = lap.mean[N + 1] * np.exp(0.5 * z[N + 1])
     scales = np.tile(2.4 * sd[:N], (chains, 1))
@@ -226,8 +226,7 @@ def _initial_states(model: HierLogitModel, lap: LaplaceApprox,
 
 def sample_hier_logit(model: HierLogitModel, data: ObservationSet,
                       budget: SamplerBudget = SamplerBudget(),
-                      seed: int = 0, rng_path=(),
-                      init: Optional[LaplaceApprox] = None,
+                      seed: int = 0, *, init: LaplaceApprox,
                       check: bool = True):
     """Adaptive Metropolis-within-Gibbs for the hierarchical logit posterior.
 
@@ -236,32 +235,30 @@ def sample_hier_logit(model: HierLogitModel, data: ObservationSet,
     rhat above RHAT_MAX or ESS below ESS_MIN -- callers may retry
     with a larger budget.
 
-    The C chains are rows of one state array, each with its own start, step
-    scales and substreams (seed, *rng_path, "chain", c, block); every update
-    is elementwise per row.  The Metropolis step writes the proposal, its
-    softplus, the log ratio and the acceptances into (C, N) buffers allocated
-    once, and keeps beta and softplus(beta) current with
+    ``init`` is the dataset's Laplace fit; chain c starts around its mean by
+    substream (seed, "init", c).  The C chains are rows of one state array,
+    each with its own start, step scales and substreams (seed, "chain", c,
+    block); every update is elementwise per row.  The Metropolis step writes
+    the proposal, its softplus, the log ratio and the acceptances into (C, N)
+    buffers allocated once, and keeps beta and softplus(beta) current with
     ``np.copyto(..., where=acc)``; the ratio's (beta - mu)^2 term is the Gibbs
     step's squares from the iteration before.  Each operation has the
     operands and the order of the expression it replaces, so the draws are
     those of fresh arrays and ``np.where``.
     """
     model.validate_data(data)
-    if init is None:
-        mode = find_posterior_mode(model, data, seed=seed)
-        init = laplace_approx(model, data, mode)
     N, p, C, D = model.N, model.p, budget.chains, budget.draws_per_chain
     T = budget.warmup + D
     y = np.tile(data.y.astype(float), (C, 1))
     t = np.tile(data.trial_sizes.astype(float), (C, 1))
 
-    beta_mu_tau, scales = _initial_states(model, init, C, seed, rng_path)
+    beta_mu_tau, scales = _initial_states(model, init, C, seed)
     beta = beta_mu_tau[:, :N].copy()
     mu = beta_mu_tau[:, N].copy()
     tau2 = np.maximum(beta_mu_tau[:, N + 1], 1e-8)
 
     df = model.nu + N
-    streams = [[substream(seed, *rng_path, "chain", c, block) for block in NOISE_BLOCKS]
+    streams = [[substream(seed, "chain", c, block) for block in NOISE_BLOCKS]
                for c in range(C)]
     z_move = np.empty((C, min(REPLAY_CHUNK, T), N))
     log_u = np.empty_like(z_move)

@@ -184,8 +184,6 @@ class _ModelBase:
 
     p: int
     prior_proper: bool
-    # coordinates handled on the log scale by the optimizer (positivity)
-    log_scale_coords: tuple = ()
 
     def support(self):
         """Per-coordinate open-interval bounds (lo, hi)."""
@@ -349,10 +347,6 @@ class HierLogitModel(_ModelBase):
     def prior_proper(self) -> bool:
         return True
 
-    @property
-    def log_scale_coords(self) -> tuple:
-        return (self.p - 1,)
-
     def support(self):
         bounds = [(-np.inf, np.inf)] * (self.N + 1)
         bounds.append((0.0, np.inf))
@@ -480,11 +474,14 @@ class ModelDefinition(_ModelBase):
 
     ``loglik_i_fn(theta, i, data)`` returns log g(y_i | theta); ``logprior``
     may be improper (then set ``prior_proper=False`` and criteria that need
-    a proper prior will refuse).  ``analytic_grad``/``analytic_hess``, when
-    both given, differentiate the prior-weighted per-observation term and are
-    verified against finite differences by ``calculus.check_gradient``.
+    a proper prior will refuse).  ``analytic_grad`` and ``analytic_hess`` are
+    given together or not at all; they differentiate the prior-weighted
+    per-observation term, and ``calculus.check_gradient`` is there for users
+    to compare them against finite differences (nothing calls it for them).
     Without them, scores, Hessian sums and the mode search's derivatives
     are central finite differences (of each t_i, or of the log posterior).
+    ``support_bounds`` holds one open interval (lo, hi) per coordinate (default
+    the real line); the mode search takes a (0, inf) coordinate on the log scale.
     """
 
     p: int
@@ -494,12 +491,15 @@ class ModelDefinition(_ModelBase):
     analytic_grad: Optional[Callable[[np.ndarray, int, ObservationSet], np.ndarray]] = None
     analytic_hess: Optional[Callable[[np.ndarray, int, ObservationSet], np.ndarray]] = None
     support_bounds: Optional[list] = None
-    log_scale_coords: tuple = ()
+
+    def __post_init__(self):
+        if (self.analytic_grad is None) != (self.analytic_hess is None):
+            raise ValidationError("analytic_grad and analytic_hess must be given together")
+        if self.support_bounds is not None and len(self.support_bounds) != self.p:
+            raise ValidationError(f"support_bounds needs {self.p} (lo, hi) pairs")
 
     def support(self):
-        if self.support_bounds is None:
-            return [(-np.inf, np.inf)] * self.p
-        return list(self.support_bounds)
+        return super().support() if self.support_bounds is None else list(self.support_bounds)
 
     # the callables are per observation, so one term never costs n of them
     def loglik_i(self, data: ObservationSet, i: int, theta) -> float:
@@ -520,7 +520,7 @@ class ModelDefinition(_ModelBase):
 
     @property
     def has_analytic_derivatives(self) -> bool:
-        return self.analytic_grad is not None and self.analytic_hess is not None
+        return self.analytic_grad is not None
 
     def score_matrix(self, data: ObservationSet, theta) -> np.ndarray:
         theta = _as_theta(theta, self.p)

@@ -2,10 +2,10 @@
 
 The mode maximizes log{L(theta|y) pi(theta)} by damped Newton iterations with
 an Armijo backtracking line search, falling back to gradient steps wherever
-the curvature is indefinite.  Positive coordinates (declared by the model
-via ``log_scale_coords``) are searched on the log scale; the objective is
-the unchanged theta-parameterization density, so the reported mode and
-curvature are theta-space quantities.  Its gradient and Hessian come from
+the curvature is indefinite.  The coordinates whose support is (0, inf)
+are searched on the log scale; the objective is the unchanged
+theta-parameterization density, so the reported mode and curvature are
+theta-space quantities.  Its gradient and Hessian come from
 the model (``logpost_derivatives``), once per iterate.
 The search stops on the Newton decrement g'(-H)^-1 g / 2, the predicted gain
 of a full Newton step, relative to the rounding of the log posterior (Boyd &
@@ -32,6 +32,7 @@ DECREMENT_TOL = 1e-15
 RIDGE_SCALE = 1e-8
 ARMIJO_C = 1e-4
 MODE_RESTARTS = 3
+MAX_ITER = 200  # Newton steps before a search is returned unconverged
 
 
 @dataclass(frozen=True)
@@ -56,14 +57,10 @@ class LaplaceApprox:
 
 
 class _Transform:
-    """Bijection theta <-> u with selected coordinates on the log scale."""
+    """Bijection theta <-> u with the model's (0, inf) coordinates on the log scale."""
 
-    def __init__(self, p: int, log_coords: tuple):
-        self.p = p
-        self.log_coords = tuple(log_coords)
-        self.mask = np.zeros(p, dtype=bool)
-        for k in self.log_coords:
-            self.mask[k] = True
+    def __init__(self, model):
+        self.mask = np.array([(lo, hi) == (0.0, np.inf) for lo, hi in model.support()])
 
     def to_u(self, theta: np.ndarray) -> np.ndarray:
         u = np.array(theta, dtype=float)
@@ -110,14 +107,13 @@ def _solve_ascent(H_u: np.ndarray, g_u: np.ndarray):
     return None
 
 
-def posterior_mode(model, data: ObservationSet, init,
-                   max_iter: int = 200) -> ModeResult:
+def posterior_mode(model, data: ObservationSet, init) -> ModeResult:
     """Damped Newton ascent on the log unnormalized posterior from ``init``.
 
     Convergence requires the Newton decrement on the search scale, g'd / 2
     with d the Newton direction, to fall below DECREMENT_TOL * max(1,
     |logpost|), and the negative Hessian at the mode to be positive definite.
-    ``iterations`` counts the Newton steps taken; hitting ``max_iter`` of them,
+    ``iterations`` counts the Newton steps taken; hitting MAX_ITER of them,
     or a line search that finds no ascent, returns converged=False rather
     than raising.
     """
@@ -125,7 +121,7 @@ def posterior_mode(model, data: ObservationSet, init,
     init = np.atleast_1d(np.asarray(init, dtype=float))
     if not model.in_support(init):
         raise ValidationError("init outside model support")
-    tr = _Transform(model.p, getattr(model, "log_scale_coords", ()))
+    tr = _Transform(model)
     u = tr.to_u(init)
     theta = tr.to_theta(u)
     fval = _safe_logpost(model, data, theta)
@@ -139,7 +135,7 @@ def posterior_mode(model, data: ObservationSet, init,
         d = _solve_ascent(H_u, g_u)
         slope = float(g_u @ d) if d is not None else 0.0
         converged = d is not None and 0.5 * slope <= DECREMENT_TOL * max(1.0, abs(fval))
-        if converged or iterations == max_iter:
+        if converged or iterations == MAX_ITER:
             break
         if d is None:  # indefinite curvature: take a gradient step
             d = g_u
@@ -173,18 +169,15 @@ def posterior_mode(model, data: ObservationSet, init,
     )
 
 
-def find_posterior_mode(model, data: ObservationSet, init=None,
-                        seed: int = 0) -> ModeResult:
-    """First search from ``init`` (default: the model's init) that does not raise.
+def find_posterior_mode(model, data: ObservationSet, seed: int = 0) -> ModeResult:
+    """First search from the model's default init that does not raise.
 
     A search that raises is retried from a perturbed start, up to
     MODE_RESTARTS searches, and NumericalError follows if all of them raise.
     An unconverged search is returned as it is; callers check ``converged``.
     """
-    base = np.atleast_1d(np.asarray(
-        model.default_init(data) if init is None else init, dtype=float))
-    tr = _Transform(model.p, getattr(model, "log_scale_coords", ()))
-    u0 = tr.to_u(base)
+    tr = _Transform(model)
+    u0 = tr.to_u(model.default_init(data))
     rng = substream(seed, "mode-restarts")
     for r in range(MODE_RESTARTS):
         u_start = u0 if r == 0 else u0 + 0.3 * rng.standard_normal(model.p)

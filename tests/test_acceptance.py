@@ -35,6 +35,8 @@ from paic.calculus import grad_fd, hess_fd
 from paic.cli import main
 from paic.rng import substream
 
+from conftest import laplace_fit
+
 WORKERS = min(2, os.cpu_count() or 1)
 
 
@@ -225,8 +227,8 @@ def test_criterion_6_derivative_and_sampler_oracles(hier_model, hier_data):
     var_ok = abs(x.var(ddof=1) - s2) <= 3 * np.sqrt(2 * s2 ** 2 / (x.size - 1))
     mcmc_ok = mean_ok and var_ok and e >= 1000
 
-    _, diag = sample_hier_logit(hier_model, hier_data,
-                                SamplerBudget(3, 5000, 2000), seed=603)
+    _, diag = sample_hier_logit(hier_model, hier_data, SamplerBudget(3, 5000, 2000), seed=603,
+                                init=laplace_fit(hier_model, hier_data, seed=603))
     gate_ok = diag.max_rhat <= 1.05
 
     ok = deriv_ok and mcmc_ok and gate_ok

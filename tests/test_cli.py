@@ -12,7 +12,7 @@ from paic import ConjugateNormalModel, ObservationSet, sample_conjugate_normal
 from paic.cli import main
 from paic.fileio import write_draws_csv
 
-from conftest import count_searches
+from conftest import count_searches, laplace_fit
 
 FAST_LOGIT_FLAGS = ["--chains", "2", "--samples", "1200", "--warmup", "600"]
 
@@ -323,7 +323,7 @@ def test_compute_hier_logit_unconverged_mode(tmp_path, monkeypatch, capsys, supp
     model = paic.HierLogitModel(np.full(8, 40))
     data = paic.fileio.read_observations_csv(str(data_path))
     draws, _ = paic.sample_hier_logit(model, data, paic.SamplerBudget(2, 600, 300), seed=4,
-                                      check=False)
+                                      init=laplace_fit(model, data, seed=4), check=False)
     draws_path = tmp_path / "draws.csv"
     write_draws_csv(str(draws_path), draws)
     search = paic.cli.find_posterior_mode
@@ -598,3 +598,50 @@ def test_refusals_exit_2_without_traceback(tmp_path, argv):
     assert "error:" in out.stderr
     assert "Traceback" not in out.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_compute_holds_sampled_draws_to_min_draws(tmp_path):
+    # paic and dic need MIN_DRAWS sampled draws; a supplied draw file of any
+    # size is taken as it is
+    data_path = tmp_path / "y.csv"
+    data_path.write_text("y\n0.3\n-1.2\n0.8\n")
+    out = tmp_path / "r.json"
+    args = ["compute", "--model", "normal", "--data", str(data_path),
+            "--criteria", "paic,dic", "--seed", "1", "--out", str(out)]
+    assert main(args + ["--draw-count", "1"]) == 0
+    entries = {r["criterion"]: r for r in json.loads(out.read_text())["reports"]}
+    for name in ("paic", "dic"):
+        assert entries[name]["error"] == "need at least 1000 draws, got 1"
+    draws = sample_conjugate_normal(ConjugateNormalModel(1.0), ObservationSet([0.3, -1.2, 0.8]),
+                                    20, seed=1)
+    draws_path = tmp_path / "draws.csv"
+    write_draws_csv(str(draws_path), draws)
+    assert main(args + ["--draws", str(draws_path)]) == 0
+    entries = {r["criterion"]: r for r in json.loads(out.read_text())["reports"]}
+    for name in ("paic", "dic"):
+        assert "error" not in entries[name] and entries[name]["S"] == 20
+
+
+def test_compute_accepts_files_with_a_byte_order_mark(tmp_path):
+    # spreadsheet programs write "CSV UTF-8" with a leading byte-order mark
+    data_path = tmp_path / "y.csv"
+    write_normal_data(data_path, n=10)
+    m = ConjugateNormalModel(1.0)
+    draws = sample_conjugate_normal(m, ObservationSet(np.loadtxt(data_path, skiprows=1)),
+                                    1000, seed=3)
+    draws_path = tmp_path / "draws.csv"
+    write_draws_csv(str(draws_path), draws)
+    reports = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        paths = []
+        for path in (data_path, draws_path):
+            marked = tmp_path / f"{len(bom)}-{path.name}"
+            marked.write_bytes(bom + path.read_bytes())
+            paths.append(str(marked))
+        out = tmp_path / f"{len(bom)}-r.json"
+        assert main(["compute", "--model", "normal", "--data", paths[0], "--draws", paths[1],
+                     "--criteria", "paic,bpic,waic2,loo,dic", "--seed", "3",
+                     "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert b'"error"' not in reports[0]

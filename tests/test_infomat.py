@@ -162,7 +162,6 @@ def test_fd_fallback_matches_analytic(hier_model, hier_data):
         loglik_i_fn=lambda t, i, d: hier_model.loglik_i(d, i, t),
         logprior_fn=hier_model.logprior,
         support_bounds=hier_model.support(),
-        log_scale_coords=hier_model.log_scale_coords,
     )
     mode = find_posterior_mode(hier_model, hier_data, seed=0)
     J_fd = compute_hess_info(stripped, hier_data, mode.theta_hat)

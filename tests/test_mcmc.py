@@ -48,8 +48,8 @@ def test_conjugate_sampler_deterministic():
 
 
 def test_hier_sampler_converges_and_respects_support(hier_model, hier_data):
-    draws, diag = sample_hier_logit(hier_model, hier_data,
-                                    SamplerBudget(3, 5000, 2000), seed=0)
+    draws, diag = sample_hier_logit(hier_model, hier_data, SamplerBudget(3, 5000, 2000), seed=0,
+                                    init=laplace_fit(hier_model, hier_data))
     assert diag.max_rhat <= 1.05
     assert diag.min_ess >= 400
     assert np.all(draws.draws[:, -1] > 0)
@@ -58,17 +58,19 @@ def test_hier_sampler_converges_and_respects_support(hier_model, hier_data):
 
 
 def test_hier_sampler_deterministic(hier_model, hier_data):
+    lap = laplace_fit(hier_model, hier_data, seed=9)
     a, _ = sample_hier_logit(hier_model, hier_data, SamplerBudget(2, 500, 300),
-                             seed=9, check=False)
+                             seed=9, init=lap, check=False)
     b, _ = sample_hier_logit(hier_model, hier_data, SamplerBudget(2, 500, 300),
-                             seed=9, check=False)
+                             seed=9, init=lap, check=False)
     np.testing.assert_array_equal(a.draws, b.draws)
     np.testing.assert_array_equal(a.chain_ids, b.chain_ids)
 
 
 def test_hier_sampler_adaptation_frozen(hier_model, hier_data):
     _, diag = sample_hier_logit(hier_model, hier_data, SamplerBudget(2, 1500, 600),
-                                seed=3, check=False)
+                                seed=3, init=laplace_fit(hier_model, hier_data, seed=3),
+                                check=False)
     np.testing.assert_array_equal(diag.step_scales_warmup_end,
                                   diag.step_scales_final)
 
@@ -77,7 +79,7 @@ def test_hier_sampler_degenerate_counts():
     model = HierLogitModel(np.full(8, 40))
     data = ObservationSet(np.zeros(8), np.full(8, 40))
     draws, diag = sample_hier_logit(model, data, SamplerBudget(3, 2000, 1000),
-                                    seed=4, check=False)
+                                    seed=4, init=laplace_fit(model, data, seed=4), check=False)
     assert np.all(np.isfinite(draws.draws))
     assert np.all(draws.draws[:, -1] > 0)
     # every observed count is zero: the random-effect means sit well below 0
@@ -86,7 +88,8 @@ def test_hier_sampler_degenerate_counts():
 
 def test_hier_sampler_gate_raises(hier_model, hier_data):
     with pytest.raises(NonConvergenceError) as exc:
-        sample_hier_logit(hier_model, hier_data, SamplerBudget(2, 60, 30), seed=0)
+        sample_hier_logit(hier_model, hier_data, SamplerBudget(2, 60, 30), seed=0,
+                          init=laplace_fit(hier_model, hier_data))
     assert exc.value.diagnostics is not None
 
 
@@ -328,15 +331,17 @@ def test_skip_raw_equals_drawing_uniforms(before, count):
 def test_hier_draws_do_not_depend_on_the_replay_chunk(hier_model, hier_data, monkeypatch):
     budget = SamplerBudget(2, 60, 40)
     T = budget.warmup + budget.draws_per_chain
-    reference, _ = sample_hier_logit(hier_model, hier_data, budget, seed=4, check=False)
+    lap = laplace_fit(hier_model, hier_data, seed=4)
+    reference, _ = sample_hier_logit(hier_model, hier_data, budget, seed=4, init=lap, check=False)
     for chunk in (1, 7, 64, T + 1):
         monkeypatch.setattr(mcmc, "REPLAY_CHUNK", chunk)
-        draws, _ = sample_hier_logit(hier_model, hier_data, budget, seed=4, check=False)
+        draws, _ = sample_hier_logit(hier_model, hier_data, budget, seed=4, init=lap,
+                                     check=False)
         np.testing.assert_array_equal(draws.draws, reference.draws)
 
 
 
-def _reference_loop(model, data, init, rng_path, budget, seed):
+def _reference_loop(model, data, init, budget, seed):
     """The sampler loop with a fresh array per operation and np.where, as it
     was first written; returns the (C, D, p) draws, the (C, N) post-warmup
     acceptance counts and the step scales at the end of warmup and at the end."""
@@ -344,12 +349,12 @@ def _reference_loop(model, data, init, rng_path, budget, seed):
     T = budget.warmup + D
     y = np.tile(data.y, (C, 1)).astype(float)
     t = np.tile(data.trial_sizes, (C, 1)).astype(float)
-    beta_mu_tau, scales = mcmc._initial_states(model, init, C, seed, rng_path)
+    beta_mu_tau, scales = mcmc._initial_states(model, init, C, seed)
     beta = beta_mu_tau[:, :N].copy()
     mu = beta_mu_tau[:, N].copy()
     tau2 = np.maximum(beta_mu_tau[:, N + 1], 1e-8)
     df = model.nu + N
-    streams = [[substream(seed, *rng_path, "chain", c, block) for block in NOISE_BLOCKS]
+    streams = [[substream(seed, "chain", c, block) for block in NOISE_BLOCKS]
                for c in range(C)]
     z_move = np.empty((C, min(REPLAY_CHUNK, T), N))
     log_u = np.empty_like(z_move)
@@ -418,10 +423,8 @@ def test_buffered_sampler_step_is_the_reference_chain(hier_model, hier_data):
     C, D = budget.chains, budget.draws_per_chain
     for k, (model, data) in enumerate(problems):
         lap = laplace_fit(model, data)
-        out, accepted, scales_warm, scales = _reference_loop(
-            model, data, lap, ("reference", k), budget, seed=21)
-        draws, diag = sample_hier_logit(model, data, budget, seed=21, rng_path=("reference", k),
-                                        init=lap, check=False)
+        out, accepted, scales_warm, scales = _reference_loop(model, data, lap, budget, seed=21 + k)
+        draws, diag = sample_hier_logit(model, data, budget, seed=21 + k, init=lap, check=False)
         np.testing.assert_array_equal(draws.draws, out.reshape(C * D, -1))
         np.testing.assert_array_equal(diag.accept_rate, accepted.mean(axis=0) / D)
         np.testing.assert_array_equal(diag.step_scales_warmup_end, scales_warm)
@@ -450,7 +453,8 @@ def test_hier_sampler_means_match_the_quadrature_oracle(rep):
     lap = laplace_fit(model, data, seed=1234)
     grid = _hyper_grid(model, data, lap)
     C = 3
-    draws, diag = sample_hier_logit(model, data, SamplerBudget(C, 20000, 2000), seed=1)
+    draws, diag = sample_hier_logit(model, data, SamplerBudget(C, 20000, 2000), seed=1,
+                                    init=laplace_fit(model, data, seed=1))
     w = np.exp(grid.log_w)
     for k, oracle in ((model.N, w @ grid.mu), (model.N + 1, w @ grid.tau2)):
         x = draws.draws[:, k]
@@ -471,15 +475,17 @@ def test_hier_sampler_means_match_the_quadrature_oracle(rep):
 def test_hier_sampler_fold_sum_matches_the_quadrature_oracle():
     # replication 5: the 15 leave-one-group-out terms from sampled fold
     # posteriors (3 x 10000 draws each), summed, lie within 4 Monte Carlo
-    # standard errors of the grid's sum
+    # standard errors of the grid's sum; fold i samples with seed 1 + i, so the
+    # folds' streams are independent
     model, data = criterion_4_data(5)
     C, D = 3, 10000
     total = var = 0.0
     for i in range(model.N):
         keep = np.arange(model.N) != i
         fold = HierLogitModel(model.trial_sizes[keep])
-        draws, _ = sample_hier_logit(fold, ObservationSet(data.y[keep], data.trial_sizes[keep]),
-                                     SamplerBudget(C, D, 2000), seed=1, rng_path=("fold", i))
+        fold_data = ObservationSet(data.y[keep], data.trial_sizes[keep])
+        draws, _ = sample_hier_logit(fold, fold_data, SamplerBudget(C, D, 2000), seed=1 + i,
+                                     init=laplace_fit(fold, fold_data, seed=1 + i))
         mu = draws.draws[:, fold.N]
         mean_sp = _gh_mean_softplus(mu, np.sqrt(draws.draws[:, fold.N + 1]))
         n_i, y_i = float(data.trial_sizes[i]), data.y[i]

@@ -399,3 +399,17 @@ def test_safe_logpost_tiny_tau2_is_minus_inf_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _safe_logpost(m, data, theta) == -np.inf
+
+
+@pytest.mark.parametrize("given", ["analytic_grad", "analytic_hess"])
+def test_model_definition_refuses_a_lone_analytic_derivative(given):
+    # with one derivative alone both would quietly be finite differences
+    with pytest.raises(ValidationError, match="must be given together"):
+        ModelDefinition(p=1, loglik_i_fn=lambda t, i, d: 0.0, logprior_fn=lambda t: 0.0,
+                        **{given: lambda t, i, d: np.zeros(1)})
+
+
+def test_model_definition_refuses_support_bounds_of_another_length():
+    with pytest.raises(ValidationError, match="needs 2 \\(lo, hi\\) pairs"):
+        ModelDefinition(p=2, loglik_i_fn=lambda t, i, d: 0.0, logprior_fn=lambda t: 0.0,
+                        support_bounds=[(0.0, np.inf)])

@@ -17,6 +17,7 @@ from paic import (
     posterior_mode,
     sample_hier_logit,
 )
+from paic import optimize
 from paic.rng import substream
 
 from conftest import criterion_4_data
@@ -65,9 +66,9 @@ def test_mode_init_invariance(hier_model, hier_data):
         np.testing.assert_allclose(res.theta_hat, base.theta_hat, atol=1e-8)
 
 
-def test_mode_max_iterations_returns_unconverged(hier_model, hier_data):
-    res = posterior_mode(hier_model, hier_data,
-                         hier_model.default_init(hier_data), max_iter=1)
+def test_mode_max_iterations_returns_unconverged(hier_model, hier_data, monkeypatch):
+    monkeypatch.setattr(optimize, "MAX_ITER", 1)
+    res = posterior_mode(hier_model, hier_data, hier_model.default_init(hier_data))
     assert not res.converged
     assert res.iterations == 1
     assert np.isfinite(res.grad_norm)
@@ -279,3 +280,13 @@ def test_mode_derivatives_once_per_iterate(case, hier_model, hier_data):
     assert len(seen) == len(set(seen))
     assert len(seen) == res.iterations + 1
     np.testing.assert_array_equal(rec.thetas[-1], res.theta_hat)
+
+
+def test_transform_logs_exactly_the_positive_half_line_coordinates(hier_model):
+    assert optimize._Transform(hier_model).mask.tolist() == [False] * 16 + [True]
+    md = ModelDefinition(p=3, loglik_i_fn=lambda t, i, d: 0.0, logprior_fn=lambda t: 0.0,
+                         support_bounds=[(-np.inf, np.inf), (0.0, np.inf), (0.0, 1.0)])
+    assert optimize._Transform(md).mask.tolist() == [False, True, False]
+    for model in (ConjugateNormalModel(1.0), ModelDefinition(p=2, loglik_i_fn=lambda t, i, d: 0.0,
+                                                             logprior_fn=lambda t: 0.0)):
+        assert not optimize._Transform(model).mask.any()
