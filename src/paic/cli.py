@@ -8,6 +8,9 @@ Two subcommands:
 
   paic experiment normal|logit --reps R --seed N --out DIR [scenario flags]
 
+``compute`` scores the exact posterior expectations of the built-in models
+(S = 0), or the user's own draws from ``--draws``.
+
 Exit codes are a stable contract: 0 success (including partial success where
 individual criteria report errors), 2 validation error (including a file
 that cannot be read or written), 3 numerical failure.
@@ -42,12 +45,11 @@ from .fileio import (
     write_reports_json,
 )
 from .infomat import info_matrix_pair
-from .mcmc import SamplerBudget, sample_conjugate_normal, sample_hier_logit
 from .models import ConjugateNormalModel, HierLogitModel
 from .optimize import find_posterior_mode, laplace_approx
 
 KNOWN_CRITERIA = ("paic", "bpic", "waic2", "loo", "dic", "popt")
-DRAW_CRITERIA = ("paic", "bpic", "waic2", "dic")  # the ones computed from posterior draws
+DRAW_CRITERIA = ("paic", "bpic", "waic2", "dic")  # the ones that read the posterior summary
 
 
 def _int_list(text: str):
@@ -77,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Bias-corrected predictive criteria for Bayesian models",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    default_budget = SamplerBudget()
     sub = parser.add_subparsers(dest="command", required=True)
 
     pc = sub.add_parser("compute", help="compute criteria for one dataset")
@@ -97,12 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--mu-var", type=float, default=1000.0 ** 2)
     pc.add_argument("--nu", type=float, default=0.1)
     pc.add_argument("--s2", type=float, default=10.0)
-    pc.add_argument("--draw-count", type=int, default=20000,
-                    help="draws for the exact normal sampler")
-    pc.add_argument("--chains", type=int, default=default_budget.chains)
-    pc.add_argument("--samples", type=int, default=default_budget.draws_per_chain,
-                    help="post-warmup draws per chain (hier-logit)")
-    pc.add_argument("--warmup", type=int, default=default_budget.warmup)
     pc.set_defaults(func=cmd_compute)
 
     pe = sub.add_parser("experiment", help="run a replication study")
@@ -137,29 +132,24 @@ def _build_model(args, data):
                           args.nu, args.s2)
 
 
-def _obtain_draws(args, model, data, get_lap, budget):
-    if args.draws is not None:
-        draws = read_draws_csv(args.draws)
-        if draws.p != model.p:
-            raise ValidationError(
-                f"draw file has dimension {draws.p}, model needs {model.p}"
-            )
-        lo, hi = np.array(model.support()).T
-        outside = (draws.draws <= lo) | (draws.draws >= hi)
-        if outside.any():
-            s, j = np.argwhere(outside)[0]
-            raise ValidationError(
-                f"{args.draws}:{data_row_line(args.draws, s)}: theta_{j + 1} = "
-                f"{draws.draws[s, j]:.17g} lies outside the model's support"
-            )
-        return draws
-    if isinstance(model, ConjugateNormalModel):
-        return sample_conjugate_normal(model, data, args.draw_count, args.seed)
-    return sample_hier_logit(model, data, budget=budget, seed=args.seed, init=get_lap())[0]
+def _read_draws(args, model):
+    draws = read_draws_csv(args.draws)
+    if draws.p != model.p:
+        raise ValidationError(
+            f"draw file has dimension {draws.p}, model needs {model.p}"
+        )
+    lo, hi = np.array(model.support()).T
+    outside = (draws.draws <= lo) | (draws.draws >= hi)
+    if outside.any():
+        s, j = np.argwhere(outside)[0]
+        raise ValidationError(
+            f"{args.draws}:{data_row_line(args.draws, s)}: theta_{j + 1} = "
+            f"{draws.draws[s, j]:.17g} lies outside the model's support"
+        )
+    return draws
 
 
 def cmd_compute(args) -> int:
-    budget = SamplerBudget(args.chains, args.samples, args.warmup)  # checked before any work
     if not args.criteria:
         raise ValidationError("--criteria names no criterion")
     for k, name in enumerate(args.criteria):
@@ -171,38 +161,30 @@ def cmd_compute(args) -> int:
     model = _build_model(args, data)
     model.validate_data(data)
     # one fit (a mode search, then the Laplace step, where an unconverged mode fails)
-    # serves the sampler, the LOO grid and the one info pair of the paic/bpic penalties
+    # serves the LOO grid and the one info pair of the paic/bpic penalties
     get_mode = functools.cache(lambda: find_posterior_mode(model, data, seed=args.seed))
     get_lap = functools.cache(lambda: laplace_approx(model, data, get_mode()))
     get_pair = functools.cache(lambda: info_matrix_pair(model, data, get_lap().mean))
-    # loo and popt need no draws: a request for those alone neither samples
-    # nor reads a draw file
-    if not set(args.criteria).isdisjoint(DRAW_CRITERIA):
-        draws = _obtain_draws(args, model, data, get_lap, budget)
-        # a supplied draw file may be small; sampled draws are held to MIN_DRAWS
-        min_draws = crit.MIN_DRAWS if args.draws is None else min(crit.MIN_DRAWS, draws.S)
-    get_pointwise = functools.cache(lambda: crit.pointwise_loglik(model, data, draws))
+    # a supplied draw file is read (and refused, exit 2) before any criterion,
+    # unless only loo and popt, which read no posterior summary, are requested
+    if args.draws is not None and not set(args.criteria).isdisjoint(DRAW_CRITERIA):
+        draws = _read_draws(args, model)
+        get_summary = functools.cache(lambda: crit.draw_summary(model, data, draws))
+    elif isinstance(model, HierLogitModel):
+        get_summary = functools.cache(lambda: crit.grid_summary(model, data, get_lap()))
+    else:
+        get_summary = functools.cache(lambda: crit.normal_summary(model, data))
+    # with draws, the hierarchical logit's loo builds its own grid on the fit
+    loo_lap = get_lap if args.draws is not None else None
 
     reports = []
     errors = []
     for name in args.criteria:
         try:
-            if name == "paic":
-                report = crit.paic(get_pointwise(), get_pair(), min_draws=min_draws)
-            elif name == "bpic":
-                e_logprior = float(model.logprior_draws(draws.draws).mean())
-                report = crit.bpic(model, data, get_mode(), get_pair(), e_logprior, draws.S)
-            elif name == "waic2":
-                report = crit.waic2(get_pointwise())
-            elif name == "dic":
-                report = crit.dic(model, data, draws, get_pointwise(), min_draws=min_draws)
-            elif name == "popt":
-                report = crit.popt_closed_form(model, data)
-            else:  # the normal model's closed form takes no fit
-                lap = get_lap() if isinstance(model, HierLogitModel) else None
-                report = crit.loo_exact(model, data, lap)
+            report = crit.criterion_report(name, model, data, get_summary, get_mode,
+                                           get_pair, loo_lap)
         except PaicError as exc:
-            errors.append((name, str(exc)))
+            errors.append((name, exc))
             continue
         reports.append(dataclasses.replace(report, seed=args.seed))
 
@@ -213,8 +195,6 @@ def cmd_compute(args) -> int:
         "sigma_a2": args.sigma_a2, "mu0": args.mu0, "tau02": args.tau02,
         "mu_mean": args.mu_mean, "mu_var": args.mu_var,
         "nu": args.nu, "s2": args.s2,
-        "draw_count": args.draw_count, "chains": args.chains,
-        "samples": args.samples, "warmup": args.warmup,
         "draws_supplied": args.draws is not None,
         "seed": args.seed,
     }

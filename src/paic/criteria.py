@@ -16,6 +16,10 @@ both fitting and evaluation:
   popt   expected-deviance penalized loss, closed form for the normal model
   dic    plug-in fit at the posterior mean (reference criterion)
 
+paic, bpic, waic2 and dic read a PosteriorSummary, exact for the built-in
+models or over draws.  ``criterion_report`` maps a criterion name to its
+report for ``paic compute`` and the logit study alike.
+
 Per-observation bias comparisons in the experiments divide penalties by n.
 """
 
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -96,6 +100,34 @@ class PointwiseLogLik:
         return self.values.var(axis=0, ddof=1)
 
 
+@dataclass(frozen=True, kw_only=True)
+class PosteriorSummary:
+    """Per observation the posterior mean and variance of l_i = log g(y_i |
+    theta), with E[log pi], theta_bar and E[sum_i l_i]: over S draws, or exact
+    (S = 0).  paic and waic2 read it as they read a PointwiseLogLik."""
+
+    loglik_means: np.ndarray
+    loglik_vars: Optional[np.ndarray]  # None from a single draw
+    e_logprior: float
+    theta_bar: np.ndarray
+    e_loglik: float
+    S: int = 0
+
+    @property
+    def n(self) -> int:
+        return self.loglik_means.size
+
+    def require_draws(self, min_draws: int):
+        if 0 < self.S < min_draws:  # exact expectations have no draws to count
+            raise ValidationError(f"need at least {min_draws} draws, got {self.S}")
+
+    def column_means(self) -> np.ndarray:
+        return self.loglik_means
+
+    def column_vars(self) -> np.ndarray:
+        return self.loglik_vars
+
+
 @dataclass(frozen=True)
 class CriterionReport:
     name: str
@@ -126,15 +158,28 @@ def pointwise_loglik(model, data: ObservationSet, draws: PosteriorDraws) -> Poin
     return PointwiseLogLik(mat)
 
 
-def mean_insample_loglik(pointwise: PointwiseLogLik | GridSummary) -> float:
+def draw_summary(model, data: ObservationSet, draws: PosteriorDraws) -> PosteriorSummary:
+    """The posterior summary of S draws, from ``pointwise_loglik``'s matrix."""
+    values = pointwise_loglik(model, data, draws).values
+    return PosteriorSummary(
+        loglik_means=values.mean(axis=0),
+        loglik_vars=values.var(axis=0, ddof=1) if draws.S > 1 else None,
+        e_logprior=float(model.logprior_draws(draws.draws).mean()),
+        theta_bar=draws.draws.mean(axis=0),
+        e_loglik=float(np.mean(values.sum(axis=1))),
+        S=draws.S,
+    )
+
+
+def mean_insample_loglik(pointwise: PointwiseLogLik | PosteriorSummary) -> float:
     """(1/n) sum_i E_draws[log g(y_i | theta)], the in-sample estimate."""
     return float(np.mean(pointwise.column_means()))
 
 
-def paic(pointwise: PointwiseLogLik | GridSummary, info_pair: InfoMatrixPair,
+def paic(pointwise: PointwiseLogLik | PosteriorSummary, info_pair: InfoMatrixPair,
          min_draws: int = MIN_DRAWS) -> CriterionReport:
     """Posterior-averaging criterion: -2 sum_i E[log g] + 2 tr{J^-1 I}, over
-    the draws of a PointwiseLogLik or exact from a GridSummary."""
+    the draws of a PointwiseLogLik or from a PosteriorSummary."""
     pointwise.require_draws(min_draws)
     if info_pair.score_denominator != "n-1":
         raise ValidationError("paic needs the 1/(n-1) score convention")
@@ -144,14 +189,13 @@ def paic(pointwise: PointwiseLogLik | GridSummary, info_pair: InfoMatrixPair,
 
 
 def bpic(model, data: ObservationSet, mode: ModeResult, info_pair: InfoMatrixPair,
-         e_logprior: float, S: int) -> CriterionReport:
+         summary: PosteriorSummary) -> CriterionReport:
     """Plug-in criterion: -2 log{pi L}(theta_hat) + 2 [E log pi + tr + p/2].
 
     ``info_pair`` is the pair paic takes; tr is its trace times (n-1)/n, the
     trace with the score sum divided by n.  The fit term is the mode's
-    ``logpost``.  ``e_logprior`` is the caller's posterior expectation of the
-    log prior (over S draws, or exact with S = 0), so this refuses improper
-    priors (their log density is only defined up to a constant).
+    ``logpost``; E log pi is the summary's.  Refuses improper priors (their
+    log density is only defined up to a constant).
     """
     if not model.prior_proper:
         raise ImproperPriorError("BPIC undefined under degenerate prior")
@@ -159,34 +203,30 @@ def bpic(model, data: ObservationSet, mode: ModeResult, info_pair: InfoMatrixPai
         raise ValidationError("bpic needs the 1/(n-1) pair that paic takes")
     tr = trace_correction(info_pair).value * (data.n - 1) / data.n
     fit = mode.logpost
-    penalty = e_logprior + tr + 0.5 * model.p
-    return _report("bpic", fit, penalty, data.n, S)
+    penalty = summary.e_logprior + tr + 0.5 * model.p
+    return _report("bpic", fit, penalty, data.n, summary.S)
 
 
-def waic2(pointwise: PointwiseLogLik | GridSummary) -> CriterionReport:
+def waic2(pointwise: PointwiseLogLik | PosteriorSummary) -> CriterionReport:
     """Posterior-variance penalty: p = sum_i Var[log g(y_i | theta)], over the
-    draws of a PointwiseLogLik or exact from a GridSummary."""
+    draws of a PointwiseLogLik or from a PosteriorSummary."""
     pointwise.require_draws(2)
     fit = float(np.sum(pointwise.column_means()))
     penalty = float(np.sum(pointwise.column_vars()))
     return _report("waic2", fit, penalty, pointwise.n, pointwise.S)
 
 
-def dic(model, data: ObservationSet, draws: PosteriorDraws, pointwise: PointwiseLogLik,
-        min_draws: int = MIN_DRAWS) -> CriterionReport:
-    """Deviance criterion at the posterior mean (reference only); ``pointwise``
-    is the draws' matrix from ``pointwise_loglik``."""
-    pointwise.require_draws(min_draws)
-    theta_bar = draws.draws.mean(axis=0)
+def dic(model, data: ObservationSet, summary: PosteriorSummary) -> CriterionReport:
+    """Deviance criterion at the posterior mean (reference only)."""
+    theta_bar = summary.theta_bar
     if not model.in_support(theta_bar):
         raise NumericalError(
             "posterior-mean parameter lies outside the model support; "
             "consider reparameterization"
         )
     loglik_bar = float(np.sum(model.loglik_terms(data, theta_bar)))
-    mean_loglik = float(np.mean(pointwise.values.sum(axis=1)))
-    p_d = 2.0 * (loglik_bar - mean_loglik)
-    return _report("dic", loglik_bar, p_d, data.n, draws.S)
+    p_d = 2.0 * (loglik_bar - summary.e_loglik)
+    return _report("dic", loglik_bar, p_d, data.n, summary.S)
 
 
 # -- closed forms for the conjugate normal model -------------------------
@@ -240,6 +280,22 @@ def closed_form_bias_estimators(model: ConjugateNormalModel,
             - float(np.sum(_loo_terms_normal(model, data))) / n)
 
     return ClosedFormBias(b_paic, b_bpic, b_waic2, b_popt, b_cv)
+
+
+def normal_summary(model: ConjugateNormalModel, data: ObservationSet) -> PosteriorSummary:
+    """Exact summary of the normal model: each l_i is quadratic in mu ~
+    N(mu_hat, s2); the flat prior's log density is taken as 0."""
+    mu_hat, s2 = conjugate_posterior(model, data)
+    sA2 = model.sigma_A2
+    means = _normal_loglik(data.y, mu_hat, sA2, s2)
+    return PosteriorSummary(
+        loglik_means=means,
+        loglik_vars=(2.0 * s2 ** 2 + 4.0 * (data.y - mu_hat) ** 2 * s2) / (4.0 * sA2 ** 2),
+        e_logprior=(0.0 if model.tau02 is None
+                    else float(_normal_loglik(mu_hat, model.mu0, model.tau02, s2))),
+        theta_bar=np.array([mu_hat]),
+        e_loglik=float(np.sum(means)),
+    )
 
 
 def popt_closed_form(model: ConjugateNormalModel, data: ObservationSet) -> CriterionReport:
@@ -422,9 +478,9 @@ def _loo_report(data: ObservationSet, terms: np.ndarray, notes: str) -> Criterio
 def _check_loo(model, data: ObservationSet, lap: Optional[LaplaceApprox]):
     """The checks of an exact-LOO request, made before any grid is built."""
     model.validate_data(data)
-    if data.n > LOO_MAX_N:
-        raise ValidationError(f"exact LOO guarded at n <= {LOO_MAX_N}")
     if isinstance(model, HierLogitModel):
+        if data.n > LOO_MAX_N:
+            raise ValidationError(f"exact LOO guarded at n <= {LOO_MAX_N}")
         if model.N < 3:  # a one-group fold: only its hyperprior holds tau2
             raise ValidationError(f"exact LOO needs at least 3 groups, got {model.N}")
         if lap is None:
@@ -451,41 +507,25 @@ def loo_exact(model, data: ObservationSet, lap: Optional[LaplaceApprox] = None) 
 # -- exact posterior expectations for the hierarchical logit --------------
 
 
-@dataclass(frozen=True)
-class GridSummary:
-    """``grid_summary``'s exact posterior expectations, exact LOO and grid size
-    and border mass.  paic and waic2 read it as they read a PointwiseLogLik;
-    it holds no draws (S = 0)."""
+@dataclass(frozen=True, kw_only=True)
+class GridSummary(PosteriorSummary):
+    """``grid_summary``'s exact posterior summary (S = 0), with E[beta_i] and
+    E[softplus(beta_i)] per group, the exact LOO and the grid's size and
+    border mass."""
 
-    loglik_means: np.ndarray
-    loglik_vars: np.ndarray
     beta_means: np.ndarray
     softplus_means: np.ndarray
-    e_logprior: float
     loo: CriterionReport
     grid_points: int
     border_mass: float
-    S = 0
-
-    @property
-    def n(self) -> int:
-        return self.loglik_means.size
-
-    def require_draws(self, min_draws: int):
-        """Exact expectations: there are no draws to count."""
-
-    def column_means(self) -> np.ndarray:
-        return self.loglik_means
-
-    def column_vars(self) -> np.ndarray:
-        return self.loglik_vars
 
 
 def grid_summary(model: HierLogitModel, data: ObservationSet, lap: LaplaceApprox) -> GridSummary:
     """Exact posterior expectations of a hierarchical-logit dataset, and its
     exact LOO, from one evaluation of ``_hyper_grid`` around the fit ``lap``:
     per group the mean and variance of l_i = log g(y_i | beta_i), E[beta_i]
-    and E[softplus(beta_i)], and E[log pi].
+    and E[softplus(beta_i)], E[log pi] and theta_bar = (E[beta], E[mu],
+    E[tau2]).
 
     Each grid point's conditional moments are averaged over the posterior
     weights; a variance adds the spread of the conditional means about their
@@ -500,13 +540,42 @@ def grid_summary(model: HierLogitModel, data: ObservationSet, lap: LaplaceApprox
     w = np.exp(grid.log_w)
     e_b, e_sp, e_dev2, e_l, var_l = grid.cond
     means = e_l @ w
+    beta_means = e_b @ w
     return GridSummary(
         loglik_means=means,
         loglik_vars=var_l @ w + (e_l - means[:, None]) ** 2 @ w,
-        beta_means=e_b @ w,
-        softplus_means=e_sp @ w,
         e_logprior=float(model.logprior_hyper(grid.mu, grid.tau2, e_dev2.sum(axis=0)) @ w),
+        theta_bar=np.concatenate([beta_means, [w @ grid.mu, w @ grid.tau2]]),
+        e_loglik=float(np.sum(means)),
+        beta_means=beta_means,
+        softplus_means=e_sp @ w,
         loo=_loo_report(data, _loo_terms_hier_logit(data, grid), _GRID_NOTES),
         grid_points=grid.mu.size,
         border_mass=grid.border_mass,
     )
+
+
+# -- one report per criterion name -----------------------------------------
+
+
+def criterion_report(name: str, model, data: ObservationSet,
+                     summary: Callable[[], PosteriorSummary], mode: Callable[[], ModeResult],
+                     pair: Callable[[], InfoMatrixPair],
+                     lap: Optional[Callable[[], LaplaceApprox]] = None) -> CriterionReport:
+    """The report of criterion ``name``.  ``summary``, ``mode``, ``pair`` and
+    ``lap`` return the dataset's posterior summary and fit, called only by
+    the criteria that read them; a summary is taken at any draw count.  The
+    hierarchical logit's loo is the GridSummary's own unless ``lap`` is given."""
+    if name == "paic":
+        return paic(summary(), pair(), min_draws=1)
+    if name == "bpic":
+        return bpic(model, data, mode(), pair(), summary())
+    if name == "waic2":
+        return waic2(summary())
+    if name == "dic":
+        return dic(model, data, summary())
+    if name == "popt":
+        return popt_closed_form(model, data)
+    if isinstance(model, HierLogitModel):
+        return loo_exact(model, data, lap()) if lap is not None else summary().loo
+    return loo_exact(model, data)

@@ -13,8 +13,9 @@ average log likelihood minus the report's fit term per group, plus its
 penalty per group.  Every posterior expectation these need is exact, a sum
 over the exact-LOO grid (``criteria.grid_summary``), so the study scores
 each estimator's value in the limit of infinitely many draws, and no
-sampler runs.  The out-of-sample average log likelihood is computed exactly
-by summing over each group's finite support.
+sampler runs: the reports are those ``paic compute`` makes of the same data.
+The out-of-sample average log likelihood is computed exactly by summing over
+each group's finite support.
 
 The logit replications run in one contiguous chunk per worker.  Everything
 is driven by Philox substreams keyed on (seed, cell, replication), and a
@@ -33,12 +34,10 @@ from typing import Optional
 import numpy as np
 
 from .criteria import (
-    bpic,
     closed_form_bias_estimators,
+    criterion_report,
     grid_summary,
     mean_insample_loglik,
-    paic,
-    waic2,
 )
 from .exceptions import ExperimentError, NumericalError, ValidationError
 from .infomat import info_matrix_pair, trace_correction
@@ -255,12 +254,9 @@ def _logit_replication(cfg: LogitExperimentConfig, rep: int) -> Optional[dict]:
     except NumericalError:  # an unconverged mode, or a posterior the LOO grid cannot hold
         return None
     pair = info_matrix_pair(model, data, mode.theta_hat)
-    reports = {
-        "paic": paic(summary, pair),
-        "bpic": bpic(model, data, mode, pair, summary.e_logprior, summary.S),
-        "waic2": waic2(summary),
-        "cv": summary.loo,
-    }
+    reports = {est: criterion_report("loo" if est == "cv" else est, model, data,
+                                     lambda: summary, lambda: mode, lambda: pair)
+               for est in LOGIT_ESTIMATORS}
     eta_hat = mean_insample_loglik(summary)
     eta_true = true_predictive_loglik_exact(summary.beta_means, summary.softplus_means,
                                             beta_true, trial_sizes)

@@ -198,10 +198,19 @@ def report_from_dict(d: dict) -> CriterionReport:
     )
 
 
+def error_to_dict(name: str, exc: Exception) -> dict:
+    """Its message, class name and the numbers the exception carries."""
+    entry = {"criterion": name, "error": str(exc), "error_type": type(exc).__name__}
+    for field in ("border_mass", "cond", "eigenvalues"):
+        if getattr(exc, field, None) is not None:
+            entry[field] = np.asarray(getattr(exc, field), dtype=float).tolist()
+    return entry
+
+
 def write_reports_json(path: str, reports, prov: dict, errors=()) -> None:
-    """Successful reports plus per-criterion error entries (partial success)."""
+    """Reports plus (criterion, exception) error entries (partial success)."""
     entries = [report_to_dict(r) for r in reports]
-    entries += [{"criterion": name, "error": message} for name, message in errors]
+    entries += [error_to_dict(name, exc) for name, exc in errors]
     payload = {"provenance": prov, "reports": entries}
     with open(path, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
@@ -209,11 +218,11 @@ def write_reports_json(path: str, reports, prov: dict, errors=()) -> None:
 
 
 def read_reports_json(path: str):
-    """Returns (provenance, reports, errors); errors as (criterion, message)."""
+    """Returns (provenance, reports, errors); errors as their entries' dicts."""
     with open(path) as f:
         payload = json.load(f)
     reports = [report_from_dict(d) for d in payload["reports"] if "error" not in d]
-    errors = [(d["criterion"], d["error"]) for d in payload["reports"] if "error" in d]
+    errors = [d for d in payload["reports"] if "error" in d]
     return payload["provenance"], reports, errors
 
 
@@ -232,10 +241,10 @@ def write_reports_csv(path: str, reports, prov: dict, errors=()) -> None:
                 "" if r.seed is None else str(r.seed),
                 ";".join(r.warnings), r.notes,
             ])
-        for name, message in errors:
+        for name, exc in errors:
             writer.writerow([name, "", "", "", "", "",
                              "" if prov.get("seed") is None else str(prov["seed"]),
-                             "", f"error: {message}"])
+                             "", f"error: {exc}"])
 
 
 # -- experiment outputs ------------------------------------------------------

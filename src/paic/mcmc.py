@@ -6,9 +6,10 @@ each group logit gets an adaptive random-walk Metropolis update (the group
 conditionals are independent given the hyperparameters, so all groups move
 in one vectorized step), while mu and tau2 have exact conjugate Gibbs
 updates.  Step sizes adapt toward a 0.44 acceptance rate during warmup only;
-the post-warmup kernel is frozen.  It serves ``paic compute``; the logit
-study takes its posterior expectations from the exact-LOO grid instead
-(``criteria.grid_summary``), and the tests check the sampler against them.
+the post-warmup kernel is frozen.  No program path samples: ``paic
+compute`` and the logit study take exact posterior expectations
+(``criteria.normal_summary``, ``criteria.grid_summary``), and the samplers
+serve library users and the tests that check those expectations.
 
 The sampler runs a dataset's chains as rows of one state array.  Each of a
 row's four noise blocks (proposal normals, acceptance uniforms, and the mu

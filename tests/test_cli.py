@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -8,13 +10,12 @@ import numpy as np
 import pytest
 
 import paic
-from paic import ConjugateNormalModel, ObservationSet, sample_conjugate_normal
-from paic.cli import main
-from paic.fileio import write_draws_csv
+from paic import (ConjugateNormalModel, ObservationSet, closed_form_bias_estimators,
+                  closed_form_insample_loglik, sample_conjugate_normal)
+from paic.cli import build_parser, main
+from paic.fileio import read_reports_json, write_draws_csv
 
-from conftest import count_searches, laplace_fit
-
-FAST_LOGIT_FLAGS = ["--chains", "2", "--samples", "1200", "--warmup", "600"]
+from conftest import count_searches, criterion_4_data, laplace_fit
 
 
 def write_normal_data(path, n=30, seed=0):
@@ -139,21 +140,6 @@ def test_compute_draw_outside_support_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_compute_sampler_gate_failure_exit_3(tmp_path, capsys):
-    gen = np.random.default_rng(6)
-    y = gen.binomial(40, 0.5, size=8)
-    data_path = tmp_path / "counts.csv"
-    data_path.write_text("y,n_trials\n" + "\n".join(f"{v},40" for v in y) + "\n")
-    code = main([
-        "compute", "--model", "hier-logit", "--data", str(data_path),
-        "--criteria", "waic2", "--seed", "2",
-        "--chains", "2", "--samples", "60", "--warmup", "30",
-        "--out", str(tmp_path / "r.json"),
-    ])
-    assert code == 3
-    assert "numerical failure" in capsys.readouterr().err
-
-
 def test_compute_unknown_criterion_exit_2(tmp_path):
     data_path = tmp_path / "y.csv"
     write_normal_data(data_path)
@@ -193,7 +179,6 @@ def test_compute_hier_logit_binomial_data(tmp_path):
     code = main([
         "compute", "--model", "hier-logit", "--data", str(data_path),
         "--criteria", "paic,waic2,dic", "--seed", "2", "--out", str(out),
-        "--chains", "2", "--samples", "1500", "--warmup", "700",
     ])
     assert code == 0
     payload = json.loads(out.read_text())
@@ -257,7 +242,10 @@ def test_compute_invalid_input_exit_2(tmp_path, capsys, monkeypatch, data, flags
                  "--out", str(tmp_path / "r.json")] + flags)
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
+    if flags[-2] in ("--samples", "--chains"):  # no such flags: compute does not sample
+        assert f"error: unrecognized arguments: {' '.join(flags[-2:])}\n" in err
+    else:
+        assert err.startswith("error: ")
     assert not (tmp_path / "r.json").exists()
     if "1e300" in (data or ""):
         assert f"{data_path}:3:" in err
@@ -285,7 +273,6 @@ def test_compute_hier_logit_one_mode_search(tmp_path, monkeypatch):
     code = main([
         "compute", "--model", "hier-logit", "--data", str(data_path),
         "--criteria", "paic,bpic,waic2", "--seed", "2", "--out", str(out),
-        "--chains", "2", "--samples", "1500", "--warmup", "700",
     ])
     assert code == 0
     assert len(calls) == 1
@@ -295,14 +282,13 @@ def test_compute_hier_logit_one_mode_search(tmp_path, monkeypatch):
 
 
 def test_compute_hier_logit_default_criteria_search_once(tmp_path, monkeypatch):
-    # the sampler's start, the LOO grid and the paic/bpic pair share one fit
+    # the grid summary (with its LOO) and the paic/bpic pair share one fit
     calls = count_searches(monkeypatch)
     data_path = tmp_path / "counts.csv"
     write_logit_data(data_path)
     out = tmp_path / "r.json"
     code = main(["compute", "--model", "hier-logit", "--data", str(data_path),
-                 "--seed", "2", "--out", str(out),
-                 "--chains", "2", "--samples", "1500", "--warmup", "700"])
+                 "--seed", "2", "--out", str(out)])
     assert code == 0
     assert len(calls) == 1
     reports = json.loads(out.read_text())["reports"]
@@ -311,11 +297,10 @@ def test_compute_hier_logit_default_criteria_search_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("supplied", [True, False])
-def test_compute_hier_logit_unconverged_mode(tmp_path, monkeypatch, capsys, supplied):
-    # with supplied draws the criteria that need the fit report the failure
-    # one by one and the others still report; a sampler start exits 3
-    import dataclasses
-
+def test_compute_hier_logit_unconverged_mode(tmp_path, monkeypatch, supplied):
+    # the criteria that need the fit report the failure one by one: with
+    # supplied draws waic2 and dic still report, without them every criterion
+    # reads the grid summary on the fit
     import paic.cli
 
     data_path = tmp_path / "counts.csv"
@@ -331,10 +316,13 @@ def test_compute_hier_logit_unconverged_mode(tmp_path, monkeypatch, capsys, supp
         dataclasses.replace(search(*args, **kwargs), converged=False)))
     out = tmp_path / "r.json"
     args = ["compute", "--model", "hier-logit", "--data", str(data_path),
-            "--seed", "2", "--out", str(out)] + FAST_LOGIT_FLAGS
+            "--seed", "2", "--out", str(out)]
     if not supplied:
-        assert main(args) == 3
-        assert "posterior mode search did not converge" in capsys.readouterr().err
+        assert main(args) == 0
+        entries = {r["criterion"]: r for r in json.loads(out.read_text())["reports"]}
+        for name in ("paic", "bpic", "waic2", "loo", "dic"):
+            assert entries[name]["error"] == "posterior mode search did not converge"
+        assert entries["popt"]["error_type"] == "UnsupportedModelError"
         return
     assert main(args + ["--draws", str(draws_path)]) == 0
     entries = {r["criterion"]: r for r in json.loads(out.read_text())["reports"]}
@@ -377,7 +365,7 @@ def test_compute_builds_one_pointwise_matrix(tmp_path, monkeypatch):
 def test_compute_without_draw_criteria_does_not_sample(tmp_path, monkeypatch, criteria):
     import paic.cli
 
-    # 15 groups of 0 out of 50: a sampler run would not converge (exit 3)
+    # 15 groups of 0 out of 50: the LOO grid refuses them, with the draws or without
     data_path = tmp_path / "counts.csv"
     data_path.write_text("y,n_trials\n" + "0,50\n" * 15)
     draws = paic.PosteriorDraws(np.tile(np.r_[np.full(16, -4.0), 1.0], (20, 1)),
@@ -392,11 +380,108 @@ def test_compute_without_draw_criteria_does_not_sample(tmp_path, monkeypatch, cr
     def no_sampling(*args, **kwargs):
         raise AssertionError("the sampler ran for criteria that need no draws")
 
-    monkeypatch.setattr(paic.cli, "sample_hier_logit", no_sampling)
+    monkeypatch.setattr(paic.mcmc, "sample_hier_logit", no_sampling)
     out = tmp_path / "sampled.json"
     assert main(base + ["--out", str(out)]) == supplied_code == 0
     assert (json.loads(out.read_text())["reports"]
             == json.loads(supplied_out.read_text())["reports"])
+
+
+def test_compute_scores_a_study_replication_as_the_study_does(tmp_path, monkeypatch):
+    # criterion 4's replication 5 as a counts CSV: compute's paic, bpic, waic2
+    # and loo reports are those the study makes of it, to the bit
+    from paic import experiments
+
+    made, report = {}, experiments.criterion_report
+
+    def recording(name, *args):
+        made[name] = report(name, *args)
+        return made[name]
+
+    monkeypatch.setattr(experiments, "criterion_report", recording)
+    assert experiments._logit_replication(paic.LogitExperimentConfig(seed=1234), 5) is not None
+    _, data = criterion_4_data(5)
+    data_path = tmp_path / "counts.csv"
+    data_path.write_text("y,n_trials\n" + "".join(
+        f"{int(y)},{n}\n" for y, n in zip(data.y, data.trial_sizes)))
+    out = tmp_path / "r.json"
+    assert main(["compute", "--model", "hier-logit", "--data", str(data_path),
+                 "--criteria", "paic,bpic,waic2,loo", "--seed", "1234", "--out", str(out)]) == 0
+    _, reports, errors = read_reports_json(str(out))
+    assert errors == [] and [r.name for r in reports] == ["paic", "bpic", "waic2", "loo"]
+    assert reports == [dataclasses.replace(made[r.name], seed=1234) for r in reports]
+
+
+def test_no_compute_request_samples(tmp_path, monkeypatch):
+    # compute scores exact posterior expectations: no sampler runs, and every
+    # report of a summary criterion holds S = 0
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("paic compute ran a sampler")
+
+    for module in (paic, paic.mcmc):
+        monkeypatch.setattr(module, "sample_hier_logit", no_sampling)
+        monkeypatch.setattr(module, "sample_conjugate_normal", no_sampling)
+    write_normal_data(tmp_path / "y.csv")
+    write_logit_data(tmp_path / "counts.csv")
+    for model, data_name, failing in (("normal", "y.csv", set()),
+                                      ("normal-flat", "y.csv", {"bpic"}),
+                                      ("hier-logit", "counts.csv", {"popt"})):
+        out = tmp_path / f"{model}.json"
+        assert main(["compute", "--model", model, "--data", str(tmp_path / data_name),
+                     "--seed", "4", "--out", str(out)]) == 0
+        _, reports, errors = read_reports_json(str(out))
+        assert {e["criterion"] for e in errors} == failing
+        assert len(reports) == 6 - len(failing)
+        assert all(r.S == 0 for r in reports)
+
+
+def test_compute_error_entries_name_their_exception(tmp_path):
+    # 15 groups of 0 out of 50: the LOO grid holds too much mass on its border
+    data_path = tmp_path / "counts.csv"
+    data_path.write_text("y,n_trials\n" + "0,50\n" * 15)
+    out = tmp_path / "r.json"
+    assert main(["compute", "--model", "hier-logit", "--data", str(data_path),
+                 "--criteria", "loo", "--seed", "3", "--out", str(out)]) == 0
+    _, _, [entry] = read_reports_json(str(out))
+    assert entry["error_type"] == "GridBorderError"
+    assert entry["border_mass"] > paic.criteria.LOO_BORDER_MASS
+    assert entry["error"] == f"posterior mass {entry['border_mass']:.2g} on the LOO grid border"
+    write_normal_data(tmp_path / "y.csv")
+    assert main(["compute", "--model", "normal-flat", "--data", str(tmp_path / "y.csv"),
+                 "--criteria", "bpic", "--seed", "3", "--out", str(out)]) == 0
+    assert read_reports_json(str(out))[2] == [{
+        "criterion": "bpic", "error": "BPIC undefined under degenerate prior",
+        "error_type": "ImproperPriorError"}]
+
+
+def test_compute_normal_loo_beyond_the_grid_guard(tmp_path):
+    # LOO_MAX_N guards the hierarchical logit's grid; the normal model's
+    # analytic folds take any n
+    y = write_normal_data(tmp_path / "y.csv", n=1001)
+    out = tmp_path / "r.json"
+    assert main(["compute", "--model", "normal", "--data", str(tmp_path / "y.csv"),
+                 "--criteria", "loo", "--seed", "1", "--out", str(out)]) == 0
+    _, [report], _ = read_reports_json(str(out))
+    model, data = ConjugateNormalModel(1.0, 0.0, 1e4), ObservationSet(y)
+    cv = closed_form_bias_estimators(model, data).cv
+    assert report.fit_term == pytest.approx(
+        data.n * (closed_form_insample_loglik(model, data) - cv), rel=1e-12)
+
+
+def test_readme_cli_examples_parse():
+    # every `paic ...` command of README's CLI block, its continuations
+    # joined, is one that the parser takes
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [line for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("paic ")]
+    assert len(commands) >= 4
+    parser = build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {command}")
 
 
 def test_experiment_normal_three_cells(tmp_path):
@@ -601,17 +686,12 @@ def test_refusals_exit_2_without_traceback(tmp_path, argv):
 
 
 def test_compute_holds_sampled_draws_to_min_draws(tmp_path):
-    # paic and dic need MIN_DRAWS sampled draws; a supplied draw file of any
-    # size is taken as it is
+    # a supplied draw file of any size is taken as it is
     data_path = tmp_path / "y.csv"
     data_path.write_text("y\n0.3\n-1.2\n0.8\n")
     out = tmp_path / "r.json"
     args = ["compute", "--model", "normal", "--data", str(data_path),
             "--criteria", "paic,dic", "--seed", "1", "--out", str(out)]
-    assert main(args + ["--draw-count", "1"]) == 0
-    entries = {r["criterion"]: r for r in json.loads(out.read_text())["reports"]}
-    for name in ("paic", "dic"):
-        assert entries[name]["error"] == "need at least 1000 draws, got 1"
     draws = sample_conjugate_normal(ConjugateNormalModel(1.0), ObservationSet([0.3, -1.2, 0.8]),
                                     20, seed=1)
     draws_path = tmp_path / "draws.csv"

@@ -39,7 +39,7 @@ from paic import (
     waic2,
 )
 from paic import criteria
-from paic.criteria import MIN_DRAWS
+from paic.criteria import MIN_DRAWS, draw_summary, normal_summary
 from paic.infomat import InfoMatrixPair
 from paic.rng import substream
 
@@ -53,8 +53,7 @@ def draws_from(matrix, seed=0):
 
 def bpic_of_draws(model, data, draws, mode, pair):
     """bpic with the draw average of log pi, as paic compute takes it."""
-    e_logprior = float(np.mean(model.logprior_draws(draws.draws)))
-    return bpic(model, data, mode, pair, e_logprior, draws.S)
+    return bpic(model, data, mode, pair, draw_summary(model, data, draws))
 
 
 @pytest.fixture(scope="module")
@@ -245,11 +244,19 @@ def test_loo_two_identical_observations_symmetric():
     assert report.value == pytest.approx(-2 * terms.sum(), rel=1e-14)
 
 
-def test_loo_guard_on_large_n():
-    m = ConjugateNormalModel(1.0, tau02=None)
-    data = ObservationSet(np.zeros(1001) + substream(5, "big").normal(0, 1, 1001))
-    with pytest.raises(ValidationError, match="n <= 1000"):
-        loo_exact(m, data)
+def test_loo_guard_on_large_n(monkeypatch):
+    # LOO_MAX_N guards the hierarchical logit's grid, before it is built
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the LOO grid was built")
+
+    monkeypatch.setattr(criteria, "_hyper_grid", no_grid)
+    n_i = np.full(criteria.LOO_MAX_N + 1, 20)
+    model = HierLogitModel(n_i)
+    data = ObservationSet(substream(5, "big").binomial(n_i, 0.4).astype(float), n_i)
+    lap = LaplaceApprox(model.default_init(data), np.eye(model.p))
+    for build in (loo_exact, criteria.grid_summary):
+        with pytest.raises(ValidationError, match="n <= 1000"):
+            build(model, data, lap)
 
 
 def test_loo_hier_logit_completes(hier_model, hier_data):
@@ -286,7 +293,7 @@ def test_popt_rejects_other_models(hier_model, hier_data):
 def test_dic_point_mass_zero_penalty(normal_setup):
     m, data, mode, _ = normal_setup
     rep = draws_from(np.tile(mode.theta_hat, (1200, 1)))
-    report = dic(m, data, rep, pointwise_loglik(m, data, rep))
+    report = dic(m, data, draw_summary(m, data, rep))
     assert report.penalty == pytest.approx(0.0, abs=1e-10)
     assert_decomposition(report)
 
@@ -295,7 +302,7 @@ def test_dic_effective_dimension_near_one():
     m = ConjugateNormalModel(1.0, mu0=0.0, tau02=1e4)
     data = ObservationSet(substream(8, "dic").normal(0, 1, 100))
     draws = sample_conjugate_normal(m, data, 100_000, seed=9)
-    report = dic(m, data, draws, pointwise_loglik(m, data, draws))
+    report = dic(m, data, draw_summary(m, data, draws))
     assert abs(report.penalty - 1.0) <= 0.1
     assert_decomposition(report)
 
@@ -307,8 +314,7 @@ def test_dic_hier_logit_finite(hier_model, hier_data):
     lap = laplace_approx(hier_model, hier_data, mode)
     draws, _ = sample_hier_logit(hier_model, hier_data, SamplerBudget(2, 1500, 800),
                                  seed=10, init=lap, check=False)
-    report = dic(hier_model, hier_data, draws,
-                 pointwise_loglik(hier_model, hier_data, draws))
+    report = dic(hier_model, hier_data, draw_summary(hier_model, hier_data, draws))
     assert np.isfinite(report.value)
     assert_decomposition(report)
 
@@ -595,7 +601,7 @@ def test_criteria_read_the_grid_summary_as_draws(hier_model, hier_data):
     pair = info_matrix_pair(hier_model, hier_data, lap.mean)
     mode = find_posterior_mode(hier_model, hier_data, seed=0)
     reports = [paic(summary, pair), waic2(summary),
-               bpic(hier_model, hier_data, mode, pair, summary.e_logprior, summary.S)]
+               bpic(hier_model, hier_data, mode, pair, summary)]
     fit = float(np.sum(summary.loglik_means))
     assert [r.S for r in reports] == [0, 0, 0]
     assert reports[0].fit_term == reports[1].fit_term == fit
@@ -623,3 +629,45 @@ def test_loo_exact_hier_logit_needs_three_groups(monkeypatch):
     data = ObservationSet(np.array([3.0, 7.0]), np.array([10, 10]))
     with pytest.raises(ValidationError, match="needs at least 3 groups, got 2"):
         loo_exact(model, data, LaplaceApprox(model.default_init(data), np.eye(model.p)))
+
+
+@pytest.mark.parametrize("tau02", [1e4, 0.25, None])
+def test_normal_summary_is_the_closed_form(tau02):
+    # paic's fit, waic2's penalty and dic's n s2 / sigma_A2 from the exact summary
+    data = ObservationSet(substream(23, "normal-summary").normal(0.3, 1.2, 40))
+    m = ConjugateNormalModel(1.7, mu0=0.1, tau02=tau02)
+    summary = normal_summary(m, data)
+    _, s2 = conjugate_posterior(m, data)
+    mode = posterior_mode(m, data, m.default_init(data))
+    pair = info_matrix_pair(m, data, mode.theta_hat)
+    cf = closed_form_bias_estimators(m, data)
+    n = data.n
+    reports = [paic(summary, pair), waic2(summary), dic(m, data, summary)]
+    assert [r.S for r in reports] == [0, 0, 0]
+    assert reports[0].fit_term == pytest.approx(n * closed_form_insample_loglik(m, data), rel=1e-12)
+    assert reports[1].penalty == pytest.approx(n * cf.waic2, rel=1e-12)
+    assert reports[2].penalty == pytest.approx(n * s2 / m.sigma_A2, rel=1e-12)
+
+
+@pytest.mark.parametrize("tau02", [1e4, 0.25])
+def test_normal_summary_matches_the_sampler(tau02):
+    # paic's fit, waic2's penalty, dic's penalty (its spread by the delta
+    # method) and bpic's E[log pi] from the closed form lie within 4 Monte
+    # Carlo standard errors of those of 200 000 exact draws
+    data = ObservationSet(substream(24, "normal-summary-mc").normal(-0.2, 0.9, 30))
+    m = ConjugateNormalModel(1.3, mu0=0.4, tau02=tau02)
+    exact = normal_summary(m, data)
+    draws = sample_conjugate_normal(m, data, 200_000, seed=25)
+    sampled = draw_summary(m, data, draws)
+    values = pointwise_loglik(m, data, draws).values
+    rows = values.sum(axis=1)
+    mu_hat, _ = conjugate_posterior(m, data)
+    grad = float(np.sum(data.y - mu_hat)) / m.sigma_A2  # of sum_i l_i at theta_bar
+    for got, want, series in (
+            (waic2(sampled).fit_term, waic2(exact).fit_term, rows),
+            (waic2(sampled).penalty, waic2(exact).penalty,
+             ((values - values.mean(axis=0)) ** 2).sum(axis=1)),
+            (dic(m, data, sampled).penalty, dic(m, data, exact).penalty,
+             2.0 * (grad * draws.draws[:, 0] - rows)),
+            (sampled.e_logprior, exact.e_logprior, m.logprior_draws(draws.draws))):
+        assert abs(got - want) <= 4.0 * series.std(ddof=1) / math.sqrt(draws.S)

@@ -251,17 +251,16 @@ def test_logit_aggregates_self_consistent():
 def test_logit_replication_scores_the_shipped_criteria(monkeypatch):
     captured = {}
 
-    def recording(name):
-        shipped = getattr(experiments, name)
-
+    def recording(name, shipped):
         def call(*args, **kwargs):
             result = shipped(*args, **kwargs)
             captured[name] = (args, result)
             return result
         return call
 
-    for name in ("paic", "bpic", "waic2", "grid_summary"):
-        monkeypatch.setattr(experiments, name, recording(name))
+    for module, name in ((criteria, "paic"), (criteria, "bpic"), (criteria, "waic2"),
+                         (experiments, "grid_summary")):
+        monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
     cfg = LogitExperimentConfig(replications=1, seed=3)
     [rec] = [experiments._logit_replication(cfg, rep) for rep in range(1)]
 
@@ -276,10 +275,10 @@ def test_logit_replication_scores_the_shipped_criteria(monkeypatch):
         assert rec[f"err_{est}"] == (eta_hat - rec["eta_true"]) - rec[f"b_{est}"]
 
     # bpic's prior term is the summary's exact E[log pi]
-    model, data, mode, pair, e_logprior, S = captured["bpic"][0]
-    assert (e_logprior, S) == (summary.e_logprior, 0)
+    model, data, mode, pair, bpic_summary = captured["bpic"][0]
+    assert bpic_summary is summary
     assert rec["b_bpic"] == pytest.approx(
-        (e_logprior - mode.logpost + float(np.sum(summary.loglik_means))
+        (summary.e_logprior - mode.logpost + float(np.sum(summary.loglik_means))
          + trace_correction(pair).value * (N - 1) / N + 0.5 * model.p) / N, rel=1e-12)
 
 

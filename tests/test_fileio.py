@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from paic import CriterionReport, PosteriorDraws, ValidationError
+from paic import (CriterionReport, GridBorderError, ImproperPriorError, NotPositiveDefiniteError,
+                  PosteriorDraws, ValidationError)
 from paic.fileio import (
     config_hash,
     data_row_line,
@@ -173,10 +174,19 @@ def test_reports_json_empty_list_is_valid(tmp_path):
 def test_reports_json_error_entries(tmp_path):
     path = tmp_path / "r.json"
     write_reports_json(str(path), _reports(), provenance({}, 0),
-                       errors=[("bpic", "BPIC undefined under degenerate prior")])
+                       errors=[("bpic", ImproperPriorError("BPIC undefined under degenerate prior")),
+                               ("loo", GridBorderError("border", border_mass=np.float64(0.5))),
+                               ("paic", NotPositiveDefiniteError("J", np.array([-1.0, 2.0])))])
     _, reports, errors = read_reports_json(str(path))
     assert len(reports) == 2
-    assert errors == [("bpic", "BPIC undefined under degenerate prior")]
+    assert errors == [
+        {"criterion": "bpic", "error": "BPIC undefined under degenerate prior",
+         "error_type": "ImproperPriorError"},
+        {"criterion": "loo", "error": "border", "error_type": "GridBorderError",
+         "border_mass": 0.5},
+        {"criterion": "paic", "error": "J", "error_type": "NotPositiveDefiniteError",
+         "eigenvalues": [-1.0, 2.0]},
+    ]
 
 
 def test_reports_csv_format(tmp_path):

@@ -446,9 +446,9 @@ def test_hier_sampler_means_match_the_quadrature_oracle(rep):
     # posterior means of mu and tau2 from 3 x 20000 draws lie within 4 Monte
     # Carlo standard errors (ESS-based) of the grid's; replication 5 has
     # tau2 near 2.2 and a group at 1 of 50, the near-equal counts put tau2
-    # against its hyperprior near 0.  So do the numbers paic compute takes
-    # from these draws and the study from the grid summary: paic's fit,
-    # waic2's penalty and bpic's E[log pi]
+    # against its hyperprior near 0.  So do the grid summary's theta_bar,
+    # dic's plug-in point, in every coordinate, and the numbers paic, waic2
+    # and bpic take from the summary: paic's fit, waic2's penalty and E[log pi]
     model, data = criterion_4_data(rep)
     lap = laplace_fit(model, data, seed=1234)
     grid = _hyper_grid(model, data, lap)
@@ -461,6 +461,9 @@ def test_hier_sampler_means_match_the_quadrature_oracle(rep):
         assert abs(x.mean() - oracle) <= 4.0 * x.std(ddof=1) / np.sqrt(diag.ess[k])
 
     summary = grid_summary(model, data, lap)
+    x = draws.draws
+    assert np.all(np.abs(x.mean(axis=0) - summary.theta_bar)
+                  <= 4.0 * x.std(axis=0, ddof=1) / np.sqrt(diag.ess))
     pair = info_matrix_pair(model, data, lap.mean)
     pw = pointwise_loglik(model, data, draws)
     logprior = model.logprior_draws(draws.draws)
