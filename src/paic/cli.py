@@ -3,7 +3,7 @@
 Two subcommands:
 
   paic compute    --model normal|normal-flat|hier-logit --data y.csv
-                  [--draws draws.csv] --criteria paic,bpic,waic2,loo,dic,popt
+                  [--draws draws.csv] [--criteria paic,bpic,waic2,loo,dic,popt]
                   --seed N --out report.json [--format json|csv]
 
   paic experiment normal|logit --reps R --seed N --out DIR [scenario flags]
@@ -49,6 +49,8 @@ from .models import ConjugateNormalModel, HierLogitModel
 from .optimize import find_posterior_mode, laplace_approx
 
 KNOWN_CRITERIA = ("paic", "bpic", "waic2", "loo", "dic", "popt")
+# the default --criteria of the hierarchical logit: popt is the normal model's closed form
+HIER_LOGIT_CRITERIA = ("paic", "bpic", "waic2", "loo", "dic")
 DRAW_CRITERIA = ("paic", "bpic", "waic2", "dic")  # the ones that read the posterior summary
 
 
@@ -86,8 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["normal", "normal-flat", "hier-logit"])
     pc.add_argument("--data", required=True, help="observation CSV (column y)")
     pc.add_argument("--draws", default=None, help="optional posterior draw CSV")
-    pc.add_argument("--criteria", type=_str_list, default=KNOWN_CRITERIA,
-                    help="comma list from: " + ",".join(KNOWN_CRITERIA))
+    pc.add_argument("--criteria", type=_str_list, default=None,
+                    help="comma list from: " + ",".join(KNOWN_CRITERIA)
+                    + " (default: all of them; for hier-logit all but popt)")
     pc.add_argument("--seed", type=int, default=0)
     pc.add_argument("--out", required=True)
     pc.add_argument("--format", choices=["json", "csv"], default="json")
@@ -150,12 +153,15 @@ def _read_draws(args, model):
 
 
 def cmd_compute(args) -> int:
-    if not args.criteria:
+    names = args.criteria
+    if names is None:
+        names = HIER_LOGIT_CRITERIA if args.model == "hier-logit" else KNOWN_CRITERIA
+    if not names:
         raise ValidationError("--criteria names no criterion")
-    for k, name in enumerate(args.criteria):
+    for k, name in enumerate(names):
         if name not in KNOWN_CRITERIA:
             raise ValidationError(f"unknown criterion {name!r}")
-        if name in args.criteria[:k]:
+        if name in names[:k]:
             raise ValidationError(f"criterion {name!r} named twice")
     data = read_observations_csv(args.data)
     model = _build_model(args, data)
@@ -167,7 +173,7 @@ def cmd_compute(args) -> int:
     get_pair = functools.cache(lambda: info_matrix_pair(model, data, get_lap().mean))
     # a supplied draw file is read (and refused, exit 2) before any criterion,
     # unless only loo and popt, which read no posterior summary, are requested
-    if args.draws is not None and not set(args.criteria).isdisjoint(DRAW_CRITERIA):
+    if args.draws is not None and not set(names).isdisjoint(DRAW_CRITERIA):
         draws = _read_draws(args, model)
         get_summary = functools.cache(lambda: crit.draw_summary(model, data, draws))
     elif isinstance(model, HierLogitModel):
@@ -179,7 +185,7 @@ def cmd_compute(args) -> int:
 
     reports = []
     errors = []
-    for name in args.criteria:
+    for name in names:
         try:
             report = crit.criterion_report(name, model, data, get_summary, get_mode,
                                            get_pair, loo_lap)
@@ -191,7 +197,7 @@ def cmd_compute(args) -> int:
     config = {
         "subcommand": "compute",
         "model": args.model,
-        "criteria": list(args.criteria),
+        "criteria": list(names),
         "sigma_a2": args.sigma_a2, "mu0": args.mu0, "tau02": args.tau02,
         "mu_mean": args.mu_mean, "mu_var": args.mu_var,
         "nu": args.nu, "s2": args.s2,

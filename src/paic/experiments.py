@@ -230,7 +230,7 @@ _LOGIT_RECORD_FIELDS = (
     "replication", "eta_hat", "eta_true",
     "b_paic", "b_bpic", "b_waic2", "b_cv",
     "err_paic", "err_bpic", "err_waic2", "err_cv",
-    "grid_points", "border_mass",
+    "grid_points", "grid_span", "border_mass",
 )
 
 
@@ -261,7 +261,8 @@ def _logit_replication(cfg: LogitExperimentConfig, rep: int) -> Optional[dict]:
     eta_true = true_predictive_loglik_exact(summary.beta_means, summary.softplus_means,
                                             beta_true, trial_sizes)
     record = {"replication": rep, "eta_hat": eta_hat, "eta_true": eta_true,
-              "grid_points": summary.grid_points, "border_mass": summary.border_mass}
+              "grid_points": summary.grid_points, "grid_span": summary.grid_span,
+              "border_mass": summary.border_mass}
     for est, r in reports.items():
         b = (eta_hat - r.fit_term / cfg.N) + r.penalty / cfg.N
         record[f"b_{est}"] = b

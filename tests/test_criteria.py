@@ -583,7 +583,11 @@ def test_grid_summary_matches_a_fine_reference(rep, monkeypatch):
     summary = criteria.grid_summary(model, data, lap)
     assert summary.loo == loo_exact(model, data, lap)
     assert summary.S == 0 and summary.n == data.n
-    assert summary.grid_points == (2 * round(12.0 / criteria.LOO_GRID_STEP) + 1) ** 2
+    # the grid keeps the points of its first square above the screen's floor
+    mu, tau2, log_prior, _ = criteria._square(model, lap, criteria.LOO_SPANS[0])
+    keep = criteria._screen(data, mu, tau2, log_prior)
+    assert summary.grid_points == np.count_nonzero(keep) < keep.size
+    assert summary.grid_span == criteria.LOO_SPANS[0]
     assert summary.border_mass <= criteria.LOO_BORDER_MASS
     monkeypatch.setattr(criteria, "LOO_GRID_STEP", 0.2)
     monkeypatch.setattr(criteria, "LOO_SPANS", (12.0,))
@@ -591,6 +595,74 @@ def test_grid_summary_matches_a_fine_reference(rep, monkeypatch):
     for name in ("loglik_means", "loglik_vars", "beta_means", "softplus_means", "e_logprior"):
         np.testing.assert_allclose(getattr(summary, name), getattr(fine, name),
                                    rtol=1e-6, atol=1e-6, err_msg=name)
+
+
+# counts at 0 or n_i in most groups: grids wider than the first square
+_WIDE_DATA = {"one-of-ten": ([0, 0, 1, 0, 10, 10, 9, 0, 1, 10], 10),
+              "half-extreme": ([0, 0, 0, 50, 50, 50, 0, 50, 25, 10, 40, 0, 50, 3, 47], 50),
+              "twelve-at-zero": ([0] * 12 + [1, 2, 3], 50)}
+
+
+def _counts(name):
+    y, n = _WIDE_DATA[name]
+    n_i = np.full(len(y), n)
+    return HierLogitModel(n_i), ObservationSet(np.array(y, dtype=float), n_i)
+
+
+@pytest.mark.parametrize("case", [5, 19, 25, "near-equal", "one-of-ten", "half-extreme"])
+def test_screened_grid_agrees_with_the_full_square(case, monkeypatch):
+    # a floor of inf keeps every point of the square: the screen drops only
+    # points whose exact weight is far below the rounding of the grid's sums,
+    # and the kept points' integrals are the full square's to the bit
+    model, data = _counts(case) if case in _WIDE_DATA else criterion_4_data(case)
+    lap = laplace_fit(model, data, seed=1234)
+    grid = criteria._hyper_grid(model, data, lap, moments=True)
+    summary = criteria.grid_summary(model, data, lap)
+    mu, tau2, log_prior, _ = criteria._square(model, lap, grid.span)
+    keep = criteria._screen(data, mu, tau2, log_prior)
+    monkeypatch.setattr(criteria, "LOO_SCREEN_FLOOR", math.inf)
+    full = criteria._hyper_grid(model, data, lap, moments=True)
+    full_summary = criteria.grid_summary(model, data, lap)
+    assert full.span == grid.span and full.mu.size == keep.size > grid.mu.size
+    np.testing.assert_array_equal(grid.mu, full.mu[keep])
+    np.testing.assert_array_equal(grid.tau2, full.tau2[keep])
+    # relative to each field's largest magnitude: E[beta_i] of a group at the
+    # centre of near-equal counts is 0 up to rounding
+    pairs = [(getattr(summary, name), getattr(full_summary, name))
+             for name in ("loglik_means", "loglik_vars", "beta_means", "softplus_means",
+                          "theta_bar", "e_logprior", "e_loglik")]
+    pairs.append((criteria._loo_terms_hier_logit(data, grid),
+                  criteria._loo_terms_hier_logit(data, full)))
+    for got, expected in pairs:
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+    log_m, cond = criteria._group_integrals(data, full.mu, full.tau2, moments=True)
+    kept = criteria._group_integrals(data, grid.mu, grid.tau2, moments=True)
+    np.testing.assert_array_equal(kept[0], log_m[:, keep])
+    np.testing.assert_array_equal(kept[1], cond[:, :, keep])
+    np.testing.assert_array_equal(grid.cond, kept[1])
+    assert max(full.log_w[~keep].max(), full.log_fold_w[:, ~keep].max()) < -30.0
+
+
+@pytest.mark.parametrize("case", ["none", "all", "twelve-at-zero"])
+def test_screened_grid_refuses_what_the_full_square_refuses(case, monkeypatch):
+    # every count 0, every count n_i, and twelve of 15 groups at 0 of 50: the
+    # widest square holds too much on its border, screened or not
+    if case in _WIDE_DATA:
+        model, data = _counts(case)
+    else:
+        model = HierLogitModel(np.full(15, 50))
+        y = np.zeros(15) if case == "none" else model.trial_sizes.astype(float)
+        data = ObservationSet(y, model.trial_sizes)
+    lap = laplace_fit(model, data, seed=0)
+    masses = []
+    for floor in (criteria.LOO_SCREEN_FLOOR, math.inf):
+        monkeypatch.setattr(criteria, "LOO_SCREEN_FLOOR", floor)
+        with pytest.raises(GridBorderError) as err:
+            criteria.grid_summary(model, data, lap)
+        masses.append(err.value.border_mass)
+    # the widest square of twelve-at-zero drops points of exact weight up to e^-25
+    assert masses[0] == pytest.approx(masses[1], rel=1e-6)
+    assert masses[0] > criteria.LOO_BORDER_MASS
 
 
 def test_criteria_read_the_grid_summary_as_draws(hier_model, hier_data):

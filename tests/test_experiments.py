@@ -183,9 +183,12 @@ def test_logit_experiment_smoke_two_replications():
         assert np.isfinite(cell.records[f"b_{est}"]).all()
         assert np.isfinite(cell.records[f"err_{est}"]).all()
     assert cell.excluded == 0
-    # the diagnostics are the grid's: its point count and its border mass
+    # the diagnostics are the grid's: its kept point count, its span and its
+    # border mass; the screen keeps part of the first 41 x 41 square
     assert set(cell.records) == set(experiments._LOGIT_RECORD_FIELDS)
-    assert np.all(cell.records["grid_points"] >= (2 * 20 + 1) ** 2)
+    assert np.all(cell.records["grid_span"] == criteria.LOO_SPANS[0])
+    assert np.all((0 < cell.records["grid_points"])
+                  & (cell.records["grid_points"] < (2 * 20 + 1) ** 2))
     assert np.all(cell.records["border_mass"] <= criteria.LOO_BORDER_MASS)
     assert "budget" not in result.config
     # the conjugate-model identity b_bpic = (n-1)/n * b_paic does not carry
