@@ -57,22 +57,31 @@ MIN_DRAWS = 1000
 LOO_MAX_N = 1000
 # hierarchical-logit LOO grid: LOO_GRID_STEP Laplace sd apart, half-width LOO_SPANS[0]
 # sd, widened while a (fold) posterior holds more than LOO_BORDER_MASS on its outer
-# ring.  A screen first takes each group integral's Laplace value (its conditional
-# mode, no nodes) at every point of a square; the nodes then run only at the points
-# whose screened log weight, under the posterior or some fold, is above
-# -LOO_SCREEN_FLOOR.  The floor was measured on 100 study replications of seed 1234
-# and on the wider squares that datasets with many counts at 0 or n_i reach: where
-# a point's exact log weight is above -40, the screened one lies within 2.8 nats of
-# it on 41 x 41 squares (5.5 on the wider ones), and the largest exact log weight of
-# a dropped point was -36.0 (e^-36 = 2e-16), below the rounding of any sum over the
-# grid (-25 only on the widest square of a dataset whose border check fails there
-# too: 12 of 15 groups at 0 of 50).  The group integrals search their modes in blocks of distinct counts whose
-# (counts, G) arrays hold at most LOO_CHUNK_BYTES each, then run the nodes one count
-# pair at a time in a (G, nodes) buffer (430 KB on a full 41 x 41 square)
+# ring.  A screen first takes each group integral's Laplace value at every point of
+# a square (its conditional mode searched to a step of LOO_SCREEN_TOL, no nodes); the
+# nodes then run only at the points whose screened log weight, under the posterior
+# or some fold, is above -LOO_SCREEN_FLOOR.  The screen checks itself: where a kept
+# point next to a dropped one has an exact log weight more than LOO_SCREEN_MARGIN
+# above its screened one, the nodes run at every point of the square, so a dropped
+# point's exact log weight stays below about -30 (e^-30 = 1e-13) unless the Laplace
+# error jumps by more than the margin from one point to the next.  Measured on 100
+# study replications of seed 1234, the one-of-ten and half-extreme datasets of the
+# tests and 50, 200 and 1000 groups of 2 or 10 trials: the exact log weights at the
+# edge lie within 0.33 nats of the screened ones on the study's squares and within
+# 5.5 on the others, and on the squares these datasets use no dropped point's exact
+# log weight is above -35.3.  Only the widest square of 12 of 15 groups at 0 of 50
+# falls back (15 nats short; its border check fails there as well).  The screen's
+# mode tolerance moves its log weights by at most 0.005 nats on 15 study
+# replications and 0.08 on the wider squares, against Laplace errors of up to 2.8
+# and 6.5 nats.  The group integrals search their modes in blocks of distinct counts
+# whose (counts, G) arrays hold at most LOO_CHUNK_BYTES each, then run the nodes one
+# count pair at a time in a (G, nodes) buffer (430 KB on a full 41 x 41 square)
 LOO_GRID_STEP = 0.6
 LOO_SPANS = (12.0, 18.0, 27.0, 40.0)
 LOO_BORDER_MASS = 1e-5
 LOO_SCREEN_FLOOR = 40.0
+LOO_SCREEN_TOL = 1e-3
+LOO_SCREEN_MARGIN = 10.0
 LOO_CHUNK_BYTES = 500_000
 
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(32)
@@ -332,13 +341,13 @@ def _loo_terms_normal(model: ConjugateNormalModel, data: ObservationSet) -> np.n
     return _normal_loglik(data.y, mu_loo, model.sigma_A2, s2_loo)
 
 
-def _conditional_modes(y, n, mu, tau2):
+def _conditional_modes(y, n, mu, tau2, tol=1e-10):
     """Mode and Laplace sd of y b - n softplus(b) - (b - mu)^2 / (2 tau2) for each
     element of the broadcast of y, n, mu and tau2: Newton in a bracket shrinking
     from [mu, mu + tau2 f'(mu)], bisecting where a step leaves it or stalls
     (Numerical Recipes' rtsafe).  Each element stops at its first iteration
-    without a live step and leaves the search, so its result is the one it gets
-    searched alone, whatever else shares the call."""
+    whose step (or bracket) is within tol (1 + |b|) and leaves the search, so
+    its result is the one it gets searched alone, whatever else shares the call."""
     shape = np.broadcast_shapes(np.shape(y), np.shape(n), np.shape(mu), np.shape(tau2))
     y, n, mu, tau2 = (np.broadcast_to(a, shape).ravel() for a in (y, n, mu, tau2))
     mode, sd = np.empty(y.size), np.empty(y.size)
@@ -355,7 +364,7 @@ def _conditional_modes(y, n, mu, tau2):
         lo, hi = np.where(grad > 0, b, lo), np.where(grad < 0, b, hi)
         curv = n * s * sc + 1.0 / tau2
         step = grad / curv
-        live = np.minimum(np.abs(step), hi - lo) > 1e-10 * (1.0 + np.abs(b))
+        live = np.minimum(np.abs(step), hi - lo) > tol * (1.0 + np.abs(b))
         if not live.all():
             done = ~live
             mode[idx[done]] = np.clip(b[done] + step[done], lo[done], hi[done])
@@ -379,8 +388,8 @@ def _group_integrals(data: ObservationSet, mu: np.ndarray, tau2: np.ndarray,
     five (N, G) moments of b under each group's conditional posterior (its
     integrand over m_i): E[b], E[softplus(b)], E[(b - mu)^2], and the mean and
     centred variance of l_i = log Bin(y_i | n_i, expit(b)); else None.  With
-    ``laplace``, log_m is the Laplace approximation (the node sum set to 1)
-    and no nodes run.
+    ``laplace``, log_m is the Laplace approximation (the node sum set to 1),
+    its modes searched to LOO_SCREEN_TOL, and no nodes run.
 
     Each integral is a function of its own counts (y_i, n_i) and grid point
     only, so it is evaluated once per distinct (y_i, n_i) and written to every
@@ -397,7 +406,7 @@ def _group_integrals(data: ObservationSet, mu: np.ndarray, tau2: np.ndarray,
     block = max(1, LOO_CHUNK_BYTES // (mu.size * 8))
     for start in range(0, len(counts), block):
         yb, nb = y[start:start + block], n[start:start + block]
-        b, sd = _conditional_modes(yb, nb, mu, tau2)
+        b, sd = _conditional_modes(yb, nb, mu, tau2, LOO_SCREEN_TOL if laplace else 1e-10)
         # the log integrand y b - n softplus(b) - (b - mu)^2 / (2 tau2), less log C - log tau
         f_mode = yb * b - nb * softplus(b) - (b - mu) ** 2 / (2.0 * tau2)
         if not laplace:  # made after the search, whose temporaries are freed by then
@@ -469,34 +478,68 @@ def _log_weights(log_prior: np.ndarray, log_m: np.ndarray):
     posterior (N, G).  Given (mu, tau2) the groups are independent: the posterior
     is the hyperprior times the marginals m_i, fold i divides m_i out."""
     log_w = log_prior + log_m.sum(axis=0)
-    log_w -= np.logaddexp.reduce(log_w)
+    log_w -= _logsumexp(log_w)
     log_fold_w = log_w - log_m
-    log_fold_w -= np.logaddexp.reduce(log_fold_w, axis=1, keepdims=True)
+    log_fold_w -= _logsumexp(log_fold_w)
     return log_w, log_fold_w
 
 
-def _screen(data: ObservationSet, mu: np.ndarray, tau2: np.ndarray,
-            log_prior: np.ndarray) -> np.ndarray:
-    """The points whose log weight from the Laplace group integrals is above
-    -LOO_SCREEN_FLOOR under the posterior or some fold."""
+def _logsumexp(x: np.ndarray) -> np.ndarray:
+    """log sum exp over the last axis, kept as an axis of length 1."""
+    top = x.max(axis=-1, keepdims=True)
+    return top + np.log(np.exp(x - top).sum(axis=-1, keepdims=True))
+
+
+def _screen(data: ObservationSet, mu: np.ndarray, tau2: np.ndarray, log_prior: np.ndarray):
+    """(keep, edge, screened): the mask of the points whose log weight from the
+    Laplace group integrals is above -LOO_SCREEN_FLOOR under the posterior or
+    some fold, its ``_edge``, and the (N + 1, edge points) screened log weights
+    there, posterior first."""
     log_w, log_fold_w = _log_weights(log_prior, _group_integrals(data, mu, tau2, laplace=True)[0])
-    return (log_w > -LOO_SCREEN_FLOOR) | (log_fold_w > -LOO_SCREEN_FLOOR).any(axis=0)
+    keep = (log_w > -LOO_SCREEN_FLOOR) | (log_fold_w > -LOO_SCREEN_FLOOR).any(axis=0)
+    edge = _edge(keep)
+    return keep, edge, np.vstack([log_w[edge], log_fold_w[:, edge]])
+
+
+def _edge(keep: np.ndarray) -> np.ndarray:
+    """The kept points of a square's mask next to a dropped one along either axis."""
+    k = keep.reshape(math.isqrt(keep.size), -1)
+    inner = k.copy()
+    inner[1:] &= k[:-1]
+    inner[:-1] &= k[1:]
+    inner[:, 1:] &= k[:, :-1]
+    inner[:, :-1] &= k[:, 1:]
+    return (k & ~inner).ravel()
+
+
+def _weighed(data: ObservationSet, mu: np.ndarray, tau2: np.ndarray, log_prior: np.ndarray,
+             moments: bool):
+    """(log_w, log_fold_w, cond) of the points (mu, tau2) from their group integrals."""
+    log_m, cond = _group_integrals(data, mu, tau2, moments)
+    return (*_log_weights(log_prior, log_m), cond)
 
 
 def _hyper_grid(model: HierLogitModel, data: ObservationSet, lap: LaplaceApprox,
                 moments: bool = False) -> _Grid:
     """The points of a square over (mu, log tau2) in Laplace sd around the mode
-    of the fit ``lap`` that carry posterior or fold weight (``_screen``), with
-    the normalized log weights of the posterior and of each leave-one-group-out
-    posterior (Rue, Martino & Chopin 2009).  Every kept point's group integrals
-    are the full square's, bit for bit: each is a function of its own counts
-    and point.  ``moments`` keeps the group integrals' conditional moments."""
+    of the fit ``lap`` that carry posterior or fold weight (``_screen``; every
+    point where the screen falls short by more than LOO_SCREEN_MARGIN at its
+    edge), with the normalized log weights of the posterior and of each
+    leave-one-group-out posterior (Rue, Martino & Chopin 2009).  Every kept
+    point's group integrals are the full square's, bit for bit: each is a
+    function of its own counts and point.  ``moments`` keeps the group
+    integrals' conditional moments."""
     for span in LOO_SPANS:
         mu, tau2, log_prior, ring = _square(model, lap, span)
-        keep = _screen(data, mu, tau2, log_prior)
-        mu, tau2, log_prior, ring = mu[keep], tau2[keep], log_prior[keep], ring[keep]
-        log_m, cond = _group_integrals(data, mu, tau2, moments)
-        log_w, log_fold_w = _log_weights(log_prior, log_m)
+        keep, edge, screened = _screen(data, mu, tau2, log_prior)
+        log_w, log_fold_w, cond = _weighed(data, mu[keep], tau2[keep], log_prior[keep], moments)
+        edge = edge[keep]
+        # next to the points it dropped, the screen fell short by more than its margin
+        if (np.vstack([log_w[edge], log_fold_w[:, edge]]) - screened > LOO_SCREEN_MARGIN).any():
+            del log_fold_w, cond
+            keep[:] = True
+            log_w, log_fold_w, cond = _weighed(data, mu, tau2, log_prior, moments)
+        mu, tau2, ring = mu[keep], tau2[keep], ring[keep]
         border = max(np.exp(log_w[ring]).sum(), np.exp(log_fold_w[:, ring]).sum(axis=1).max())
         if border <= LOO_BORDER_MASS:
             return _Grid(mu, tau2, log_w, log_fold_w, cond, span, float(border))

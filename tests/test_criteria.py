@@ -585,7 +585,7 @@ def test_grid_summary_matches_a_fine_reference(rep, monkeypatch):
     assert summary.S == 0 and summary.n == data.n
     # the grid keeps the points of its first square above the screen's floor
     mu, tau2, log_prior, _ = criteria._square(model, lap, criteria.LOO_SPANS[0])
-    keep = criteria._screen(data, mu, tau2, log_prior)
+    keep = criteria._screen(data, mu, tau2, log_prior)[0]
     assert summary.grid_points == np.count_nonzero(keep) < keep.size
     assert summary.grid_span == criteria.LOO_SPANS[0]
     assert summary.border_mass <= criteria.LOO_BORDER_MASS
@@ -601,25 +601,45 @@ def test_grid_summary_matches_a_fine_reference(rep, monkeypatch):
 _WIDE_DATA = {"one-of-ten": ([0, 0, 1, 0, 10, 10, 9, 0, 1, 10], 10),
               "half-extreme": ([0, 0, 0, 50, 50, 50, 0, 50, 25, 10, 40, 0, 50, 3, 47], 50),
               "twelve-at-zero": ([0] * 12 + [1, 2, 3], 50)}
+# many groups of few trials, beta_i ~ N(0, tau^2): (groups, n_i, tau); the
+# Laplace errors of the group integrals add up over the groups
+_MANY_DATA = {"fifty-at-2": (50, 2, 1.0), "two-hundred-at-10": (200, 10, 2.0),
+              "thousand-at-10": (1000, 10, 2.0), "two-hundred-at-1": (200, 1, 1.0)}
 
 
 def _counts(name):
-    y, n = _WIDE_DATA[name]
-    n_i = np.full(len(y), n)
+    if name in _MANY_DATA:
+        from paic.models import _expit
+
+        groups, n, tau = _MANY_DATA[name]
+        rng = substream(0, "many-groups")
+        n_i = np.full(groups, n)
+        y = rng.binomial(n_i, _expit(rng.normal(0.0, tau, groups)))
+    else:
+        y, n = _WIDE_DATA[name]
+        n_i = np.full(len(y), n)
     return HierLogitModel(n_i), ObservationSet(np.array(y, dtype=float), n_i)
 
 
-@pytest.mark.parametrize("case", [5, 19, 25, "near-equal", "one-of-ten", "half-extreme"])
+def _dropped_log_weight(full, keep):
+    """The largest exact log weight, under the posterior or some fold, of the
+    points of the full square ``full`` outside the mask ``keep``."""
+    return max(full.log_w[~keep].max(initial=-np.inf),
+               full.log_fold_w[:, ~keep].max(initial=-np.inf))
+
+
+@pytest.mark.parametrize("case", [5, 19, 25, "near-equal", "one-of-ten", "half-extreme",
+                                  "fifty-at-2", "two-hundred-at-10"])
 def test_screened_grid_agrees_with_the_full_square(case, monkeypatch):
     # a floor of inf keeps every point of the square: the screen drops only
     # points whose exact weight is far below the rounding of the grid's sums,
     # and the kept points' integrals are the full square's to the bit
-    model, data = _counts(case) if case in _WIDE_DATA else criterion_4_data(case)
+    model, data = criterion_4_data(case) if case in (5, 19, 25, "near-equal") else _counts(case)
     lap = laplace_fit(model, data, seed=1234)
     grid = criteria._hyper_grid(model, data, lap, moments=True)
     summary = criteria.grid_summary(model, data, lap)
     mu, tau2, log_prior, _ = criteria._square(model, lap, grid.span)
-    keep = criteria._screen(data, mu, tau2, log_prior)
+    keep = criteria._screen(data, mu, tau2, log_prior)[0]
     monkeypatch.setattr(criteria, "LOO_SCREEN_FLOOR", math.inf)
     full = criteria._hyper_grid(model, data, lap, moments=True)
     full_summary = criteria.grid_summary(model, data, lap)
@@ -640,19 +660,40 @@ def test_screened_grid_agrees_with_the_full_square(case, monkeypatch):
     np.testing.assert_array_equal(kept[0], log_m[:, keep])
     np.testing.assert_array_equal(kept[1], cond[:, :, keep])
     np.testing.assert_array_equal(grid.cond, kept[1])
-    assert max(full.log_w[~keep].max(), full.log_fold_w[:, ~keep].max()) < -30.0
+    assert _dropped_log_weight(full, keep) < -30.0
 
 
-@pytest.mark.parametrize("case", ["none", "all", "twelve-at-zero"])
+def test_screened_grid_agrees_on_a_thousand_groups(monkeypatch):
+    # 1000 groups of 10 trials on a 61 x 61 square, without the moments (a
+    # (5, 1000, 3721) array): the exact LOO and the kept points' integrals
+    model, data = _counts("thousand-at-10")
+    lap = laplace_fit(model, data, seed=0)
+    grid = criteria._hyper_grid(model, data, lap)
+    mu, tau2, log_prior, _ = criteria._square(model, lap, grid.span)
+    keep = criteria._screen(data, mu, tau2, log_prior)[0]
+    monkeypatch.setattr(criteria, "LOO_SCREEN_FLOOR", math.inf)
+    full = criteria._hyper_grid(model, data, lap)
+    assert full.span == grid.span == criteria.LOO_SPANS[1]
+    assert full.mu.size == keep.size > 5 * grid.mu.size
+    expected = criteria._loo_terms_hier_logit(data, full)
+    np.testing.assert_allclose(criteria._loo_terms_hier_logit(data, grid), expected,
+                               rtol=0, atol=1e-12 * np.abs(expected).max())
+    np.testing.assert_array_equal(criteria._group_integrals(data, grid.mu, grid.tau2)[0],
+                                  criteria._group_integrals(data, full.mu, full.tau2)[0][:, keep])
+    assert _dropped_log_weight(full, keep) < -30.0
+
+
+@pytest.mark.parametrize("case", ["none", "all", "twelve-at-zero", "two-hundred-at-1"])
 def test_screened_grid_refuses_what_the_full_square_refuses(case, monkeypatch):
-    # every count 0, every count n_i, and twelve of 15 groups at 0 of 50: the
-    # widest square holds too much on its border, screened or not
-    if case in _WIDE_DATA:
-        model, data = _counts(case)
-    else:
+    # every count 0, every count n_i, twelve of 15 groups at 0 of 50, and 200
+    # groups of one trial: the widest square holds too much on its border,
+    # screened or not
+    if case in ("none", "all"):
         model = HierLogitModel(np.full(15, 50))
         y = np.zeros(15) if case == "none" else model.trial_sizes.astype(float)
         data = ObservationSet(y, model.trial_sizes)
+    else:
+        model, data = _counts(case)
     lap = laplace_fit(model, data, seed=0)
     masses = []
     for floor in (criteria.LOO_SCREEN_FLOOR, math.inf):
@@ -660,9 +701,36 @@ def test_screened_grid_refuses_what_the_full_square_refuses(case, monkeypatch):
         with pytest.raises(GridBorderError) as err:
             criteria.grid_summary(model, data, lap)
         masses.append(err.value.border_mass)
-    # the widest square of twelve-at-zero drops points of exact weight up to e^-25
     assert masses[0] == pytest.approx(masses[1], rel=1e-6)
     assert masses[0] > criteria.LOO_BORDER_MASS
+
+
+def test_screen_falls_back_to_the_full_square_where_it_falls_short(monkeypatch):
+    # on the widest square of twelve-at-zero the Laplace log weights fall 15
+    # nats short of the exact ones next to the points the screen drops, and one
+    # of those holds e^-25: the grid takes every point of the square
+    model, data = _counts("twelve-at-zero")
+    lap = laplace_fit(model, data, seed=0)
+    monkeypatch.setattr(criteria, "LOO_SPANS", (criteria.LOO_SPANS[-1],))
+    monkeypatch.setattr(criteria, "LOO_BORDER_MASS", math.inf)
+    full = criteria._hyper_grid(model, data, lap)
+    mu, tau2, log_prior, _ = criteria._square(model, lap, full.span)
+    keep = criteria._screen(data, mu, tau2, log_prior)[0]
+    assert full.mu.size == keep.size > np.count_nonzero(keep)
+    assert _dropped_log_weight(full, keep) > -30.0
+    # with a margin wider than the shortfall, the screen's points stand
+    monkeypatch.setattr(criteria, "LOO_SCREEN_MARGIN", 20.0)
+    assert criteria._hyper_grid(model, data, lap).mu.size == np.count_nonzero(keep)
+
+
+def test_screen_edge_is_the_kept_points_next_to_a_dropped_one():
+    keep = np.zeros((5, 5), dtype=bool)
+    keep[:3, 1:4] = True  # a 3 x 3 block on the square's first row
+    edge = criteria._edge(keep.ravel()).reshape(5, 5)
+    expected = keep.copy()
+    expected[1, 2] = False  # the block's centre
+    expected[0, 2] = False  # its neighbours are kept; outside the square does not count
+    np.testing.assert_array_equal(edge, expected)
 
 
 def test_criteria_read_the_grid_summary_as_draws(hier_model, hier_data):
