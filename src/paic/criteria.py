@@ -567,9 +567,11 @@ def _check_loo(model, data: ObservationSet, lap: Optional[LaplaceApprox]):
     model.validate_data(data)
     if isinstance(model, HierLogitModel):
         if data.n > LOO_MAX_N:
-            raise ValidationError(f"exact LOO guarded at n <= {LOO_MAX_N}")
+            raise ValidationError(f"the hierarchical-logit grid is guarded at n <= {LOO_MAX_N}, "
+                                  f"got {data.n}")
         if model.N < 3:  # a one-group fold: only its hyperprior holds tau2
-            raise ValidationError(f"exact LOO needs at least 3 groups, got {model.N}")
+            raise ValidationError(f"the hierarchical-logit grid needs at least 3 groups, "
+                                  f"got {model.N}")
         if lap is None:
             raise ValidationError("exact LOO for the hierarchical logit needs its Laplace fit")
 

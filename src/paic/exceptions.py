@@ -1,6 +1,8 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and its integer-size check."""
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class PaicError(Exception):
@@ -68,3 +70,13 @@ class UnsupportedModelError(PaicError):
 
 class ExperimentError(PaicError):
     """Replication study failed (e.g. too many excluded replications)."""
+
+
+def require_int(name: str, value, low: int) -> None:
+    """Refuse, with ValidationError, a ``value`` that is not an integer (a
+    bool or a float is not) in the int64 range and at least ``low``."""
+    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+            or not -2 ** 63 <= value < 2 ** 63):
+        raise ValidationError(f"{name} must be an integer in the int64 range, got {value!r}")
+    if value < low:
+        raise ValidationError(f"{name} must be >= {low}, got {value}")

@@ -39,7 +39,7 @@ from .criteria import (
     grid_summary,
     mean_insample_loglik,
 )
-from .exceptions import ExperimentError, NumericalError, ValidationError
+from .exceptions import ExperimentError, NumericalError, ValidationError, require_int
 from .infomat import info_matrix_pair, trace_correction
 from .models import (ConjugateNormalModel, HierLogitModel, ObservationSet,
                      _binom_loglik, _expit, softplus)
@@ -72,10 +72,9 @@ class NormalExperimentConfig:
                 raise ValidationError(f"{name} is empty")
         if not all(0 < s < np.inf for s in self.sigma_A2_grid):
             raise ValidationError("sigma_A2_grid values must be positive and finite")
-        if min(self.n_grid) < 2:
-            raise ValidationError(f"n_grid values must be >= 2, got {min(self.n_grid)}")
-        if self.replications < 1:
-            raise ValidationError("replications must be >= 1")
+        for n in self.n_grid:
+            require_int("n_grid values", n, 2)
+        require_int("replications", self.replications, 1)
         for rule in self.tau02_rules:
             resolve_tau02(rule, 10)  # raises on unknown rules
 
@@ -93,16 +92,14 @@ class LogitExperimentConfig:
 
     def __post_init__(self):
         # N >= 3: exact LOO refuses one-group folds (only a hyperprior holds tau2)
-        for name, low in (("N", 3), ("n_i", 1), ("workers", 1)):
-            value = getattr(self, name)
-            if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
-                    or not -2 ** 63 <= value < 2 ** 63):
-                raise ValidationError(f"{name} must be an integer in the int64 range, "
-                                      f"got {value!r}")
-            if value < low:
-                raise ValidationError(f"{name} must be >= {low}, got {value}")
-        if self.replications < 1:
-            raise ValidationError("replications must be >= 1")
+        for name, low in (("N", 3), ("n_i", 1), ("replications", 1), ("workers", 1)):
+            require_int(name, getattr(self, name), low)
+        if not np.isfinite(self.mu_true):
+            raise ValidationError(f"mu_true must be finite, got {self.mu_true}")
+        if not 0 <= self.tau_true < np.inf:
+            raise ValidationError(f"tau_true must be finite and >= 0, got {self.tau_true}")
+        if not 0 <= self.max_fail_frac <= 1:
+            raise ValidationError(f"max_fail_frac must be in [0, 1], got {self.max_fail_frac}")
 
 
 @dataclass

@@ -33,7 +33,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .exceptions import NonConvergenceError, ValidationError
+from .exceptions import NonConvergenceError, ValidationError, require_int
 from .models import ConjugateNormalModel, HierLogitModel, ObservationSet, conjugate_posterior, softplus
 from .optimize import LaplaceApprox
 from .rng import substream
@@ -55,9 +55,7 @@ class SamplerBudget:
 
     def __post_init__(self):
         for name, low in (("chains", 1), ("draws_per_chain", ESS_MIN_SERIES), ("warmup", 0)):
-            value = getattr(self, name)
-            if value < low:
-                raise ValidationError(f"sampler budget {name} must be >= {low}, got {value}")
+            require_int(f"sampler budget {name}", getattr(self, name), low)
 
 
 @dataclass(frozen=True)
@@ -198,8 +196,7 @@ def compute_diagnostics(chains: np.ndarray, accept_rate: np.ndarray,
 def sample_conjugate_normal(model: ConjugateNormalModel, data: ObservationSet,
                             S: int, seed: int) -> PosteriorDraws:
     """Exact iid draws from the analytic normal posterior."""
-    if S < 1:
-        raise ValidationError("S must be >= 1")
+    require_int("S", S, 1)
     mu_hat, sigma_hat2 = conjugate_posterior(model, data)
     gen = substream(seed, "conjugate")
     draws = mu_hat + np.sqrt(sigma_hat2) * gen.standard_normal(S)
@@ -239,13 +236,8 @@ def sample_hier_logit(model: HierLogitModel, data: ObservationSet,
     ``init`` is the dataset's Laplace fit; chain c starts around its mean by
     substream (seed, "init", c).  The C chains are rows of one state array,
     each with its own start, step scales and substreams (seed, "chain", c,
-    block); every update is elementwise per row.  The Metropolis step writes
-    the proposal, its softplus, the log ratio and the acceptances into (C, N)
-    buffers allocated once, and keeps beta and softplus(beta) current with
-    ``np.copyto(..., where=acc)``; the ratio's (beta - mu)^2 term is the Gibbs
-    step's squares from the iteration before.  Each operation has the
-    operands and the order of the expression it replaces, so the draws are
-    those of fresh arrays and ``np.where``.
+    block); every update is elementwise per row.  The Metropolis ratio's
+    (beta - mu)^2 term is the Gibbs step's squares from the iteration before.
     """
     model.validate_data(data)
     N, p, C, D = model.N, model.p, budget.chains, budget.draws_per_chain
@@ -266,19 +258,14 @@ def sample_hier_logit(model: HierLogitModel, data: ObservationSet,
     z_mu = np.empty(z_move.shape[:2])
     chi2 = np.empty_like(z_mu)
 
-    # dev2 is (beta - mu)^2: the Gibbs step's squares, then the next ratio's old-state term
     sp_beta = softplus(beta)
-    prop, sp_prop, dlp, work = (np.empty_like(beta) for _ in range(4))
-    acc = np.empty(beta.shape, dtype=bool)
-    dev2 = np.square(beta - mu[:, None])
+    dev2 = (beta - mu[:, None]) ** 2
     out = np.empty((C, D, p))
     batch_acc = np.zeros((C, N))
     accept_total = np.zeros((C, N))
     scales_warm = scales.copy()
     warmup = budget.warmup
-    nu_s2 = model.nu * model.s2
     inv_mu_var = 1.0 / model.mu_var
-    prior_mean_term = model.mu_mean * inv_mu_var
 
     for it in range(T):
         j = it % REPLAY_CHUNK
@@ -290,24 +277,13 @@ def sample_hier_logit(model: HierLogitModel, data: ObservationSet,
                 mu_gen.standard_normal(out=z_mu[r, :L])
                 chi2[r, :L] = chi_gen.chisquare(df, L)
             np.log(log_u[:, :L], out=log_u[:, :L])
-        # dlp = y (prop - beta) - t (sp_prop - sp_beta)
-        #       - ((prop - mu)^2 - (beta - mu)^2) / (2 tau2)
-        np.multiply(scales, z_move[:, j], out=prop)
-        prop += beta
-        softplus(prop, out=sp_prop)
-        np.subtract(prop, beta, out=dlp)
-        dlp *= y
-        np.subtract(sp_prop, sp_beta, out=work)
-        work *= t
-        dlp -= work
-        np.subtract(prop, mu[:, None], out=work)
-        np.square(work, out=work)
-        work -= dev2
-        work /= 2.0 * tau2[:, None]
-        dlp -= work
-        np.less(log_u[:, j], dlp, out=acc)
-        np.copyto(beta, prop, where=acc)
-        np.copyto(sp_beta, sp_prop, where=acc)
+        prop = beta + scales * z_move[:, j]
+        sp_prop = softplus(prop)
+        dlp = (y * (prop - beta) - t * (sp_prop - sp_beta)
+               - ((prop - mu[:, None]) ** 2 - dev2) / (2.0 * tau2[:, None]))
+        acc = log_u[:, j] < dlp
+        beta = np.where(acc, prop, beta)
+        sp_beta = np.where(acc, sp_prop, sp_beta)
         if it < warmup:
             batch_acc += acc
             if (it + 1) % ADAPT_BATCH == 0:
@@ -322,10 +298,9 @@ def sample_hier_logit(model: HierLogitModel, data: ObservationSet,
         else:
             accept_total += acc
         v = 1.0 / (inv_mu_var + N / tau2)
-        mu = v * (prior_mean_term + beta.sum(axis=1) / tau2) + np.sqrt(v) * z_mu[:, j]
-        np.subtract(beta, mu[:, None], out=dev2)
-        np.square(dev2, out=dev2)
-        tau2 = (nu_s2 + dev2.sum(axis=1)) / chi2[:, j]
+        mu = v * (model.mu_mean * inv_mu_var + beta.sum(axis=1) / tau2) + np.sqrt(v) * z_mu[:, j]
+        dev2 = (beta - mu[:, None]) ** 2
+        tau2 = (model.nu * model.s2 + dev2.sum(axis=1)) / chi2[:, j]
         if it >= warmup:
             k = it - warmup
             out[:, k, :N] = beta

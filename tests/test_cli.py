@@ -456,6 +456,21 @@ def test_compute_error_entries_name_their_exception(tmp_path):
         "error_type": "ImproperPriorError"}]
 
 
+def test_compute_hier_logit_two_groups_names_the_grid(tmp_path):
+    # every default criterion reads the grid, so each refusal names it
+    data_path = tmp_path / "counts.csv"
+    data_path.write_text("y,n_trials\n3,10\n7,10\n")
+    out = tmp_path / "r.json"
+    assert main(["compute", "--model", "hier-logit", "--data", str(data_path),
+                 "--out", str(out)]) == 0
+    _, reports, errors = read_reports_json(str(out))
+    assert reports == []
+    assert errors == [{"criterion": name,
+                       "error": "the hierarchical-logit grid needs at least 3 groups, got 2",
+                       "error_type": "ValidationError"}
+                      for name in ("paic", "bpic", "waic2", "loo", "dic")]
+
+
 def test_compute_normal_loo_beyond_the_grid_guard(tmp_path):
     # LOO_MAX_N guards the hierarchical logit's grid; the normal model's
     # analytic folds take any n

@@ -26,7 +26,7 @@ from paic.experiments import (
     aggregate_normal_cell,
     resolve_tau02,
 )
-from paic.fileio import provenance, write_experiment_outputs
+from paic.fileio import config_hash, provenance, write_experiment_outputs
 from paic.models import _binom_loglik, softplus
 from paic.rng import substream
 
@@ -304,3 +304,49 @@ def test_config_validation():
         NormalExperimentConfig(replications=0)
     with pytest.raises(ValidationError):
         NormalExperimentConfig(tau02_rules=("nope",))
+
+
+@pytest.mark.parametrize("build,message", [
+    pytest.param(lambda: NormalExperimentConfig(replications=2.5),
+                 "replications must be an integer", id="normal-replications-float"),
+    pytest.param(lambda: LogitExperimentConfig(replications=2.5),
+                 "replications must be an integer", id="logit-replications-float"),
+    pytest.param(lambda: LogitExperimentConfig(replications=True),
+                 "replications must be an integer", id="logit-replications-bool"),
+    pytest.param(lambda: NormalExperimentConfig(n_grid=(5.5,)),
+                 "n_grid values must be an integer", id="n-grid-float"),
+    pytest.param(lambda: NormalExperimentConfig(n_grid=(25, np.float64(50))),
+                 "n_grid values must be an integer", id="n-grid-float64"),
+    pytest.param(lambda: LogitExperimentConfig(mu_true=np.nan), "mu_true must be finite",
+                 id="mu-true-nan"),
+    pytest.param(lambda: LogitExperimentConfig(mu_true=-np.inf), "mu_true must be finite",
+                 id="mu-true-inf"),
+    pytest.param(lambda: LogitExperimentConfig(tau_true=np.nan),
+                 r"tau_true must be finite and >= 0", id="tau-true-nan"),
+    pytest.param(lambda: LogitExperimentConfig(tau_true=np.inf),
+                 r"tau_true must be finite and >= 0", id="tau-true-inf"),
+    pytest.param(lambda: LogitExperimentConfig(tau_true=-0.5),
+                 r"tau_true must be finite and >= 0", id="tau-true-negative"),
+    pytest.param(lambda: LogitExperimentConfig(max_fail_frac=-1),
+                 r"max_fail_frac must be in \[0, 1\]", id="max-fail-negative"),
+    pytest.param(lambda: LogitExperimentConfig(max_fail_frac=1.5),
+                 r"max_fail_frac must be in \[0, 1\]", id="max-fail-above-one"),
+    pytest.param(lambda: LogitExperimentConfig(max_fail_frac=np.nan),
+                 r"max_fail_frac must be in \[0, 1\]", id="max-fail-nan"),
+])
+def test_configs_refuse_what_they_cannot_run(build, message):
+    with pytest.raises(ValidationError, match=message):
+        build()
+
+
+def test_valid_configs_keep_their_hash():
+    # numpy integers and the edges of each range stay valid, and the defaults
+    # hash as they did before these checks
+    assert NormalExperimentConfig(n_grid=(np.int64(25),), replications=np.int32(3)).n_grid == (25,)
+    LogitExperimentConfig(mu_true=-3.0, max_fail_frac=0.0)
+    hashes = [config_hash(dataclasses.asdict(NormalExperimentConfig()))]
+    for cfg in (LogitExperimentConfig(), LogitExperimentConfig(tau_true=0.0, max_fail_frac=1.0)):
+        config = dataclasses.asdict(cfg)
+        config.pop("workers")
+        hashes.append(config_hash(config))
+    assert hashes == ["ea0b318b95fc9ff4", "c869556d05f7fa40", "298fc60f990b4ccb"]

@@ -47,6 +47,27 @@ def test_conjugate_sampler_deterministic():
     assert not np.array_equal(a.draws, c.draws)
 
 
+@pytest.mark.parametrize("build,message", [
+    pytest.param(lambda: SamplerBudget(3, 100.0, 50), "draws_per_chain", id="draws-float"),
+    pytest.param(lambda: SamplerBudget(True, 100, 50), "chains", id="chains-bool"),
+    pytest.param(lambda: SamplerBudget(3, 100, np.float64(50)), "warmup", id="warmup-float64"),
+    pytest.param(lambda: SamplerBudget(3, 100, False), "warmup", id="warmup-bool"),
+    pytest.param(lambda: sample_conjugate_normal(ConjugateNormalModel(1.0), ObservationSet(
+        np.array([0.5, 1.5])), 2.5, 1), "S", id="conjugate-S-float"),
+    pytest.param(lambda: sample_conjugate_normal(ConjugateNormalModel(1.0), ObservationSet(
+        np.array([0.5, 1.5])), True, 1), "S", id="conjugate-S-bool"),
+])
+def test_sampler_sizes_refuse_non_integers(build, message):
+    with pytest.raises(ValidationError, match=f"{message} must be an integer"):
+        build()
+
+
+def test_sampler_sizes_accept_numpy_integers():
+    assert SamplerBudget(np.int64(2), np.int32(60), np.int64(0)) == SamplerBudget(2, 60, 0)
+    data = ObservationSet(np.array([0.5, 1.5]))
+    assert sample_conjugate_normal(ConjugateNormalModel(1.0), data, np.int64(7), 1).S == 7
+
+
 def test_hier_sampler_converges_and_respects_support(hier_model, hier_data):
     draws, diag = sample_hier_logit(hier_model, hier_data, SamplerBudget(3, 5000, 2000), seed=0,
                                     init=laplace_fit(hier_model, hier_data))
@@ -410,7 +431,7 @@ def _reference_loop(model, data, init, budget, seed):
     return out, accept_total, scales_warm, scales
 
 
-def test_buffered_sampler_step_is_the_reference_chain(hier_model, hier_data):
+def test_sampler_step_is_the_reference_chain(hier_model, hier_data):
     # warmup 130 + 70 draws crosses two adaptation batches, the end of
     # warmup and three replay refills; three datasets, one with other trial
     # sizes
