@@ -6,11 +6,18 @@ gradient calls (central differencing of central gradients, symmetrized)
 instead of the 4 p^2 function-call stencil; with p up to ~20 inside
 replication loops the call count matters, and one-sided gradient differences
 were not accurate enough for the verification tolerances.
+
+``f`` may return a scalar or a vector of n terms, one per observation.  A
+vector f is evaluated once at each perturbed point for all n terms, and each
+term gets the same elementwise arithmetic that a scalar f of that term alone
+would get: the gradient is then n x p and the Hessian n x p x p, one
+symmetrized matrix per term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -25,11 +32,26 @@ DEFAULT_HESS_REL_STEP = 2e-4
 GRAD_CHECK_TOL = 1e-5
 
 
+def _finite(fp, fm, j: int, h: float) -> None:
+    """Refuse a non-finite value of f at theta +- h e_j, naming the first
+    non-finite term of a vector f."""
+    if np.isfinite(fp).all() and np.isfinite(fm).all():
+        return
+    bad = ~(np.isfinite(fp) & np.isfinite(fm))
+    where = f" at observation {int(np.flatnonzero(bad)[0])}" if np.ndim(bad) else ""
+    raise NumericalError(
+        f"non-finite evaluation{where} while differencing coordinate {j} "
+        f"with step {h:.3e}"
+    )
+
+
 def grad_fd(f, theta) -> np.ndarray:
-    """Central-difference gradient; step j is DEFAULT_REL_STEP * max(1, |theta_j|)."""
+    """Central-difference gradient; step j is DEFAULT_REL_STEP * max(1, |theta_j|).
+
+    A scalar f gives shape (p,), a vector f of n terms shape (n, p)."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     h = DEFAULT_REL_STEP * np.maximum(1.0, np.abs(theta))
-    g = np.empty(theta.size)
+    g = None
     for j in range(theta.size):
         tp = theta.copy()
         tm = theta.copy()
@@ -37,28 +59,32 @@ def grad_fd(f, theta) -> np.ndarray:
         tm[j] -= h[j]
         fp = f(tp)
         fm = f(tm)
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise NumericalError(
-                f"non-finite evaluation while differencing coordinate {j} "
-                f"with step {h[j]:.3e}"
-            )
-        g[j] = (fp - fm) / (2.0 * h[j])
+        _finite(fp, fm, j, h[j])
+        if g is None:
+            g = np.empty(np.shape(fp) + (theta.size,))
+        g[..., j] = (fp - fm) / (2.0 * h[j])
     return g
 
 
 def hess_fd(f, theta) -> np.ndarray:
-    """Hessian from 2p central-gradient calls, symmetrized as (H + H')/2."""
+    """Hessian from 2p central-gradient calls, symmetrized as (H + H')/2.
+
+    A scalar f gives shape (p, p), a vector f of n terms shape (n, p, p),
+    each term's matrix symmetrized on its own."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     p = theta.size
     h = DEFAULT_HESS_REL_STEP * np.maximum(1.0, np.abs(theta))
-    H = np.empty((p, p))
+    H = None
     for j in range(p):
         tp = theta.copy()
         tm = theta.copy()
         tp[j] += h[j]
         tm[j] -= h[j]
-        H[:, j] = (grad_fd(f, tp) - grad_fd(f, tm)) / (2.0 * h[j])
-    return 0.5 * (H + H.T)
+        col = (grad_fd(f, tp) - grad_fd(f, tm)) / (2.0 * h[j])
+        if H is None:
+            H = np.empty(col.shape + (p,))
+        H[..., j] = col
+    return 0.5 * (H + np.swapaxes(H, -1, -2))
 
 
 @dataclass(frozen=True)
@@ -74,7 +100,8 @@ class GradientCheckReport:
 
 
 def check_gradient(model, data, theta) -> GradientCheckReport:
-    """Compare the model's analytic per-observation scores against grad_fd.
+    """Compare the model's analytic per-observation scores against grad_fd
+    of ``model.terms``, all n terms differenced at the same perturbed points.
 
     Relative error per term is ||g_a - g_fd||_inf / max(1, ||g_a||_inf) so
     near-zero coordinates do not blow up the ratio.
@@ -83,10 +110,9 @@ def check_gradient(model, data, theta) -> GradientCheckReport:
         raise ValidationError("model has no analytic gradient to check")
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     scores = model.score_matrix(data, theta)
+    fd_scores = grad_fd(partial(model.terms, data), theta)
     worst = (0.0, 0, 0)
-    for i in range(data.n):
-        ga = scores[i]
-        gf = grad_fd(model.term_function(data, i), theta)
+    for i, (ga, gf) in enumerate(zip(scores, fd_scores)):
         denom = max(1.0, float(np.max(np.abs(ga))))
         err = np.abs(ga - gf) / denom
         j = int(np.argmax(err))

@@ -563,7 +563,8 @@ def _loo_report(data: ObservationSet, terms: np.ndarray, notes: str) -> Criterio
 
 
 def _check_loo(model, data: ObservationSet, lap: Optional[LaplaceApprox]):
-    """The checks of an exact-LOO request, made before any grid is built."""
+    """The checks of an exact-LOO or grid-summary request, made before any
+    grid is built."""
     model.validate_data(data)
     if isinstance(model, HierLogitModel):
         if data.n > LOO_MAX_N:
@@ -573,7 +574,7 @@ def _check_loo(model, data: ObservationSet, lap: Optional[LaplaceApprox]):
             raise ValidationError(f"the hierarchical-logit grid needs at least 3 groups, "
                                   f"got {model.N}")
         if lap is None:
-            raise ValidationError("exact LOO for the hierarchical logit needs its Laplace fit")
+            raise ValidationError("the hierarchical-logit grid needs its Laplace fit")
 
 
 def loo_exact(model, data: ObservationSet, lap: Optional[LaplaceApprox] = None) -> CriterionReport:

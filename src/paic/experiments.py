@@ -75,6 +75,7 @@ class NormalExperimentConfig:
         for n in self.n_grid:
             require_int("n_grid values", n, 2)
         require_int("replications", self.replications, 1)
+        require_int("seed", self.seed, 0)
         for rule in self.tau02_rules:
             resolve_tau02(rule, 10)  # raises on unknown rules
 
@@ -92,7 +93,8 @@ class LogitExperimentConfig:
 
     def __post_init__(self):
         # N >= 3: exact LOO refuses one-group folds (only a hyperprior holds tau2)
-        for name, low in (("N", 3), ("n_i", 1), ("replications", 1), ("workers", 1)):
+        for name, low in (("N", 3), ("n_i", 1), ("replications", 1), ("seed", 0),
+                          ("workers", 1)):
             require_int(name, getattr(self, name), low)
         if not np.isfinite(self.mu_true):
             raise ValidationError(f"mu_true must be finite, got {self.mu_true}")

@@ -11,8 +11,9 @@ summed Hessians of the prior-weighted per-observation terms
 The ``(1/n) log pi`` weighting is what makes prior curvature enter the
 information matrices at the per-observation scale; for a flat prior the term
 is identically zero.  The base class derives ``loglik_terms``, ``loglik_i``,
-``logprior``, ``term_grad``, the term function t_i and the log-posterior
-gradient and Hessian for the mode search from these four.
+``logprior``, ``term_grad``, the vector ``terms`` of all n values t_i(theta)
+and the log-posterior gradient and Hessian for the mode search from these
+four.
 
 Two built-ins cover the bundled simulation studies: a normal location model
 with known variance and conjugate (or flat) normal prior, and a hierarchical
@@ -20,7 +21,9 @@ binomial-logit random-effects model; both also give the per-term Hessian
 ``term_hess``.  User models are supplied programmatically through
 :class:`ModelDefinition`, which loops its per-observation callables into the
 matrix forms and, lacking analytic derivatives, builds them from central
-finite differences, so callers never choose a derivative path.
+finite differences of ``terms``, so callers never choose a derivative path:
+each perturbed point is evaluated once for all n terms, and the prior once
+per point, not once per observation.
 
 Each likelihood is written once, as a private elementwise function that the
 models, the closed forms, the exact LOO and the study oracles all call:
@@ -47,7 +50,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .calculus import grad_fd, hess_fd
-from .exceptions import NumericalError, UnsupportedModelError, ValidationError
+from .exceptions import NumericalError, UnsupportedModelError, ValidationError, require_int
 
 LOG_2PI = math.log(2.0 * math.pi)
 SOFTPLUS_BLOCK = 8192  # elements of softplus's positive part held at once
@@ -170,6 +173,17 @@ class ObservationSet:
         return self.y.size
 
 
+def _as_draws(draws, p: int) -> np.ndarray:
+    """An S x p matrix of finite parameter vectors, one per row."""
+    draws = np.asarray(draws, dtype=float)
+    if draws.ndim != 2 or draws.shape[1] != p:
+        raise ValidationError(f"draws must be an S x {p} matrix, got shape {draws.shape}")
+    finite = np.isfinite(draws).all(axis=1)
+    if not finite.all():
+        raise ValidationError(f"draw {int(np.argmin(finite))} contains non-finite entries")
+    return draws
+
+
 def _as_theta(theta, p: int) -> np.ndarray:
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if theta.shape != (p,):
@@ -212,9 +226,10 @@ class _ModelBase:
     def term_grad(self, data: ObservationSet, i: int, theta) -> np.ndarray:
         return self.score_matrix(data, theta)[i]
 
-    def term_function(self, data: ObservationSet, i: int):
-        """t_i as a function of theta alone, for finite differencing."""
-        return lambda theta: self.loglik_i(data, i, theta) + self.logprior(theta) / data.n
+    def terms(self, data: ObservationSet, theta) -> np.ndarray:
+        """t(theta): the n prior-weighted terms log g(y_i | theta) + log pi(theta) / n."""
+        row = _as_theta(theta, self.p)[None, :]
+        return self.loglik_matrix(data, row)[0] + self.logprior_draws(row)[0] / data.n
 
     @property
     def has_analytic_derivatives(self) -> bool:
@@ -479,7 +494,8 @@ class ModelDefinition(_ModelBase):
     per-observation term, and ``calculus.check_gradient`` is there for users
     to compare them against finite differences (nothing calls it for them).
     Without them, scores, Hessian sums and the mode search's derivatives
-    are central finite differences (of each t_i, or of the log posterior).
+    are central finite differences (of ``terms``, whose every perturbed point
+    is evaluated once for all n terms, or of the log posterior).
     ``support_bounds`` holds one open interval (lo, hi) per coordinate (default
     the real line); the mode search takes a (0, inf) coordinate on the log scale.
     """
@@ -493,6 +509,7 @@ class ModelDefinition(_ModelBase):
     support_bounds: Optional[list] = None
 
     def __post_init__(self):
+        require_int("p", self.p, 1)
         if (self.analytic_grad is None) != (self.analytic_hess is None):
             raise ValidationError("analytic_grad and analytic_hess must be given together")
         if self.support_bounds is not None and len(self.support_bounds) != self.p:
@@ -509,14 +526,15 @@ class ModelDefinition(_ModelBase):
         return float(self.logprior_fn(_as_theta(theta, self.p)))
 
     def loglik_matrix(self, data: ObservationSet, draws: np.ndarray) -> np.ndarray:
+        draws = _as_draws(draws, self.p)
         out = np.empty((len(draws), data.n))
         for s, row in enumerate(draws):
-            row = _as_theta(row, self.p)
             out[s] = [float(self.loglik_i_fn(row, i, data)) for i in range(data.n)]
         return out
 
     def logprior_draws(self, draws: np.ndarray) -> np.ndarray:
-        return np.array([self.logprior(row) for row in draws], dtype=float)
+        return np.array([float(self.logprior_fn(row)) for row in _as_draws(draws, self.p)],
+                        dtype=float)
 
     @property
     def has_analytic_derivatives(self) -> bool:
@@ -524,20 +542,21 @@ class ModelDefinition(_ModelBase):
 
     def score_matrix(self, data: ObservationSet, theta) -> np.ndarray:
         theta = _as_theta(theta, self.p)
-        if self.has_analytic_derivatives:
-            rows = [self.analytic_grad(theta, i, data) for i in range(data.n)]
-        else:
-            rows = [grad_fd(self.term_function(data, i), theta) for i in range(data.n)]
+        if not self.has_analytic_derivatives:
+            return grad_fd(partial(self.terms, data), theta)
+        rows = [self.analytic_grad(theta, i, data) for i in range(data.n)]
         return np.vstack([np.asarray(r, dtype=float) for r in rows])
 
     def hess_term_sum(self, data: ObservationSet, theta) -> np.ndarray:
         theta = _as_theta(theta, self.p)
+        if self.has_analytic_derivatives:
+            terms = (np.asarray(self.analytic_hess(theta, i, data), dtype=float)
+                     for i in range(data.n))
+        else:
+            terms = hess_fd(partial(self.terms, data), theta)
         H = np.zeros((self.p, self.p))
-        for i in range(data.n):
-            if self.has_analytic_derivatives:
-                H += np.asarray(self.analytic_hess(theta, i, data), dtype=float)
-            else:
-                H += hess_fd(self.term_function(data, i), theta)
+        for term in terms:  # in observation order, which fixes the sum's rounding
+            H += term
         return H
 
     def logpost_derivatives(self, data: ObservationSet, theta):

@@ -28,7 +28,12 @@ def _encode(part) -> int:
 
 
 def substream(seed: int, *path) -> np.random.Generator:
-    """Generator for the (seed, *path) stream; same arguments, same draws."""
+    """Generator for the (seed, *path) stream; same arguments, same draws.
+
+    The seed is a nonnegative integer; a float or a bool is refused, not
+    truncated."""
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
+        raise ValidationError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     key = tuple(_encode(p) for p in path)

@@ -8,6 +8,7 @@ from paic import (
     ModelDefinition,
     NumericalError,
     ObservationSet,
+    ValidationError,
     check_gradient,
     grad_fd,
     hess_fd,
@@ -125,3 +126,110 @@ def test_grad_nonfinite_names_coordinate():
     with np.errstate(invalid="ignore"), pytest.raises(NumericalError,
                                                       match="coordinate 0"):
         grad_fd(lambda t: float(np.log(t[0])), np.array([1e-7]))
+
+
+def test_vector_f_rows_equal_scalar_differences():
+    c = np.array([[1.0, -2.0, 0.5], [0.3, 0.0, 4.0]])
+    f = lambda t: np.array([np.sin(c[0] @ t), np.exp(c[1] @ t) + t[0] * t[2]])
+    theta = np.array([0.4, -0.3, 1.7])
+    G, H = grad_fd(f, theta), hess_fd(f, theta)
+    assert G.shape == (2, 3) and H.shape == (2, 3, 3)
+    for i in range(2):
+        np.testing.assert_array_equal(G[i], grad_fd(lambda t: float(f(t)[i]), theta))
+        np.testing.assert_array_equal(H[i], hess_fd(lambda t: float(f(t)[i]), theta))
+
+
+def _user_model(p, calls=None):
+    """A derivative-free ModelDefinition with a proper prior; ``calls``
+    counts the prior's evaluations."""
+    rng = np.random.default_rng(40 + p)
+    X = rng.standard_normal((9, p))
+    data = ObservationSet(rng.standard_normal(9))
+
+    def loglik_i(theta, i, d):
+        r = d.y[i] - X[i] @ theta
+        return -0.5 * r * r - 0.1 * np.sin(theta[0] * X[i, 0])
+
+    def logprior(theta):
+        if calls is not None:
+            calls.append(1)
+        return float(-0.5 * theta @ theta / 4.0 + 0.3 * theta[-1] ** 3)
+
+    theta = rng.normal(0.0, 0.5, p)
+    return ModelDefinition(p=p, loglik_i_fn=loglik_i, logprior_fn=logprior), data, theta
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_user_model_derivatives_are_per_term_differences(p):
+    md, data, theta = _user_model(p)
+    S = md.score_matrix(data, theta)
+    H = md.hess_term_sum(data, theta)
+    expect_H = np.zeros((p, p))
+    for i in range(data.n):
+        np.testing.assert_array_equal(S[i], grad_fd(term_fn(md, data, i), theta))
+        expect_H += hess_fd(term_fn(md, data, i), theta)
+    np.testing.assert_array_equal(H, expect_H)
+    np.testing.assert_array_equal(md.terms(data, theta),
+                                  [term_fn(md, data, i)(theta) for i in range(data.n)])
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_user_model_evaluates_each_perturbed_point_once(p):
+    calls = []
+    md, data, theta = _user_model(p, calls)
+    md.score_matrix(data, theta)
+    assert len(calls) == 2 * p
+    calls.clear()
+    md.hess_term_sum(data, theta)
+    assert len(calls) == 4 * p * p
+
+
+def test_user_model_nonfinite_term_names_coordinate_and_observation():
+    md = ModelDefinition(
+        p=2, loglik_i_fn=lambda t, i, d: np.log(t[1]) if i == 2 else -t[0] ** 2,
+        logprior_fn=lambda t: 0.0)
+    data = ObservationSet(np.zeros(4))
+    with np.errstate(invalid="ignore"), pytest.raises(
+            NumericalError, match="at observation 2 while differencing coordinate 1"):
+        md.score_matrix(data, np.array([0.5, 1e-7]))
+
+
+def test_user_model_takes_int_and_0d_returns():
+    md = ModelDefinition(p=1, loglik_i_fn=lambda t, i, d: np.array(-float(t[0] - d.y[i]) ** 2),
+                         logprior_fn=lambda t: 3)
+    data = ObservationSet(np.array([0.5, -1.0, 2.0]))
+    theta = np.array([0.2])
+    lik = md.loglik_matrix(data, theta[None, :])
+    assert lik.dtype == float and lik.shape == (1, 3)
+    assert md.logprior_draws(theta[None, :]).tolist() == [3.0]
+    assert md.logprior(theta) == 3.0 and isinstance(md.logprior(theta), float)
+    assert md.terms(data, theta).dtype == float
+    np.testing.assert_allclose(md.score_matrix(data, theta)[:, 0],
+                               2.0 * (data.y - 0.2), rtol=1e-8)
+    np.testing.assert_allclose(md.hess_term_sum(data, theta), [[-6.0]], rtol=1e-6)
+
+
+@pytest.mark.parametrize("draws,message", [
+    (np.array([[0.1, 0.2, 0.3]]), r"draws must be an S x 2 matrix, got shape \(1, 3\)"),
+    (np.array([0.1, 0.2]), r"draws must be an S x 2 matrix, got shape \(2,\)"),
+    (np.array([[0.1, 0.2], [np.nan, 0.0]]), "draw 1 contains non-finite entries"),
+    (np.array([[0.1, 0.2], [0.0, np.inf]]), "draw 1 contains non-finite entries"),
+])
+def test_user_model_refuses_bad_draws(draws, message):
+    md = ModelDefinition(p=2, loglik_i_fn=lambda t, i, d: 0.0, logprior_fn=lambda t: 0.0)
+    data = ObservationSet(np.zeros(3))
+    with pytest.raises(ValidationError, match=message):
+        md.loglik_matrix(data, draws)
+    with pytest.raises(ValidationError, match=message):
+        md.logprior_draws(draws)
+
+
+def test_check_gradient_report_is_the_per_term_comparison(hier_model, hier_data):
+    theta = np.concatenate([np.linspace(-1.0, 1.0, 15), [0.2], [1.3]])
+    report = check_gradient(hier_model, hier_data, theta)
+    scores = hier_model.score_matrix(hier_data, theta)
+    errs = np.array([np.abs(scores[i] - grad_fd(term_fn(hier_model, hier_data, i), theta))
+                     / max(1.0, float(np.max(np.abs(scores[i]))))
+                     for i in range(hier_data.n)])
+    i, j = np.unravel_index(np.argmax(errs), errs.shape)
+    assert (report.max_rel_err, report.worst_obs, report.worst_coord) == (errs[i, j], i, j)

@@ -756,8 +756,11 @@ def test_criteria_read_the_grid_summary_as_draws(hier_model, hier_data):
 
 
 def test_loo_exact_hier_logit_needs_its_fit(hier_model, hier_data):
-    with pytest.raises(ValidationError, match="needs its Laplace fit"):
+    message = "the hierarchical-logit grid needs its Laplace fit"
+    with pytest.raises(ValidationError, match=message):
         loo_exact(hier_model, hier_data)
+    with pytest.raises(ValidationError, match=message):
+        criteria.grid_summary(hier_model, hier_data, None)
 
 
 def test_loo_exact_hier_logit_needs_three_groups(monkeypatch):

@@ -317,6 +317,18 @@ def test_config_validation():
                  "n_grid values must be an integer", id="n-grid-float"),
     pytest.param(lambda: NormalExperimentConfig(n_grid=(25, np.float64(50))),
                  "n_grid values must be an integer", id="n-grid-float64"),
+    pytest.param(lambda: NormalExperimentConfig(seed=2.5), "seed must be an integer",
+                 id="normal-seed-float"),
+    pytest.param(lambda: NormalExperimentConfig(seed=True), "seed must be an integer",
+                 id="normal-seed-bool"),
+    pytest.param(lambda: NormalExperimentConfig(seed=-1), "seed must be >= 0, got -1",
+                 id="normal-seed-negative"),
+    pytest.param(lambda: LogitExperimentConfig(seed=2.5), "seed must be an integer",
+                 id="logit-seed-float"),
+    pytest.param(lambda: LogitExperimentConfig(seed=False), "seed must be an integer",
+                 id="logit-seed-bool"),
+    pytest.param(lambda: LogitExperimentConfig(seed=-1), "seed must be >= 0, got -1",
+                 id="logit-seed-negative"),
     pytest.param(lambda: LogitExperimentConfig(mu_true=np.nan), "mu_true must be finite",
                  id="mu-true-nan"),
     pytest.param(lambda: LogitExperimentConfig(mu_true=-np.inf), "mu_true must be finite",
@@ -350,3 +362,4 @@ def test_valid_configs_keep_their_hash():
         config.pop("workers")
         hashes.append(config_hash(config))
     assert hashes == ["ea0b318b95fc9ff4", "c869556d05f7fa40", "298fc60f990b4ccb"]
+    assert LogitExperimentConfig(seed=np.int64(7)).seed == 7

@@ -119,6 +119,16 @@ def test_substream_refuses_a_negative_seed():
         substream(-1, "logit", 0)
 
 
+@pytest.mark.parametrize("seed", [2.5, 2.0, np.float64(2.0), True, "2"])
+def test_substream_refuses_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(ValidationError, match="seed must be an integer"):
+        substream(seed, "a")
+
+
+def test_substream_takes_numpy_integer_seeds():
+    assert substream(np.int64(2), "a").random() == substream(2, "a").random()
+
+
 def test_ess_iid():
     x = substream(5, "ess-iid").standard_normal(10_000)
     e = ess(x)

@@ -225,9 +225,13 @@ def test_single_point_forms_are_rows_of_matrix_forms(hier_model, hier_data):
     rng = np.random.default_rng(12)
     normal = ConjugateNormalModel(1.3, mu0=0.4, tau02=0.9)
     normal_data = ObservationSet(rng.standard_normal(7))
+    user = ModelDefinition(  # derivative-free, with a proper prior
+        p=2, loglik_i_fn=lambda t, i, d: float(norm.logpdf(d.y[i], t[0], np.exp(t[1]))),
+        logprior_fn=lambda t: float(norm.logpdf(t).sum()))
     cases = [(normal, normal_data, lambda: rng.normal(size=1)),
              (hier_model, hier_data, lambda: np.concatenate([
-                 rng.normal(size=15), [rng.normal()], [np.exp(rng.normal())]]))]
+                 rng.normal(size=15), [rng.normal()], [np.exp(rng.normal())]])),
+             (user, normal_data, lambda: rng.normal(size=2))]
     for m, data, draw in cases:
         for _ in range(5):
             theta = draw()
@@ -237,6 +241,8 @@ def test_single_point_forms_are_rows_of_matrix_forms(hier_model, hier_data):
             np.testing.assert_array_equal(
                 [m.loglik_i(data, i, theta) for i in range(data.n)], lik)
             np.testing.assert_array_equal(m.logprior(theta), m.logprior_draws(row)[0])
+            np.testing.assert_array_equal(m.terms(data, theta),
+                                          lik + m.logprior_draws(row)[0] / data.n)
             S = m.score_matrix(data, theta)
             for i in range(data.n):
                 np.testing.assert_array_equal(m.term_grad(data, i, theta), S[i])
@@ -413,3 +419,12 @@ def test_model_definition_refuses_support_bounds_of_another_length():
     with pytest.raises(ValidationError, match="needs 2 \\(lo, hi\\) pairs"):
         ModelDefinition(p=2, loglik_i_fn=lambda t, i, d: 0.0, logprior_fn=lambda t: 0.0,
                         support_bounds=[(0.0, np.inf)])
+
+
+@pytest.mark.parametrize("p,message", [(0, "p must be >= 1, got 0"),
+                                       (1.0, "p must be an integer"),
+                                       (True, "p must be an integer")])
+def test_model_definition_refuses_a_dimension_below_one(p, message):
+    # p = 0 left every derivative empty and failed later without a typed error
+    with pytest.raises(ValidationError, match=message):
+        ModelDefinition(p=p, loglik_i_fn=lambda t, i, d: 0.0, logprior_fn=lambda t: 0.0)
